@@ -63,7 +63,6 @@ def main() -> int:
         a_tilde=a_tilde,
         b=b,
         model=model,
-        correction=mg.correction_tensor(model, l, n),
         x0=mg.Tensor3(np.full((n, l, q), 128.0)),
         mask=mask,
     )

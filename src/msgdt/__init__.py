@@ -55,7 +55,6 @@ from .solver import (
 )
 from .synthetic import Dims, SyntheticSystem, gaussian_tensor, gen_synthetic
 from .tensor import (
-    ComplexTensor3,
     Tensor3,
     bcirc,
     fold,
@@ -81,7 +80,6 @@ __all__ = [
     "__version__",
     # tensor
     "Tensor3",
-    "ComplexTensor3",
     "unfold",
     "fold",
     "bcirc",

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tn
+from .masking import check_p
 from .tensor import Tensor3
 
 __all__ = [
@@ -38,11 +39,6 @@ __all__ = [
     "BoundReport",
     "compute_bound_report",
 ]
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"observation probability must be in (0, 1], got {p}")
 
 
 def row_norms(t: Tensor3) -> np.ndarray:
@@ -61,7 +57,7 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
       + (4 n^{3/2} R / p^2 m) sum_i ||A_i||^3 ||B_i||
       + (2 n / p^2 m) sum_i ||A_i||^2 ||B_i||^2.
     """
-    _check_p(p)
+    check_p(p)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     m, _, n = a.dims
@@ -75,7 +71,7 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
 
 def solution_second_moment_bound(a: Tensor3, radius: float, p: float) -> float:
     """G*: bound on E ||g(X*)||^2; only the fourth-power term survives."""
-    _check_p(p)
+    check_p(p)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     m, _, n = a.dims
@@ -85,7 +81,7 @@ def solution_second_moment_bound(a: Tensor3, radius: float, p: float) -> float:
 
 def lipschitz_constant(a: Tensor3, p: float) -> float:
     """L_g = n a_max^2 / p^2, a_max the largest row-slice norm."""
-    _check_p(p)
+    check_p(p)
     return a.n * max_row_norm(a) ** 2 / (p * p)
 
 
@@ -99,7 +95,7 @@ def strong_convexity(a: Tensor3) -> tuple[float, float]:
     m, l, _ = a.dims
     if m < l:
         raise ValueError(f"need a tall tensor (m >= l), got dims {a.dims}")
-    ahat = tn.tube_dft(a).data  # (n, m, l) complex
+    ahat = tn.tube_dft(a)  # (n, m, l) complex
     smallest = math.inf
     for sl in ahat:
         gram = sl.conj().T @ sl

@@ -53,13 +53,12 @@ def verify_expectation_identity_row(
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
     """Exact E[g(X)]: average over all rows and all mask configurations."""
     m, l, n = a.dims
-    c = correction_tensor(model, l, n).data
     acc = np.zeros_like(x.data)
     for i in range(m):
         arow = a.data[:, i, :]
         brow = b.data[:, i, :]
         for mask, prob in enumerate_row_masks(model, l, n):
-            acc += prob * _row_gradient(mask * arow, brow, x.data, c, model.p)
+            acc += prob * _row_gradient(mask * arow, brow, x.data, model)
     return Tensor3(acc / m)
 
 
@@ -82,8 +81,6 @@ def lipschitz_ratio_max(
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
     m, l, n = a.dims
     q = b.l
-    c = correction_tensor(model, l, n).data
-    p = model.p
     worst = 0.0
     for _ in range(trials):
         i = int(rng.integers(m))
@@ -92,13 +89,13 @@ def lipschitz_ratio_max(
         brow = b.data[:, i, :]
         x = rng.standard_normal((n, l, q))
         y = rng.standard_normal((n, l, q))
-        gx = _row_gradient(arow, brow, x, c, p)
-        gy = _row_gradient(arow, brow, y, c, p)
+        gx = _row_gradient(arow, brow, x, model)
+        gy = _row_gradient(arow, brow, y, model)
         denom = float(np.linalg.norm(x - y))
         if denom == 0.0:
             continue
         worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
-    return worst, lipschitz_constant(a, p)
+    return worst, lipschitz_constant(a, model.p)
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,12 @@ def second_moment_sample(
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
     m, l, n = a.dims
-    c = correction_tensor(model, l, n).data
-    p = model.p
     total = 0.0
     for _ in range(trials):
         i = int(rng.integers(m))
         mask = row_mask_batch(model, l, n, 1, rng)[0]
         arow = mask * a.data[:, i, :]
-        g = _row_gradient(arow, b.data[:, i, :], x.data, c, p)
+        g = _row_gradient(arow, b.data[:, i, :], x.data, model)
         total += float(np.vdot(g, g))
     return SecondMomentSample(total / trials, trials)
 

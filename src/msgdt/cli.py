@@ -22,9 +22,9 @@ from .checks import (
     unbiasedness_relative_error,
     verify_expectation_identity_row,
 )
-from .experiment import ExperimentSpec, model_for, run_experiment, write_manifest
+from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
-from .masking import correction_tensor, draw_mask, format_model
+from .masking import draw_mask, format_model, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -112,7 +112,6 @@ def cmd_solve(args) -> int:
         a_tilde=a,
         b=b,
         model=model,
-        correction=correction_tensor(model, a.l, a.n),
         x0=Tensor3(x0_data),
     )
     config = SolverConfig(

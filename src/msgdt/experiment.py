@@ -8,9 +8,9 @@ the swap iteration, and writes ``trace_p{p}_trial{t}.csv``.  The summary
 holds iterate errors at iteration 0, the swap, and the end of each run.
 
 Independent runs may execute in parallel; the MSGDT_THREADS environment
-variable caps the worker count (default 1).  Outputs are byte-identical
-regardless of parallelism because every run derives its own seed from
-(seed, trial, p-index).
+variable caps the worker count (default 1, clamped to the runs and CPUs).
+Outputs are byte-identical regardless of parallelism because every run
+derives its own seed from (seed, trial, p-index).
 """
 
 from __future__ import annotations
@@ -24,31 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .masking import (
-    ColumnBlockMissing,
-    FrontalSliceMissing,
-    MissingModel,
-    UniformMissing,
-    correction_tensor,
-    draw_mask,
-)
+from .masking import draw_mask, model_for
 from .solver import HybridStep, ProblemInstance, SolverConfig, run_msgdt
 from .synthetic import Dims, gen_synthetic
 from .tensor import Tensor3, hadamard
 
-__all__ = ["ExperimentSpec", "SummaryRow", "model_for", "run_experiment", "write_manifest"]
+__all__ = ["ExperimentSpec", "SummaryRow", "run_experiment", "write_manifest"]
 
 SUMMARY_HEADER = "model,p,trial,iters,swap_iter,error_initial,error_swap,error_final"
-
-
-def model_for(kind: str, p: float, block_size: int = 1) -> MissingModel:
-    if kind == "uniform":
-        return UniformMissing(p)
-    if kind == "colblock":
-        return ColumnBlockMissing(p, block_size)
-    if kind == "frontal":
-        return FrontalSliceMissing(p)
-    raise ValueError(f"unknown missing-data model {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +53,11 @@ class ExperimentSpec:
         if not self.p_values:
             raise ValueError("no experiments requested: p_values is empty")
         for p in self.p_values:
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"observation probabilities must be in (0, 1], got {p}")
+            model_for(self.model_kind, p, self.block_size)  # validates kind, p and block size
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.step_divisor <= 0:
             raise ValueError(f"step divisor must be positive, got {self.step_divisor}")
-        model_for(self.model_kind, self.p_values[0], self.block_size)  # validates kind
 
     @property
     def total_iters(self) -> int:
@@ -123,7 +104,6 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int) -> SummaryRow:
         a_tilde=a_tilde if spec.sampling == "once" else system.a,
         b=system.b,
         model=model,
-        correction=correction_tensor(model, spec.dims.l, spec.dims.n),
         x0=Tensor3(np.zeros((spec.dims.n, spec.dims.l, spec.dims.q))),
         mask=mask if spec.sampling == "once" else None,
     )
@@ -154,6 +134,16 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int) -> SummaryRow:
     )
 
 
+def _worker_count(jobs: int) -> int:
+    """MSGDT_THREADS, clamped to the number of jobs and of CPUs."""
+    raw = os.environ.get("MSGDT_THREADS", "1")
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ValueError(f"MSGDT_THREADS must be an integer worker count, got {raw!r}") from None
+    return max(1, min(requested, jobs, os.cpu_count() or 1))
+
+
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run every (p, trial) pair; write traces, summary.csv, and a manifest."""
     if spec.sampling == "once" and spec.total_iters > spec.dims.m:
@@ -165,8 +155,8 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = [(pi, trial) for pi in range(len(spec.p_values)) for trial in range(spec.trials)]
-    workers = max(1, int(os.environ.get("MSGDT_THREADS", "1")))
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(_run_one, [spec] * len(jobs), [pi for pi, _ in jobs], [t for _, t in jobs])

@@ -14,6 +14,10 @@ Atilde* * Atilde whose expectation carries a factor p instead of p^2:
 
     E_D[Atilde* * Atilde] = p^2 (A* * A) + (p - p^2) C o (A* * A).
 
+The dense C is a test oracle: the solver applies each model's correction in
+closed form.  ``check_p`` and ``model_for`` are the one p validator and the
+one model constructor.
+
 Masks are drawn from a seeded NumPy PCG64 generator; with a fixed seed the
 draw is bit-reproducible.  Per-row draws consume generator state in
 row-major order.
@@ -26,6 +30,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from . import tensor as tn
 from .tensor import Tensor3
 
 __all__ = [
@@ -33,6 +38,9 @@ __all__ = [
     "ColumnBlockMissing",
     "FrontalSliceMissing",
     "MissingModel",
+    "check_p",
+    "check_block",
+    "model_for",
     "parse_model",
     "format_model",
     "draw_mask",
@@ -43,7 +51,8 @@ __all__ = [
 ]
 
 
-def _check_p(p: float) -> None:
+def check_p(p: float) -> None:
+    """Reject observation probabilities outside (0, 1]."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"observation probability must be in (0, 1], got {p}")
 
@@ -55,7 +64,7 @@ class UniformMissing:
     p: float
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class ColumnBlockMissing:
     b: int
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_p(self.p)
         if self.b < 1:
             raise ValueError(f"block size must be positive, got {self.b}")
 
@@ -78,10 +87,21 @@ class FrontalSliceMissing:
     p: float
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_p(self.p)
 
 
 MissingModel = Union[UniformMissing, ColumnBlockMissing, FrontalSliceMissing]
+
+
+def model_for(kind: str, p: float, block_size: int = 1) -> MissingModel:
+    """The model named ``uniform``, ``colblock`` or ``frontal``; ``block_size`` is b for colblock."""
+    if kind == "uniform":
+        return UniformMissing(p)
+    if kind == "colblock":
+        return ColumnBlockMissing(p, block_size)
+    if kind == "frontal":
+        return FrontalSliceMissing(p)
+    raise ValueError(f"unknown missing-data model {kind!r}")
 
 
 def parse_model(line: str) -> MissingModel:
@@ -89,17 +109,18 @@ def parse_model(line: str) -> MissingModel:
     parts = line.split()
     if not parts:
         raise ValueError("empty missing-model spec")
+    kind, kv = parts[0], {}
+    for tok in parts[1:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ValueError(f"malformed missing-model spec {line!r}: {tok!r} is not key=value")
+        kv[key] = value
     try:
-        kind, kv = parts[0], dict(tok.split("=", 1) for tok in parts[1:])
-        if kind == "uniform":
-            return UniformMissing(p=float(kv["p"]))
-        if kind == "colblock":
-            return ColumnBlockMissing(p=float(kv["p"]), b=int(kv["b"]))
-        if kind == "frontal":
-            return FrontalSliceMissing(p=float(kv["p"]))
-    except (KeyError, IndexError) as exc:
+        return model_for(kind, float(kv["p"]), int(kv["b"]) if kind == "colblock" else 1)
+    except KeyError as exc:
         raise ValueError(f"malformed missing-model spec {line!r}: missing {exc}") from None
-    raise ValueError(f"unknown missing-model kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"malformed missing-model spec {line!r}: {exc}") from None
 
 
 def format_model(model: MissingModel) -> str:
@@ -112,14 +133,15 @@ def format_model(model: MissingModel) -> str:
     raise TypeError(f"not a missing model: {model!r}")
 
 
-def _check_block(model: MissingModel, l: int) -> None:
+def check_block(model: MissingModel, l: int) -> None:
+    """Reject a column-block model whose block size does not divide l."""
     if isinstance(model, ColumnBlockMissing) and l % model.b != 0:
         raise ValueError(f"block size {model.b} does not divide column count {l}")
 
 
 def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent row-slice masks, stacked as a (count, n, l) 0/1 array."""
-    _check_block(model, l)
+    check_block(model, l)
     if isinstance(model, UniformMissing):
         # one uniform per entry, consumed in (row, column, slice) order
         keep = rng.random((count, l, n)) < model.p
@@ -145,7 +167,7 @@ def correction_tensor(model: MissingModel, l: int, n: int) -> Tensor3:
     column block: every frontal slice block-diagonal with b x b all-ones blocks.
     frontal slice: frontal slice 0 all ones, other slices zero.
     """
-    _check_block(model, l)
+    check_block(model, l)
     data = np.zeros((n, l, l))
     if isinstance(model, UniformMissing):
         data[0] = np.eye(l)
@@ -165,7 +187,7 @@ def enumerate_row_masks(model: MissingModel, l: int, n: int) -> Iterator[tuple[n
     configurations is 2^(l*n) for the uniform model, 2^(l/b) for column
     blocks, and 2^n for frontal slices, so keep the dims tiny.
     """
-    _check_block(model, l)
+    check_block(model, l)
     p = model.p
     if isinstance(model, UniformMissing):
         units = l * n
@@ -195,17 +217,13 @@ def enumerate_row_masks(model: MissingModel, l: int, n: int) -> Iterator[tuple[n
         yield build(bits), prob
 
 
-def _gram_slices(rows: np.ndarray) -> np.ndarray:
-    """Atilde* * Atilde for a batch of row slices, shapes (t, n, l) -> (t, n, l, l).
+def _gram_sum(rows: np.ndarray) -> np.ndarray:
+    """sum_t Atilde_t* * Atilde_t over a batch of row slices, (t, n, l) -> (n, l, l).
 
-    Slice k of the product is sum_j outer(a_{(j-k) mod n}, a_j).
+    The rows stacked as a t x l x n tensor M give the sum as M* * M.
     """
-    t, n, l = rows.shape
-    out = np.empty((t, n, l, l))
-    for k in range(n):
-        shifted = np.roll(rows, k, axis=1)  # shifted[:, j] = rows[:, (j - k) mod n]
-        out[:, k] = np.einsum("tjx,tjy->txy", shifted, rows)
-    return out
+    stacked = Tensor3(rows.transpose(1, 0, 2))
+    return tn.tprod(tn.transpose(stacked), stacked).data
 
 
 def exact_row_gram_expectation(a_row: Tensor3, model: MissingModel) -> Tensor3:
@@ -215,8 +233,7 @@ def exact_row_gram_expectation(a_row: Tensor3, model: MissingModel) -> Tensor3:
     row = a_row.data[:, 0, :]  # (n, l)
     acc = np.zeros((a_row.n, a_row.l, a_row.l))
     for mask, prob in enumerate_row_masks(model, a_row.l, a_row.n):
-        masked = (mask * row)[None]
-        acc += prob * _gram_slices(masked)[0]
+        acc += prob * _gram_sum((mask * row)[None])
     return Tensor3(acc)
 
 
@@ -255,11 +272,11 @@ def verify_expectation_identity(
     while remaining:
         take = min(chunk, remaining)
         masks = row_mask_batch(model, l, n, take, rng)
-        estimate += _gram_slices(masks * row[None]).sum(axis=0)
+        estimate += _gram_sum(masks * row[None])
         remaining -= take
     estimate /= trials
 
-    exact = _gram_slices(row[None])[0]
+    exact = _gram_sum(row[None])
     c = correction_tensor(model, l, n).data
     scale = float(np.max(np.abs(exact)))
     if scale == 0.0:

@@ -10,6 +10,10 @@ whole space) and C is the model's correction tensor.  Taking expectation
 over the row choice and the mask, E[g(X)] equals the full-data gradient
 (1/m) A* * (A * X - B).
 
+The iteration never builds C: ``_row_gradient`` applies (C o H) * X in a
+closed form per model, and ``gradient_estimate`` keeps the dense formula
+with an explicit C as the reference the kernel is tested against.
+
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
 replacement and draws a fresh mask for the chosen row every iteration (the
@@ -26,7 +30,16 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from . import tensor as tn
-from .masking import MissingModel, row_mask_batch
+from .masking import (
+    FrontalSliceMissing,
+    MissingModel,
+    UniformMissing,
+    check_block,
+    check_p,
+    correction_tensor,
+    format_model,
+    row_mask_batch,
+)
 from .tensor import Tensor3
 
 __all__ = [
@@ -144,15 +157,17 @@ class ProblemInstance:
 
     ``a_tilde`` holds the observed data in "once" mode; in "redraw" mode it
     holds the fully known A (masks are drawn per iteration).  ``mask`` is
-    the mask that produced a_tilde, when there is one.
+    the mask that produced a_tilde, when there is one.  The iteration takes
+    its correction from ``model``; a ``correction`` tensor, when given, is
+    only cross-checked against the model's dense C.
     """
 
     a_tilde: Tensor3
     b: Tensor3
     model: MissingModel
-    correction: Tensor3
     x0: Tensor3
     mask: Optional[Tensor3] = None
+    correction: Optional[Tensor3] = None
 
     def __post_init__(self):
         m, l, n = self.a_tilde.dims
@@ -160,13 +175,14 @@ class ProblemInstance:
             raise ValueError(f"B dims {self.b.dims} inconsistent with A dims {self.a_tilde.dims}")
         if self.x0.dims != (l, self.b.l, n):
             raise ValueError(f"X0 dims {self.x0.dims} inconsistent with system {(l, self.b.l, n)}")
-        if self.correction.dims != (l, l, n):
-            raise ValueError(f"correction dims {self.correction.dims}, expected {(l, l, n)}")
-        cdata = self.correction.data
-        if not np.all((cdata == 0.0) | (cdata == 1.0)):
-            raise ValueError("correction tensor must have 0/1 entries")
-        if not tn.is_hermitian(self.correction, tol=0.0):
-            raise ValueError("correction tensor must be Hermitian")
+        check_block(self.model, l)
+        if self.correction is not None and not np.array_equal(
+            self.correction.data, correction_tensor(self.model, l, n).data
+        ):
+            raise ValueError(
+                f"correction tensor of dims {self.correction.dims} is not the 0/1 Hermitian "
+                f"correction tensor of the model '{format_model(self.model)}' at l={l}, n={n}"
+            )
         if self.mask is not None and self.mask.dims != self.a_tilde.dims:
             raise ValueError(f"mask dims {self.mask.dims} != data dims {self.a_tilde.dims}")
 
@@ -179,44 +195,60 @@ def _circulant_index(n: int) -> np.ndarray:
     return idx
 
 
-def _row_gradient(arow: np.ndarray, brow: np.ndarray, x: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
-    """Update direction on raw arrays: arow (n,l), brow (n,q), x (n,l,q).
+def _row_gradient(arow: np.ndarray, brow: np.ndarray, x: np.ndarray, model: MissingModel) -> np.ndarray:
+    """Update direction g(X) on raw arrays: arow (n,l), brow (n,q), x (n,l,q).
 
-    The three t-products are the direct slice convolutions, batched into
-    one matrix product each via a circulant gather of the small operand.
+    The t-products with Atilde_i are direct slice convolutions, batched into
+    one matrix product each via a circulant gather of the row.  With
+    H = Atilde_i* * Atilde_i, the correction (C o H) * X is the sum of
+    Atilde_u* * (Atilde_u * X) over the model's independent units u:
+
+    * uniform: d o X slice by slice, with d_j = sum_k arow[k, j]^2,
+    * frontal slice: H_0 @ X slice by slice, with H_0 = arow^T arow,
+    * column block: per block, the two t-products restricted to its columns.
     """
     n, l = arow.shape
     q = x.shape[2]
-    idx = _circulant_index(n)
-    xu = x.reshape(n * l, q)
-    ax = arow[idx].reshape(n, n * l) @ xu  # slices of Atilde_i * X
-    resid = ax - p * brow
-    agt = np.ascontiguousarray(arow[idx.T].transpose(0, 2, 1)).reshape(n * l, n)
-    lead = (agt @ resid).reshape(n, l, q)  # Atilde_i^* * resid
-    gram = (agt @ arow).reshape(n, l, l)  # H = Atilde_i^* * Atilde_i, once per call
-    ch = c * gram
-    xg = x[idx]  # xg[k, j] = x[(k - j) mod n]
-    corrected = (
-        ch.transpose(1, 0, 2).reshape(l, n * l) @ xg.transpose(1, 2, 0, 3).reshape(n * l, n * q)
-    ).reshape(l, n, q).transpose(1, 0, 2)  # (C o H) * X
+    p = model.p
+    ga = arow[_circulant_index(n)]  # ga[k, j] = arow[(k - j) mod n]
+    ax = ga.reshape(n, n * l) @ x.reshape(n * l, q)  # slices of Atilde_i * X
+    agt = np.ascontiguousarray(ga.transpose(1, 2, 0)).reshape(n * l, n)  # Atilde_i^* as a block column
+    lead = (agt @ (ax - p * brow)).reshape(n, l, q)
+    if isinstance(model, UniformMissing):
+        corrected = np.einsum("kj,kj->j", arow, arow)[:, None] * x
+    elif isinstance(model, FrontalSliceMissing):
+        corrected = (arow.T @ arow) @ x
+    else:
+        nb, bs = l // model.b, model.b
+        gb = ga.reshape(n, n, nb, bs)
+        xb = x.reshape(n, nb, bs, q).transpose(1, 0, 2, 3).reshape(nb, n * bs, q)
+        axb = gb.transpose(2, 0, 1, 3).reshape(nb, n, n * bs) @ xb  # Atilde_beta * X_beta
+        corrected = (
+            (gb.transpose(2, 1, 3, 0).reshape(nb, n * bs, n) @ axb)
+            .reshape(nb, n, bs, q)
+            .transpose(1, 0, 2, 3)
+            .reshape(n, l, q)
+        )
     return (lead - (1.0 - p) * corrected) / (p * p)
 
 
 def gradient_estimate(
     a_row_tilde: Tensor3, b_row: Tensor3, x: Tensor3, c: Tensor3, p: float
 ) -> Tensor3:
-    """The stochastic update direction g(X) for one observed row slice."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"observation probability must be in (0, 1], got {p}")
+    """The stochastic update direction g(X) for one observed row slice.
+
+    Dense reference for the solver's kernel: g(X) = M * X - (1/p) Atilde_i* * B_i
+    with M from :func:`update_linear_part` and an explicit correction ``c``.
+    """
+    check_p(p)
     if a_row_tilde.m != 1 or b_row.m != 1:
         raise ValueError("row slices must have a single row")
     if a_row_tilde.l != x.m or x.l != b_row.l or a_row_tilde.n != x.n or b_row.n != x.n:
         raise ValueError(
             f"inconsistent shapes: A row {a_row_tilde.dims}, B row {b_row.dims}, X {x.dims}"
         )
-    return Tensor3(
-        _row_gradient(a_row_tilde.data[:, 0, :], b_row.data[:, 0, :], x.data, c.data, p)
-    )
+    lin = tn.tprod(update_linear_part(a_row_tilde, c, p), x)
+    return lin - tn.tprod(tn.transpose(a_row_tilde), b_row) * (1.0 / p)
 
 
 def update_linear_part(a_row_tilde: Tensor3, c: Tensor3, p: float) -> Tensor3:
@@ -317,11 +349,10 @@ def run_msgdt(
     rng = np.random.default_rng(config.seed)
     if config.sampling == "once":
         row_order = rng.permutation(m)[:T]
-    p = problem.model.p
+    model = problem.model
 
     a_data = problem.a_tilde.data
     b_data = problem.b.data
-    c_data = problem.correction.data
     x = problem.x0.data.copy()
     radius = config.projection_radius
 
@@ -342,17 +373,15 @@ def run_msgdt(
             arow = a_data[:, i, :]
         else:
             i = int(rng.integers(m))
-            mask = row_mask_batch(problem.model, l, n, 1, rng)[0]  # (n, l)
+            mask = row_mask_batch(model, l, n, 1, rng)[0]  # (n, l)
             arow = mask * a_data[:, i, :]
         brow = b_data[:, i, :]
 
-        g = _row_gradient(arow, brow, x, c_data, p)
+        g = _row_gradient(arow, brow, x, model)
         alpha = step_size(config.schedule, t)
         x -= alpha * g
-        if radius is not None:
-            norm = float(np.linalg.norm(x))
-            if norm > radius:
-                x *= radius / norm
+        if radius is not None:  # skips the per-iteration wrapper in unprojected runs
+            x = project_ball(Tensor3(x), radius).data
 
         if t in record_at or t % config.trace_every == 0:
             err, obj = metrics(x)

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Tensor3",
-    "ComplexTensor3",
     "zeros",
     "ones",
     "identity_tensor",
@@ -98,39 +97,6 @@ class Tensor3:
     def __repr__(self) -> str:
         m, l, n = self.dims
         return f"Tensor3(m={m}, l={l}, n={n})"
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexTensor3:
-    """Complex-valued counterpart of :class:`Tensor3`; same (n, m, l) layout.
-
-    Only produced internally (tube DFT); user-facing tensors stay real.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ValueError(f"ComplexTensor3 data must be 3-d, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def l(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        n, m, l = self.data.shape
-        return (m, l, n)
 
 
 def _require_same_dims(a: Tensor3, b: Tensor3, what: str) -> None:
@@ -250,14 +216,14 @@ def row_slice(t: Tensor3, i: int) -> Tensor3:
     return Tensor3(t.data[:, i : i + 1, :].copy())
 
 
-def tube_dft(t: Tensor3) -> ComplexTensor3:
-    """Unnormalized DFT applied down every length-n tube."""
-    return ComplexTensor3(np.fft.fft(t.data, axis=0))
+def tube_dft(t: Tensor3) -> np.ndarray:
+    """Unnormalized DFT applied down every length-n tube, as a complex (n, m, l) array."""
+    return np.fft.fft(t.data, axis=0)
 
 
-def tube_idft(t: ComplexTensor3) -> ComplexTensor3:
-    """Inverse of :func:`tube_dft`."""
-    return ComplexTensor3(np.fft.ifft(t.data, axis=0))
+def tube_idft(hat: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`tube_dft` on a complex (n, m, l) array."""
+    return np.fft.ifft(hat, axis=0)
 
 
 # --- T3F1 binary tensor format ------------------------------------------
@@ -290,5 +256,7 @@ def read_t3f1(path) -> Tensor3:
         raise ValueError(
             f"{path}: T3F1 payload has {len(raw) - 28} bytes, expected {8 * m * l * n}"
         )
-    data = np.frombuffer(raw[28:], dtype="<f8").reshape(n, m, l)
+    data = np.frombuffer(raw, dtype="<f8", offset=28).reshape(n, m, l)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: T3F1 payload holds non-finite values")
     return Tensor3(data.copy())

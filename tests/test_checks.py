@@ -21,14 +21,14 @@ def test_wrong_correction_tensor_breaks_unbiasedness():
     good = unbiasedness_relative_error(system.a, system.b, x, model)
     assert good < 1e-10
 
-    # averaging g built with the uniform-model C under the frontal model
-    c_wrong = mg.correction_tensor(mg.UniformMissing(0.4), 3, 2).data
+    # averaging g built with the uniform model's correction under frontal masks
+    wrong = mg.UniformMissing(0.4)
     acc = np.zeros_like(x.data)
     for i in range(4):
         arow = system.a.data[:, i, :]
         brow = system.b.data[:, i, :]
         for mask, prob in mg.enumerate_row_masks(model, 3, 2):
-            acc += prob * _row_gradient(mask * arow, brow, x.data, c_wrong, 0.4)
+            acc += prob * _row_gradient(mask * arow, brow, x.data, wrong)
     grad = mg.full_gradient(system.a, system.b, x).data
     bad = np.max(np.abs(acc / 4 - grad)) / np.max(np.abs(grad))
     assert bad > 1e-3

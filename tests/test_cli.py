@@ -297,6 +297,40 @@ class TestExperiment:
         main(args + ["--out", str(parallel)])
         assert read_bytes_map(serial) == read_bytes_map(parallel)
 
+    SMALL = ["experiment", "--dims", "20,2,2,2", "--p", "0.5,0.9", "--trials", "2",
+             "--swap-iter", "5", "--step-divisor", "20", "--trace-every", "10"]
+
+    def test_non_integer_thread_count_named(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MSGDT_THREADS", "two")
+        with pytest.raises(ValueError, match="MSGDT_THREADS"):
+            main(self.SMALL + ["--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("cpus,expected", [(64, 4), (3, 3)])
+    def test_worker_count_clamped(self, tmp_path, monkeypatch, cpus, expected):
+        # a stand-in executor records max_workers and runs the jobs in-process
+        from msgdt import experiment
+
+        seen = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("MSGDT_THREADS", "100000")
+        main(self.SMALL + ["--out", str(tmp_path / "x")])
+        assert seen == [expected]  # 4 runs: 2 p values x 2 trials
+
 
 class TestBounds:
     def test_prints_and_writes(self, tmp_path, capsys):

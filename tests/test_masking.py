@@ -55,6 +55,13 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             mg.parse_model("gaussian p=0.5")
 
+    @pytest.mark.parametrize(
+        "line", ["uniform p", "uniform 0.5", "colblock p=0.5", "frontal p=half", "uniform p=1.5"]
+    )
+    def test_malformed_spec_named(self, line):
+        with pytest.raises(ValueError, match="malformed missing-model spec"):
+            mg.parse_model(line)
+
 
 class TestDrawMask:
     @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import msgdt as mg
 from msgdt.checks import (
@@ -9,6 +11,8 @@ from msgdt.checks import (
     self_adjointness_max_dev,
     unbiasedness_relative_error,
 )
+from msgdt.masking import model_for, row_mask_batch
+from msgdt.solver import _row_gradient
 
 
 def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
@@ -114,6 +118,42 @@ class TestGradientEstimate:
             "frontal": mg.FrontalSliceMissing(0.3),
         }[kind]
         assert unbiasedness_relative_error(system.a, system.b, x, model) < 1e-10
+
+
+class TestKernelMatchesDenseOracle:
+    """The model-owned kernel against the dense formula with an explicit C."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        l=st.integers(1, 8),
+        q=st.integers(1, 4),
+        p=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        kind=st.sampled_from(["uniform", "colblock", "frontal"]),
+        blank=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, l=1, q=1, p=1.0, kind="colblock", blank=False, seed=0)
+    @example(n=1, l=4, q=2, p=0.5, kind="colblock", blank=True, seed=1)
+    @example(n=5, l=6, q=3, p=1.0, kind="frontal", blank=False, seed=2)
+    def test_relative_error(self, n, l, q, p, kind, blank, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [b for b in range(1, l + 1) if l % b == 0] if kind == "colblock" else [1]
+        for b in blocks:
+            model = model_for(kind, p, b)
+            mask = 0.0 if blank else row_mask_batch(model, l, n, 1, rng)[0]
+            arow = mask * rng.standard_normal((n, l))
+            brow = rng.standard_normal((n, q))
+            x = rng.standard_normal((n, l, q))
+            got = _row_gradient(arow, brow, x, model)
+            want = mg.gradient_estimate(
+                mg.Tensor3(arow[:, None, :]),
+                mg.Tensor3(brow[:, None, :]),
+                mg.Tensor3(x),
+                mg.correction_tensor(model, l, n),
+                p,
+            ).data
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestLinearPart:
@@ -360,6 +400,28 @@ class TestProblemValidation:
                 b=problem.b,
                 model=problem.model,
                 correction=mg.Tensor3(data),
+                x0=problem.x0,
+            )
+
+    def test_rejects_correction_of_another_model(self):
+        # a valid 0/1 Hermitian C that belongs to a different model would bias g
+        _, problem = make_problem(l=3, n=2, model_kind="frontal")
+        with pytest.raises(ValueError, match="frontal p=0.5"):
+            mg.ProblemInstance(
+                a_tilde=problem.a_tilde,
+                b=problem.b,
+                model=problem.model,
+                correction=mg.correction_tensor(mg.UniformMissing(0.5), 3, 2),
+                x0=problem.x0,
+            )
+
+    def test_rejects_block_not_dividing_columns(self):
+        _, problem = make_problem(l=3, n=2)
+        with pytest.raises(ValueError, match="divide"):
+            mg.ProblemInstance(
+                a_tilde=problem.a_tilde,
+                b=problem.b,
+                model=mg.ColumnBlockMissing(0.5, 2),
                 x0=problem.x0,
             )
 

@@ -229,14 +229,14 @@ class TestTubeDFT:
     def test_constant_tube(self):
         n, c = 4, 3.5
         t = mg.Tensor3(np.full((n, 1, 1), c))
-        hat = mg.tube_dft(t).data.ravel()
+        hat = mg.tube_dft(t).ravel()
         npt.assert_allclose(hat[0], n * c, rtol=1e-14)
         npt.assert_allclose(hat[1:], 0, atol=1e-12)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(15)
         t = random_tensor(3, 2, 6, rng)
-        back = mg.tube_idft(mg.tube_dft(t)).data
+        back = mg.tube_idft(mg.tube_dft(t))
         npt.assert_allclose(back.real, t.data, rtol=1e-10, atol=1e-12)
         npt.assert_allclose(back.imag, 0, atol=1e-12)
 
@@ -244,7 +244,7 @@ class TestTubeDFT:
         rng = np.random.default_rng(16)
         a = random_tensor(4, 3, 3, rng)
         sv_oracle = np.sort(np.linalg.svd(mg.bcirc(a), compute_uv=False))
-        hat = mg.tube_dft(a).data
+        hat = mg.tube_dft(a)
         sv_hat = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False) for s in hat]))
         npt.assert_allclose(sv_hat, sv_oracle, atol=1e-8)
 
@@ -315,6 +315,15 @@ class TestT3F1:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="payload"):
+            mg.read_t3f1(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, bad):
+        data = np.ones((2, 2, 3))
+        data[1, 0, 2] = bad
+        path = tmp_path / "t.t3f"
+        mg.write_t3f1(mg.Tensor3(data), path)
+        with pytest.raises(ValueError, match=r"t\.t3f.*non-finite"):
             mg.read_t3f1(path)
 
     def test_rejects_truncated_header(self, tmp_path):
