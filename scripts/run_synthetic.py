@@ -13,6 +13,7 @@ import argparse
 from pathlib import Path
 
 from msgdt.experiment import ExperimentSpec, run_experiment
+from msgdt.masking import MODEL_KINDS, kind_fields
 from msgdt.synthetic import Dims
 
 
@@ -30,7 +31,8 @@ def main() -> int:
 
     dims = Dims.parse(args.dims)
     p_values = tuple(float(tok) for tok in args.p.split(",") if tok)
-    for kind, block in (("uniform", 1), ("colblock", args.block_size), ("frontal", 1)):
+    for kind in MODEL_KINDS:
+        block = args.block_size if "b" in kind_fields(kind) else 1
         out_dir = Path(args.out) / kind
         spec = ExperimentSpec(
             dims=dims,

@@ -64,7 +64,6 @@ def main() -> int:
         b=b,
         model=model,
         x0=mg.Tensor3(np.full((n, l, q), 128.0)),
-        mask=mask,
     )
     config = mg.SolverConfig(
         schedule=mg.HybridStep.matched(alpha, args.swap_iter),

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class BoundReport:
     """Every constant for one instance, one step size, and one ball radius.
 
     ``contraction`` and ``horizon`` are NaN when no step size was supplied.
-    CSV column order matches ``CSV_HEADER``.
+    The CSV columns and the ``key=value`` lines follow the field order.
     """
 
     gradient_second_moment: float
@@ -168,29 +168,16 @@ class BoundReport:
     radius: float
     max_row_norm: float
 
-    CSV_HEADER = (
-        "gradient_second_moment,solution_second_moment,lipschitz,strong_convexity,"
-        "sigma_min,contraction,horizon,diameter,radius,max_row_norm"
-    )
-
-    _FIELDS = (
-        "gradient_second_moment",
-        "solution_second_moment",
-        "lipschitz",
-        "strong_convexity",
-        "sigma_min",
-        "contraction",
-        "horizon",
-        "diameter",
-        "radius",
-        "max_row_norm",
-    )
+    CSV_HEADER: ClassVar[str]  # the field names, comma-separated; set below the class
 
     def to_kv_text(self) -> str:
-        return "\n".join(f"{name}={getattr(self, name):.17g}" for name in self._FIELDS)
+        return "\n".join(f"{f.name}={getattr(self, f.name):.17g}" for f in fields(self))
 
     def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, name):.17g}" for name in self._FIELDS)
+        return ",".join(f"{getattr(self, f.name):.17g}" for f in fields(self))
+
+
+BoundReport.CSV_HEADER = ",".join(f.name for f in fields(BoundReport))
 
 
 def compute_bound_report(

@@ -23,8 +23,8 @@ from .masking import (
     ExpectationReport,
     MissingModel,
     correction_tensor,
+    draw_masked_row,
     enumerate_row_masks,
-    row_mask_batch,
     verify_expectation_identity,
 )
 from .solver import _row_gradient, full_gradient, objective, update_linear_part
@@ -79,13 +79,11 @@ def lipschitz_ratio_max(
 ) -> tuple[float, float]:
     """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
-    m, l, n = a.dims
+    _, l, n = a.dims
     q = b.l
     worst = 0.0
     for _ in range(trials):
-        i = int(rng.integers(m))
-        mask = row_mask_batch(model, l, n, 1, rng)[0]
-        arow = mask * a.data[:, i, :]
+        i, arow = draw_masked_row(model, a.data, rng)
         brow = b.data[:, i, :]
         x = rng.standard_normal((n, l, q))
         y = rng.standard_normal((n, l, q))
@@ -108,12 +106,9 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
-    m, l, n = a.dims
     total = 0.0
     for _ in range(trials):
-        i = int(rng.integers(m))
-        mask = row_mask_batch(model, l, n, 1, rng)[0]
-        arow = mask * a.data[:, i, :]
+        i, arow = draw_masked_row(model, a.data, rng)
         g = _row_gradient(arow, b.data[:, i, :], x.data, model)
         total += float(np.vdot(g, g))
     return SecondMomentSample(total / trials, trials)
@@ -123,14 +118,12 @@ def self_adjointness_max_dev(
     a: Tensor3, b_cols: int, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> float:
     """Max relative gap |<M*X, Y> - <X, M*Y>| for the linear part M of g."""
-    m, l, n = a.dims
+    _, l, n = a.dims
     c = correction_tensor(model, l, n)
     worst = 0.0
     for _ in range(trials):
-        i = int(rng.integers(m))
-        mask = row_mask_batch(model, l, n, 1, rng)[0]
-        arow = Tensor3((mask * a.data[:, i, :])[:, None, :])
-        lin = update_linear_part(arow, c, model.p)
+        _, arow = draw_masked_row(model, a.data, rng)
+        lin = update_linear_part(Tensor3(arow[:, None, :]), c, model.p)
         x = Tensor3(rng.standard_normal((n, l, b_cols)))
         y = Tensor3(rng.standard_normal((n, l, b_cols)))
         lhs = tn.inner(tn.tprod(lin, x), y)

@@ -24,7 +24,7 @@ from .checks import (
 )
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
-from .masking import draw_mask, format_model, model_for
+from .masking import MODEL_KINDS, draw_mask, format_model, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -215,8 +215,8 @@ def _verify_unbiasedness(args, lines: list[str]) -> bool:
     system = gen_synthetic(Dims(4, 3, 2, 2), args.seed)
     x = Tensor3(np.random.default_rng(args.seed + 1).standard_normal((2, 3, 2)))
     ok = True
-    for kind, bs in (("uniform", 1), ("colblock", 3), ("frontal", 1)):
-        model = model_for(kind, args.p, bs)
+    for kind in MODEL_KINDS:
+        model = model_for(kind, args.p, 3)  # column blocks span all l = 3 columns
         err = unbiasedness_relative_error(system.a, system.b, x, model)
         good = err <= 1e-10
         ok &= good
@@ -230,8 +230,8 @@ def _verify_unbiasedness(args, lines: list[str]) -> bool:
 def _verify_lipschitz(args, lines: list[str]) -> bool:
     system = gen_synthetic(Dims(6, 3, 2, 2), args.seed)
     ok = True
-    for kind, bs in (("uniform", 1), ("colblock", 3), ("frontal", 1)):
-        model = model_for(kind, args.p, bs)
+    for kind in MODEL_KINDS:
+        model = model_for(kind, args.p, 3)  # column blocks span all l = 3 columns
         rng = np.random.default_rng(args.seed + 2)
         ratio, bound = lipschitz_ratio_max(system.a, system.b, model, args.trials, rng)
         good = ratio <= bound * (1 + 1e-12)
@@ -250,8 +250,8 @@ def _verify_bounds(args, lines: list[str]) -> bool:
     x = Tensor3(rng.standard_normal(system.x_star.data.shape))
     x = Tensor3(x.data * (0.9 * radius / frob_norm(x)))
     ok = True
-    for kind, bs in (("uniform", 1), ("colblock", 3), ("frontal", 1)):
-        model = model_for(kind, args.p, bs)
+    for kind in MODEL_KINDS:
+        model = model_for(kind, args.p, 3)  # column blocks span all l = 3 columns
         g_bound = compute_bound_report(system.a, system.b, radius, args.p).gradient_second_moment
         gstar_bound = solution_second_moment_bound(system.a, radius, args.p)
         sample_x = second_moment_sample(system.a, system.b, x, model, args.trials, rng)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=float, default=0.5, help="observation probability in (0,1]")
         p.add_argument(
             "--model",
-            choices=("uniform", "colblock", "frontal"),
+            choices=tuple(MODEL_KINDS),
             default="uniform",
             help="missing-data model",
         )
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="sweep p values over seeded synthetic systems")
     ex.add_argument("--dims", default="10000,20,10,10", help="m,l,q,n")
     ex.add_argument("--p", default="0.3,0.5,0.7,0.99", help="comma-separated observation probabilities")
-    ex.add_argument("--model", choices=("uniform", "colblock", "frontal"), default="uniform")
+    ex.add_argument("--model", choices=tuple(MODEL_KINDS), default="uniform")
     ex.add_argument("--block-size", type=int, default=1)
     ex.add_argument("--iters", type=int, default=None, help="default: one pass (m iterations)")
     ex.add_argument("--swap-iter", type=int, default=5000)

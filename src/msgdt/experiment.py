@@ -94,18 +94,19 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int) -> SummaryRow:
     model = model_for(spec.model_kind, p, spec.block_size)
     system = gen_synthetic(spec.dims, np.random.SeedSequence([spec.seed, trial]))
 
-    mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, p_index, 1]))
-    mask = draw_mask(model, spec.dims.m, spec.dims.l, spec.dims.n, mask_rng)
-    a_tilde = hadamard(mask, system.a)
+    if spec.sampling == "once":
+        mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, p_index, 1]))
+        a = hadamard(draw_mask(model, spec.dims.m, spec.dims.l, spec.dims.n, mask_rng), system.a)
+    else:  # redraw: the solver masks each drawn row itself
+        a = system.a
 
     alpha = p * p / spec.step_divisor
     schedule = HybridStep.matched(alpha, spec.swap_iter)
     problem = ProblemInstance(
-        a_tilde=a_tilde if spec.sampling == "once" else system.a,
+        a_tilde=a,
         b=system.b,
         model=model,
         x0=Tensor3(np.zeros((spec.dims.n, spec.dims.l, spec.dims.q))),
-        mask=mask if spec.sampling == "once" else None,
     )
     config = SolverConfig(
         schedule=schedule,

@@ -15,17 +15,19 @@ Atilde* * Atilde whose expectation carries a factor p instead of p^2:
     E_D[Atilde* * Atilde] = p^2 (A* * A) + (p - p^2) C o (A* * A).
 
 The dense C is a test oracle: the solver applies each model's correction in
-closed form.  ``check_p`` and ``model_for`` are the one p validator and the
-one model constructor.
+closed form.  ``check_p``, ``MODEL_KINDS`` and ``model_for`` are the one p
+validator, table of model names and model constructor; ``unit_map`` is the
+one definition of each model's independent units.
 
 Masks are drawn from a seeded NumPy PCG64 generator; with a fixed seed the
 draw is bit-reproducible.  Per-row draws consume generator state in
-row-major order.
+row-major order, one variate per unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Iterator, Union
 
 import numpy as np
@@ -40,9 +42,13 @@ __all__ = [
     "MissingModel",
     "check_p",
     "check_block",
+    "MODEL_KINDS",
+    "kind_fields",
     "model_for",
     "parse_model",
     "format_model",
+    "unit_map",
+    "draw_masked_row",
     "draw_mask",
     "correction_tensor",
     "enumerate_row_masks",
@@ -93,30 +99,48 @@ class FrontalSliceMissing:
 MissingModel = Union[UniformMissing, ColumnBlockMissing, FrontalSliceMissing]
 
 
+# Text name -> model class; the text form is the name, then field=value per dataclass field.
+MODEL_KINDS = {
+    "uniform": UniformMissing,
+    "colblock": ColumnBlockMissing,
+    "frontal": FrontalSliceMissing,
+}
+_FIELD_TEXT = {"p": (float, "{:g}"), "b": (int, "{}")}  # (parse, format) per field
+
+
+def kind_fields(kind: str) -> tuple[str, ...]:
+    """Parameter names of the model ``kind`` in text-form order: ``p``, then ``b`` for colblock."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown missing-data model {kind!r}")
+    return tuple(f.name for f in fields(MODEL_KINDS[kind]))
+
+
 def model_for(kind: str, p: float, block_size: int = 1) -> MissingModel:
     """The model named ``uniform``, ``colblock`` or ``frontal``; ``block_size`` is b for colblock."""
-    if kind == "uniform":
-        return UniformMissing(p)
-    if kind == "colblock":
-        return ColumnBlockMissing(p, block_size)
-    if kind == "frontal":
-        return FrontalSliceMissing(p)
-    raise ValueError(f"unknown missing-data model {kind!r}")
+    values = {"p": p, "b": block_size}
+    args = [values[name] for name in kind_fields(kind)]
+    return MODEL_KINDS[kind](*args)
 
 
 def parse_model(line: str) -> MissingModel:
-    """Parse the one-line text form, e.g. ``uniform p=0.5`` or ``colblock p=0.5 b=4``."""
+    """Parse the one-line text form, e.g. ``uniform p=0.5`` or ``colblock p=0.5 b=4``.
+
+    Each key of :func:`kind_fields` must appear exactly once, and no other.
+    """
     parts = line.split()
     if not parts:
         raise ValueError("empty missing-model spec")
     kind, kv = parts[0], {}
-    for tok in parts[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ValueError(f"malformed missing-model spec {line!r}: {tok!r} is not key=value")
-        kv[key] = value
     try:
-        return model_for(kind, float(kv["p"]), int(kv["b"]) if kind == "colblock" else 1)
+        names = kind_fields(kind)
+        for tok in parts[1:]:
+            key, sep, value = tok.partition("=")
+            if not sep:
+                raise ValueError(f"{tok!r} is not key=value")
+            if key not in names or key in kv:
+                raise ValueError(f"{'repeated' if key in kv else 'unknown'} key {key!r} for {kind}")
+            kv[key] = value
+        return MODEL_KINDS[kind](*(_FIELD_TEXT[name][0](kv[name]) for name in names))
     except KeyError as exc:
         raise ValueError(f"malformed missing-model spec {line!r}: missing {exc}") from None
     except ValueError as exc:
@@ -124,13 +148,12 @@ def parse_model(line: str) -> MissingModel:
 
 
 def format_model(model: MissingModel) -> str:
-    if isinstance(model, UniformMissing):
-        return f"uniform p={model.p:g}"
-    if isinstance(model, ColumnBlockMissing):
-        return f"colblock p={model.p:g} b={model.b}"
-    if isinstance(model, FrontalSliceMissing):
-        return f"frontal p={model.p:g}"
-    raise TypeError(f"not a missing model: {model!r}")
+    """The text form read by :func:`parse_model`, e.g. ``colblock p=0.5 b=4``."""
+    kinds = [name for name, cls in MODEL_KINDS.items() if type(model) is cls]
+    if not kinds:
+        raise TypeError(f"not a missing model: {model!r}")
+    values = [f"{name}={_FIELD_TEXT[name][1].format(getattr(model, name))}" for name in kind_fields(kinds[0])]
+    return " ".join(kinds + values)
 
 
 def check_block(model: MissingModel, l: int) -> None:
@@ -139,19 +162,38 @@ def check_block(model: MissingModel, l: int) -> None:
         raise ValueError(f"block size {model.b} does not divide column count {l}")
 
 
+@lru_cache(maxsize=64)
+def unit_map(model: MissingModel, l: int, n: int) -> tuple[np.ndarray, int]:
+    """(map, units): a read-only (n, l) map from entry (k, j) of a row slice to its unit.
+
+    Units are numbered ``j*n + k`` (uniform), ``j // b`` (column blocks) or
+    ``k`` (frontal slices): the order in which mask draws consume the
+    generator and the bit order of :func:`enumerate_row_masks`.  The map is
+    built, and the block size checked, once per model and shape.
+    """
+    check_block(model, l)
+    k, j = np.indices((n, l))
+    if isinstance(model, UniformMissing):
+        umap, units = j * n + k, l * n
+    elif isinstance(model, ColumnBlockMissing):
+        umap, units = j // model.b, l // model.b
+    else:
+        umap, units = k, n
+    umap.setflags(write=False)
+    return umap, units
+
+
 def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent row-slice masks, stacked as a (count, n, l) 0/1 array."""
-    check_block(model, l)
-    if isinstance(model, UniformMissing):
-        # one uniform per entry, consumed in (row, column, slice) order
-        keep = rng.random((count, l, n)) < model.p
-        return keep.transpose(0, 2, 1).astype(np.float64)
-    if isinstance(model, ColumnBlockMissing):
-        keep = rng.random((count, l // model.b)) < model.p
-        cols = np.repeat(keep, model.b, axis=1)  # (count, l)
-        return np.broadcast_to(cols[:, None, :], (count, n, l)).astype(np.float64)
-    keep = rng.random((count, n)) < model.p
-    return np.broadcast_to(keep[:, :, None], (count, n, l)).astype(np.float64)
+    umap, units = unit_map(model, l, n)
+    return (rng.random((count, units)) < model.p)[:, umap].astype(np.float64)
+
+
+def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """(i, Atilde_i): a uniform row index i of A's (n, m, l) array, then row i under a fresh mask."""
+    n, m, l = a_data.shape
+    i = int(rng.integers(m))
+    return i, row_mask_batch(model, l, n, 1, rng)[0] * a_data[:, i, :]
 
 
 def draw_mask(model: MissingModel, m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:
@@ -183,38 +225,19 @@ def correction_tensor(model: MissingModel, l: int, n: int) -> Tensor3:
 def enumerate_row_masks(model: MissingModel, l: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
     """All possible masks of a single row slice with their probabilities.
 
-    Yields (mask, prob) with mask of shape (n, l).  The number of
-    configurations is 2^(l*n) for the uniform model, 2^(l/b) for column
-    blocks, and 2^n for frontal slices, so keep the dims tiny.
+    Yields (mask, prob) with mask of shape (n, l), in the bit order of the
+    units of :func:`unit_map`.  There are 2^(l*n) configurations for uniform,
+    2^(l/b) for column blocks and 2^n for frontal slices: keep the dims tiny.
     """
-    check_block(model, l)
+    umap, units = unit_map(model, l, n)
     p = model.p
-    if isinstance(model, UniformMissing):
-        units = l * n
-
-        def build(bits):
-            return np.array(bits, dtype=np.float64).reshape(l, n).T.copy()
-
-    elif isinstance(model, ColumnBlockMissing):
-        units = l // model.b
-
-        def build(bits):
-            cols = np.repeat(np.array(bits, dtype=np.float64), model.b)
-            return np.tile(cols, (n, 1))
-
-    else:
-        units = n
-
-        def build(bits):
-            return np.tile(np.array(bits, dtype=np.float64)[:, None], (1, l))
-
     for config in range(2**units):
         bits = [(config >> u) & 1 for u in range(units)]
         ones = sum(bits)
         prob = p**ones * (1.0 - p) ** (units - ones)
         if prob == 0.0:
             continue
-        yield build(bits), prob
+        yield np.array(bits, dtype=np.float64)[umap], prob
 
 
 def _gram_sum(rows: np.ndarray) -> np.ndarray:

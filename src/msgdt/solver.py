@@ -37,8 +37,8 @@ from .masking import (
     check_block,
     check_p,
     correction_tensor,
+    draw_masked_row,
     format_model,
-    row_mask_batch,
 )
 from .tensor import Tensor3
 
@@ -156,17 +156,15 @@ class ProblemInstance:
     """One masked linear system plus everything the iteration needs.
 
     ``a_tilde`` holds the observed data in "once" mode; in "redraw" mode it
-    holds the fully known A (masks are drawn per iteration).  ``mask`` is
-    the mask that produced a_tilde, when there is one.  The iteration takes
-    its correction from ``model``; a ``correction`` tensor, when given, is
-    only cross-checked against the model's dense C.
+    holds the fully known A (masks are drawn per iteration).  The iteration
+    takes its correction from ``model``; a ``correction`` tensor, when given,
+    is only cross-checked against the model's dense C.
     """
 
     a_tilde: Tensor3
     b: Tensor3
     model: MissingModel
     x0: Tensor3
-    mask: Optional[Tensor3] = None
     correction: Optional[Tensor3] = None
 
     def __post_init__(self):
@@ -183,8 +181,6 @@ class ProblemInstance:
                 f"correction tensor of dims {self.correction.dims} is not the 0/1 Hermitian "
                 f"correction tensor of the model '{format_model(self.model)}' at l={l}, n={n}"
             )
-        if self.mask is not None and self.mask.dims != self.a_tilde.dims:
-            raise ValueError(f"mask dims {self.mask.dims} != data dims {self.a_tilde.dims}")
 
 
 @lru_cache(maxsize=64)
@@ -338,7 +334,7 @@ def run_msgdt(
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``problem.a_tilde``.
     """
-    m, l, n = problem.a_tilde.dims
+    m = problem.a_tilde.m
     T = config.total_iters
     if config.sampling == "once" and T > m:
         raise ValueError(
@@ -372,9 +368,7 @@ def run_msgdt(
             i = int(row_order[t - 1])
             arow = a_data[:, i, :]
         else:
-            i = int(rng.integers(m))
-            mask = row_mask_batch(model, l, n, 1, rng)[0]  # (n, l)
-            arow = mask * a_data[:, i, :]
+            i, arow = draw_masked_row(model, a_data, rng)
         brow = b_data[:, i, :]
 
         g = _row_gradient(arow, brow, x, model)

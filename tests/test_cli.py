@@ -242,6 +242,28 @@ class TestExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["p_values"] == [0.5, 1.0]
 
+    def test_redraw_draws_no_full_mask(self, tmp_path, monkeypatch):
+        from msgdt import experiment
+
+        def no_mask(*args):
+            raise AssertionError("redraw runs must not draw the full mask")
+
+        monkeypatch.setattr(experiment, "draw_mask", no_mask)
+        spec = experiment.ExperimentSpec(
+            dims=mg.Dims(30, 4, 2, 3),
+            p_values=(0.5,),
+            model_kind="colblock",
+            block_size=2,
+            swap_iter=20,
+            step_divisor=40.0,
+            out_dir=tmp_path,
+            iters=50,
+            sampling="redraw",
+            trace_every=10,
+        )
+        rows = experiment.run_experiment(spec)
+        assert len(rows) == 1 and rows[0].iters == 50
+
     def test_empty_p_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no experiments requested"):
             main(

@@ -56,7 +56,20 @@ class TestParseFormat:
             mg.parse_model("gaussian p=0.5")
 
     @pytest.mark.parametrize(
-        "line", ["uniform p", "uniform 0.5", "colblock p=0.5", "frontal p=half", "uniform p=1.5"]
+        "line",
+        [
+            "uniform p",
+            "uniform 0.5",
+            "colblock p=0.5",
+            "frontal p=half",
+            "uniform p=1.5",
+            "uniform p=0.5 b=4 zz=1",
+            "uniform p=0.5 b=4",
+            "frontal p=0.5 b=2",
+            "frontal p=0.5 p=0.9",
+            "colblock p=0.5 b=2 b=4",
+            "colblock p=0.5 b=2 zz=1",
+        ],
     )
     def test_malformed_spec_named(self, line):
         with pytest.raises(ValueError, match="malformed missing-model spec"):
@@ -116,6 +129,86 @@ class TestDrawMask:
         rows = row_mask_batch(mg.FrontalSliceMissing(p), 4, 3, 20000, rng)
         unit_vals = rows[:, :, 0]
         assert abs(unit_vals.mean() - p) < 3 * math.sqrt(p * (1 - p) / unit_vals.size)
+
+
+def _contract_rows(model, l, n, count, rng):
+    """Row masks as the README's RNG contract states them, model by model."""
+    if isinstance(model, mg.UniformMissing):
+        # one uniform per entry, consumed in (row, column, slice) order
+        keep = rng.random((count, l, n)) < model.p
+        return keep.transpose(0, 2, 1).astype(np.float64)
+    if isinstance(model, mg.ColumnBlockMissing):
+        # one uniform per column block, in block order
+        keep = rng.random((count, l // model.b)) < model.p
+        cols = np.repeat(keep, model.b, axis=1)
+        return np.broadcast_to(cols[:, None, :], (count, n, l)).astype(np.float64)
+    # one uniform per frontal slice, in slice order
+    keep = rng.random((count, n)) < model.p
+    return np.broadcast_to(keep[:, :, None], (count, n, l)).astype(np.float64)
+
+
+def _contract_unit_mask(model, l, n, bits):
+    """The (n, l) row mask that keeps the units whose bit is set."""
+    bits = np.array(bits, dtype=np.float64)
+    if isinstance(model, mg.UniformMissing):
+        return bits.reshape(l, n).T
+    if isinstance(model, mg.ColumnBlockMissing):
+        return np.tile(np.repeat(bits, model.b), (n, 1))
+    return np.tile(bits[:, None], (1, l))
+
+
+class TestRngContract:
+    """Mask draws and enumeration follow the per-model contract exactly."""
+
+    @pytest.mark.parametrize(
+        "model,l,n,count",
+        [
+            (mg.UniformMissing(0.4), 5, 3, 1),
+            (mg.UniformMissing(0.7), 20, 10, 500),
+            (mg.ColumnBlockMissing(0.4, 1), 5, 3, 1),
+            (mg.ColumnBlockMissing(0.5, 2), 4, 3, 2000),
+            (mg.ColumnBlockMissing(0.3, 4), 20, 10, 37),
+            (mg.ColumnBlockMissing(0.6, 5), 5, 1, 10),
+            (mg.FrontalSliceMissing(0.4), 5, 3, 1),
+            (mg.FrontalSliceMissing(0.5), 4, 3, 2000),
+            (mg.FrontalSliceMissing(1.0), 3, 2, 4),
+        ],
+    )
+    def test_row_mask_batch_matches_contract(self, model, l, n, count):
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = row_mask_batch(model, l, n, count, got_rng)
+        want = _contract_rows(model, l, n, count, want_rng)
+        assert got.dtype == np.float64 and got.shape == (count, n, l)
+        assert np.array_equal(got, want)
+        # both consumed the generator identically
+        assert got_rng.random() == want_rng.random()
+
+    def test_unit_map_shared_read_only(self):
+        from msgdt.masking import unit_map
+
+        umap, units = unit_map(mg.ColumnBlockMissing(0.5, 2), 4, 3)
+        assert units == 2 and umap.shape == (3, 4) and not umap.flags.writeable
+
+    @pytest.mark.parametrize(
+        "model,units",
+        [
+            (mg.UniformMissing(0.3), 6),
+            (mg.ColumnBlockMissing(0.3, 1), 3),
+            (mg.ColumnBlockMissing(0.6, 3), 1),
+            (mg.FrontalSliceMissing(0.7), 2),
+        ],
+    )
+    def test_enumeration_in_bit_order(self, model, units):
+        l, n = 3, 2
+        masks = list(mg.enumerate_row_masks(model, l, n))
+        assert len(masks) == 2**units
+        for config, (mask, prob) in enumerate(masks):
+            bits = [(config >> u) & 1 for u in range(units)]
+            assert np.array_equal(mask, _contract_unit_mask(model, l, n, bits))
+            ones = sum(bits)
+            assert prob == model.p**ones * (1 - model.p) ** (units - ones)
+        assert len({mask.tobytes() for mask, _ in masks}) == 2**units
+        assert sum(prob for _, prob in masks) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCorrectionTensor:

@@ -30,7 +30,6 @@ def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
         model=model,
         correction=mg.correction_tensor(model, l, n),
         x0=mg.zeros(l, q, n),
-        mask=mask,
     )
     return system, problem
 
