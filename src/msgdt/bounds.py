@@ -90,17 +90,15 @@ def strong_convexity(a: Tensor3) -> tuple[float, float]:
 
     sigma_min is the smallest singular value over all frontal slices of the
     tube-DFT of A, obtained from the smallest eigenvalue of each slice's
-    Hermitian Gram matrix.  Requires a tall tensor (m >= l).
+    Hermitian Gram matrix.  Conjugate frequencies share their singular
+    values, so only the n//2+1 Grams of the real transform are solved.
+    Requires a tall tensor (m >= l).
     """
     m, l, _ = a.dims
     if m < l:
         raise ValueError(f"need a tall tensor (m >= l), got dims {a.dims}")
-    ahat = tn.tube_dft(a)  # (n, m, l) complex
-    smallest = math.inf
-    for sl in ahat:
-        gram = sl.conj().T @ sl
-        eigs = np.linalg.eigvalsh(gram)
-        smallest = min(smallest, math.sqrt(max(float(eigs[0]), 0.0)))
+    smallest_eig = float(np.min(np.linalg.eigvalsh(tn.tube_gram(a.data))[:, 0]))
+    smallest = math.sqrt(max(smallest_eig, 0.0))
     return smallest**2 / m, smallest
 
 

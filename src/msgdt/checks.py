@@ -9,6 +9,10 @@ routine returns plain numbers so callers decide what tolerance to enforce:
 * sample means of ||g||^2 against the second-moment bounds,
 * self-adjointness of the linear part of g,
 * the strong convexity inequality for the objective.
+
+The gradient checks call the solver's kernel on tube spectra: each fixed
+iterate is transformed once, squared norms of g are taken on its scaled
+spectrum (Parseval), and a result is transformed back once, not per draw.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ from .masking import (
     enumerate_row_masks,
     verify_expectation_identity,
 )
-from .solver import _row_gradient, full_gradient, objective, update_linear_part
+from .solver import (
+    _row_gradient,
+    _masked_row_spectra,
+    _row_spectra,
+    full_gradient,
+    objective,
+    update_linear_part,
+)
 from .tensor import Tensor3
 
 __all__ = [
@@ -53,13 +64,15 @@ def verify_expectation_identity_row(
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
     """Exact E[g(X)]: average over all rows and all mask configurations."""
     m, l, n = a.dims
-    acc = np.zeros_like(x.data)
+    spec = tn.tube_spectrum(n)
+    yhat = spec.forward(x.data, scaled=True)
+    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
+    acc = np.zeros_like(yhat)
     for i in range(m):
         arow = a.data[:, i, :]
-        brow = b.data[:, i, :]
         for mask, prob in enumerate_row_masks(model, l, n):
-            acc += prob * _row_gradient(mask * arow, brow, x.data, model)
-    return Tensor3(acc / m)
+            acc += prob * _row_gradient(spec.forward_small(mask * arow), pb_hat[i], yhat, model, spec)
+    return Tensor3(spec.inverse(acc / m, scaled=True))
 
 
 def unbiasedness_relative_error(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> float:
@@ -81,14 +94,16 @@ def lipschitz_ratio_max(
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
     _, l, n = a.dims
     q = b.l
+    spec = tn.tube_spectrum(n)
+    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
     worst = 0.0
     for _ in range(trials):
-        i, arow = draw_masked_row(model, a.data, rng)
-        brow = b.data[:, i, :]
-        x = rng.standard_normal((n, l, q))
-        y = rng.standard_normal((n, l, q))
-        gx = _row_gradient(arow, brow, x, model)
-        gy = _row_gradient(arow, brow, y, model)
+        ahat, pbhat = _masked_row_spectra(model, a.data, pb_hat, rng, spec)
+        xy = rng.standard_normal((2, n, l, q))  # the same variates as drawing X, then Y
+        x, y = xy
+        xhat, yhat = (spec.matrix @ xy.reshape(2, n, l * q) * spec.scale[:, None]).reshape(2, -1, l, q)
+        gx = _row_gradient(ahat, pbhat, xhat, model, spec)
+        gy = _row_gradient(ahat, pbhat, yhat, model, spec)
         denom = float(np.linalg.norm(x - y))
         if denom == 0.0:
             continue
@@ -106,11 +121,14 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
+    spec = tn.tube_spectrum(a.n)
+    yhat = spec.forward(x.data, scaled=True)
+    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
     total = 0.0
     for _ in range(trials):
-        i, arow = draw_masked_row(model, a.data, rng)
-        g = _row_gradient(arow, b.data[:, i, :], x.data, model)
-        total += float(np.vdot(g, g))
+        ahat, pbhat = _masked_row_spectra(model, a.data, pb_hat, rng, spec)
+        g = _row_gradient(ahat, pbhat, yhat, model, spec)
+        total += float(np.vdot(g, g).real)
     return SecondMomentSample(total / trials, trials)
 
 

@@ -24,7 +24,7 @@ from .checks import (
 )
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
-from .masking import MODEL_KINDS, draw_mask, format_model, model_for
+from .masking import MODEL_KINDS, draw_mask, format_model, kind_fields, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="uniform",
             help="missing-data model",
         )
-        p.add_argument("--block-size", type=int, default=1, help="column block size (colblock)")
+        p.add_argument("--block-size", type=int, default=None, help="column block size (colblock only; default 1)")
 
     g = sub.add_parser("gen", help="generate a synthetic Gaussian system A, X*, B=A*X*")
     g.add_argument("--dims", required=True, help="m,l,q,n")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--dims", default="10000,20,10,10", help="m,l,q,n")
     ex.add_argument("--p", default="0.3,0.5,0.7,0.99", help="comma-separated observation probabilities")
     ex.add_argument("--model", choices=tuple(MODEL_KINDS), default="uniform")
-    ex.add_argument("--block-size", type=int, default=1)
+    ex.add_argument("--block-size", type=int, default=None, help="column block size (colblock only; default 1)")
     ex.add_argument("--iters", type=int, default=None, help="default: one pass (m iterations)")
     ex.add_argument("--swap-iter", type=int, default=5000)
     ex.add_argument("--step-divisor", type=float, default=5000.0)
@@ -419,8 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_block_size(parser: argparse.ArgumentParser, args) -> None:
+    """Default --block-size to 1; reject it on a model that has no block size."""
+    if args.block_size is None:
+        args.block_size = 1
+    elif "b" not in kind_fields(args.model):
+        with_blocks = ", ".join(k for k in MODEL_KINDS if "b" in kind_fields(k))
+        parser.error(f"--block-size applies only to --model {with_blocks}, not to --model {args.model}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "block_size"):
+        _resolve_block_size(parser, args)
     return args.func(args)
 
 

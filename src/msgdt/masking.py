@@ -82,6 +82,8 @@ class ColumnBlockMissing:
 
     def __post_init__(self):
         check_p(self.p)
+        if isinstance(self.b, bool) or not isinstance(self.b, (int, np.integer)):
+            raise ValueError(f"block size must be an integer, got {self.b!r}")
         if self.b < 1:
             raise ValueError(f"block size must be positive, got {self.b}")
 
@@ -243,10 +245,11 @@ def enumerate_row_masks(model: MissingModel, l: int, n: int) -> Iterator[tuple[n
 def _gram_sum(rows: np.ndarray) -> np.ndarray:
     """sum_t Atilde_t* * Atilde_t over a batch of row slices, (t, n, l) -> (n, l, l).
 
-    The rows stacked as a t x l x n tensor M give the sum as M* * M.
+    The rows stacked as a t x l x n tensor M give the sum as M* * M, whose
+    spectrum is :func:`~msgdt.tensor.tube_gram`.
     """
-    stacked = Tensor3(rows.transpose(1, 0, 2))
-    return tn.tprod(tn.transpose(stacked), stacked).data
+    n = rows.shape[1]
+    return tn.tube_spectrum(n).inverse(tn.tube_gram(rows.transpose(1, 0, 2)))
 
 
 def exact_row_gram_expectation(a_row: Tensor3, model: MissingModel) -> Tensor3:

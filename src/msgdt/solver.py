@@ -10,6 +10,18 @@ whole space) and C is the model's correction tensor.  Taking expectation
 over the row choice and the mask, E[g(X)] equals the full-data gradient
 (1/m) A* * (A * X - B).
 
+The iteration runs in the real tube-Fourier domain, where every t-product
+is one small matrix product per frequency f = 0..n//2.  It steps the scaled
+spectrum Y = s o rfft(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
+Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
+``update_norm`` and ``iterate_error`` are plain norms of spectra, and
+``irfft`` runs only for ``objective`` records and the final iterate.  Row
+spectra come from one rfft per chunk of rows in "once" mode and from one
+product with the DFT matrix per drawn row in "redraw" mode.  Compared with
+iterating on X directly the results differ by rounding only: about 1e-15
+relative after 10 000 iterations, and a test holds whole runs to a spatial
+reference loop within 1e-12.
+
 The iteration never builds C: ``_row_gradient`` applies (C o H) * X in a
 closed form per model, and ``gradient_estimate`` keeps the dense formula
 with an explicit C as the reference the kernel is tested against.
@@ -24,14 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Literal, Optional, Union
 
 import numpy as np
 
 from . import tensor as tn
 from .masking import (
-    FrontalSliceMissing,
+    ColumnBlockMissing,
     MissingModel,
     UniformMissing,
     check_block,
@@ -183,49 +194,67 @@ class ProblemInstance:
             )
 
 
-@lru_cache(maxsize=64)
-def _circulant_index(n: int) -> np.ndarray:
-    k = np.arange(n)
-    idx = (k[:, None] - k[None, :]) % n
-    idx.setflags(write=False)
-    return idx
+def _row_gradient(
+    ahat: np.ndarray, pbhat: np.ndarray, yhat: np.ndarray, model: MissingModel, spec: tn.TubeSpectrum
+) -> np.ndarray:
+    """Scaled spectrum of the update direction g(X) for one masked row slice.
 
+    ``ahat`` (f, l) is the rfft of the masked row Atilde_i along its tubes;
+    ``pbhat`` (f, q) and ``yhat`` (f, l, q) are the Parseval-scaled spectra
+    of p B_i and of X; ``spec`` is the tubes' transform.  With a = ahat[f]
+    as a 1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2,
+    where
 
-def _row_gradient(arow: np.ndarray, brow: np.ndarray, x: np.ndarray, model: MissingModel) -> np.ndarray:
-    """Update direction g(X) on raw arrays: arow (n,l), brow (n,q), x (n,l,q).
+    * lead = conj(a)^T (a Y_f - (p b)_f),
+    * uniform: corr = d o Y_f with d_j = sum_k arow[k, j]^2,
+    * frontal slice: corr = H_0 Y_f with the real H_0 = arow^T arow,
+    * column block: corr = conj(a_b)^T (a_b Y_fb) for each block b of columns,
+      merged with the lead term into one outer product per block.
 
-    The t-products with Atilde_i are direct slice convolutions, batched into
-    one matrix product each via a circulant gather of the row.  With
-    H = Atilde_i* * Atilde_i, the correction (C o H) * X is the sum of
-    Atilde_u* * (Atilde_u * X) over the model's independent units u:
-
-    * uniform: d o X slice by slice, with d_j = sum_k arow[k, j]^2,
-    * frontal slice: H_0 @ X slice by slice, with H_0 = arow^T arow,
-    * column block: per block, the two t-products restricted to its columns.
+    d and H_0 are sums over the tube, read off the spectrum by Parseval;
+    the real H_0 acts on the real view of Y.
     """
-    n, l = arow.shape
-    q = x.shape[2]
+    freqs, l, q = yhat.shape
     p = model.p
-    ga = arow[_circulant_index(n)]  # ga[k, j] = arow[(k - j) mod n]
-    ax = ga.reshape(n, n * l) @ x.reshape(n * l, q)  # slices of Atilde_i * X
-    agt = np.ascontiguousarray(ga.transpose(1, 2, 0)).reshape(n * l, n)  # Atilde_i^* as a block column
-    lead = (agt @ (ax - p * brow)).reshape(n, l, q)
-    if isinstance(model, UniformMissing):
-        corrected = np.einsum("kj,kj->j", arow, arow)[:, None] * x
-    elif isinstance(model, FrontalSliceMissing):
-        corrected = (arow.T @ arow) @ x
-    else:
+    inv = 1.0 / (p * p)
+    corr_scale = (1.0 - p) * inv
+    if isinstance(model, ColumnBlockMissing):
         nb, bs = l // model.b, model.b
-        gb = ga.reshape(n, n, nb, bs)
-        xb = x.reshape(n, nb, bs, q).transpose(1, 0, 2, 3).reshape(nb, n * bs, q)
-        axb = gb.transpose(2, 0, 1, 3).reshape(nb, n, n * bs) @ xb  # Atilde_beta * X_beta
-        corrected = (
-            (gb.transpose(2, 1, 3, 0).reshape(nb, n * bs, n) @ axb)
-            .reshape(nb, n, bs, q)
-            .transpose(1, 0, 2, 3)
-            .reshape(n, l, q)
-        )
-    return (lead - (1.0 - p) * corrected) / (p * p)
+        ab = ahat.reshape(freqs, nb, 1, bs)
+        axb = ab @ yhat.reshape(freqs, nb, bs, q)  # a_b Y_fb, (f, nb, 1, q)
+        resid = axb.sum(axis=1, keepdims=True)
+        resid -= pbhat[:, None, None, :]
+        z = inv * resid - corr_scale * axb
+        return (ab.conj().reshape(freqs, nb, bs, 1) * z).reshape(freqs, l, q)
+    resid = ahat[:, None, :] @ yhat  # (f, 1, q)
+    resid -= pbhat[:, None, :]
+    resid *= inv
+    conj = ahat.conj()
+    g = conj[:, :, None] * resid
+    if isinstance(model, UniformMissing):
+        d = (corr_scale * spec.weights) @ (ahat * conj).real
+        g -= d[:, None] * yhat
+    else:
+        h0 = (((corr_scale * spec.weights) * conj.T) @ ahat).real
+        g -= (h0 @ yhat.view(np.float64)).view(np.complex128)
+    return g
+
+
+def _norm(arr: np.ndarray) -> float:
+    """Frobenius norm of a real array or of a complex spectrum (over its real view)."""
+    flat = arr.reshape(-1).view(np.float64)
+    return math.sqrt(float(np.dot(flat, flat)))
+
+
+def _project(arr: np.ndarray, radius: float) -> np.ndarray:
+    """``arr`` scaled onto the Frobenius ball of ``radius``; ``arr`` itself when inside.
+
+    Parseval makes this the same map on X and on its scaled spectrum.
+    """
+    norm = _norm(arr)
+    if norm <= radius:
+        return arr
+    return arr * (radius / norm)
 
 
 def gradient_estimate(
@@ -261,10 +290,8 @@ def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
     """Projection onto the Frobenius ball of the given radius (None = identity)."""
     if radius is None:
         return x
-    norm = tn.frob_norm(x)
-    if norm <= radius:
-        return x
-    return Tensor3(x.data * (radius / norm))
+    data = _project(x.data, radius)
+    return x if data is x.data else Tensor3(data)
 
 
 @dataclass(frozen=True)
@@ -323,6 +350,30 @@ def full_gradient(full_a: Tensor3, b: Tensor3, x: Tensor3) -> Tensor3:
     return Tensor3(tn.tprod(tn.transpose(full_a), residual).data / full_a.m)
 
 
+def _row_spectra(data: np.ndarray, rows, spec: tn.TubeSpectrum, p: Optional[float] = None) -> np.ndarray:
+    """rffts of the row slices ``rows`` of an (n, m, k) array, as (rows, f, k).
+
+    Given ``p``, the Parseval-scaled spectra of p times the rows instead:
+    the kernel's ``pbhat`` when the array is B.
+    """
+    hat = spec.forward(data[:, rows, :].transpose(1, 0, 2), axis=1, scaled=p is not None)
+    if p is not None:
+        hat *= p
+    return hat
+
+
+def _masked_row_spectra(
+    model: MissingModel, a_data: np.ndarray, pb_hat: np.ndarray, rng: np.random.Generator, spec: tn.TubeSpectrum
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ahat, pbhat) for a fresh :func:`~msgdt.masking.draw_masked_row` draw.
+
+    The masked row goes through one product with the DFT matrix; ``pb_hat``
+    holds the scaled spectra of every row of p B, row index first.
+    """
+    i, arow = draw_masked_row(model, a_data, rng)
+    return spec.forward_small(arow), pb_hat[i]
+
+
 def run_msgdt(
     problem: ProblemInstance,
     config: SolverConfig,
@@ -333,8 +384,14 @@ def run_msgdt(
 
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``problem.a_tilde``.
+    The iterate lives in the scaled tube-Fourier domain (module docstring);
+    "once" mode transforms the rows of A and B in permutation order,
+    ``tensor._ROW_CHUNK`` rows at a time, so no whole-tensor spectrum of A
+    is kept; "redraw" mode keeps the spectrum of all of p B (about the size
+    of B) and transforms each drawn masked row of A.
     """
     m = problem.a_tilde.m
+    n = problem.a_tilde.n
     T = config.total_iters
     if config.sampling == "once" and T > m:
         raise ValueError(
@@ -346,41 +403,49 @@ def run_msgdt(
     if config.sampling == "once":
         row_order = rng.permutation(m)[:T]
     model = problem.model
+    spec = tn.tube_spectrum(n)
+    chunk = tn._ROW_CHUNK
 
     a_data = problem.a_tilde.data
     b_data = problem.b.data
-    x = problem.x0.data.copy()
+    if config.sampling == "redraw":  # rows repeat: transform all of p B once
+        pb_hat = _row_spectra(b_data, slice(None), spec, model.p)
+    y = spec.forward(problem.x0.data, scaled=True)
+    y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     radius = config.projection_radius
 
     record_at = {0, T} | set(config.also_record)
     trace = RunTrace()
 
-    def metrics(xarr: np.ndarray):
-        err = None if x_star is None else float(np.linalg.norm(xarr - x_star.data))
-        obj = None if full_a is None else objective(full_a, problem.b, Tensor3(xarr.copy()))
+    def metrics():
+        err = None if y_star is None else _norm(y - y_star)
+        obj = None if full_a is None else objective(full_a, problem.b, Tensor3(spec.inverse(y, scaled=True)))
         return err, obj
 
-    err, obj = metrics(x)
+    err, obj = metrics()
     trace.records.append(TraceRecord(0, None, None, err, obj))
 
     for t in range(1, T + 1):
         if config.sampling == "once":
-            i = int(row_order[t - 1])
-            arow = a_data[:, i, :]
+            j = (t - 1) % chunk
+            if j == 0:
+                rows = row_order[t - 1 : t - 1 + chunk]
+                a_chunk = _row_spectra(a_data, rows, spec)
+                pb_chunk = _row_spectra(b_data, rows, spec, model.p)
+            ahat, pbhat = a_chunk[j], pb_chunk[j]
         else:
-            i, arow = draw_masked_row(model, a_data, rng)
-        brow = b_data[:, i, :]
+            ahat, pbhat = _masked_row_spectra(model, a_data, pb_hat, rng, spec)
 
-        g = _row_gradient(arow, brow, x, model)
+        g = _row_gradient(ahat, pbhat, y, model, spec)
         alpha = step_size(config.schedule, t)
-        x -= alpha * g
-        if radius is not None:  # skips the per-iteration wrapper in unprojected runs
-            x = project_ball(Tensor3(x), radius).data
+        y -= alpha * g
+        if radius is not None:
+            y = _project(y, radius)
 
         if t in record_at or t % config.trace_every == 0:
-            err, obj = metrics(x)
-            trace.records.append(
-                TraceRecord(t, alpha, float(np.linalg.norm(g)), err, obj)
-            )
+            err, obj = metrics()
+            trace.records.append(TraceRecord(t, alpha, _norm(g), err, obj))
 
-    return RunResult(Tensor3(x), trace)
+    # without a step the final iterate is X0 itself, not its round trip through the transform
+    x_final = problem.x0.data.copy() if T == 0 else spec.inverse(y, scaled=True)
+    return RunResult(Tensor3(x_final), trace)

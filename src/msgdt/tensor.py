@@ -5,15 +5,22 @@ stored frontal-slice-major: ``data`` is a C-contiguous float64 array of shape
 ``(n, m, l)``, so entry (i, j, k) lives at ``data[k, i, j]`` and ``unfold`` is
 a plain reshape.  Zero-based indices throughout.
 
-The t-product A * X is fold(bcirc(A) @ unfold(X)), computed here as a
-circular convolution over frontal slices without materializing the
-block-circulant matrix; ``bcirc`` exists so tests can check the two routes
-against each other.
+The t-product A * X is fold(bcirc(A) @ unfold(X)).  The tube DFT
+block-diagonalizes bcirc (Kilmer & Martin, Linear Algebra Appl. 435, 2011),
+so it is computed in the real tube-Fourier domain: ``rfft`` down every tube
+keeps the n//2+1 nonnegative frequencies of a real tensor, each frequency
+is one matrix product, and ``irfft`` brings the result back.  ``bcirc``
+materializes the block-circulant matrix only so tests can check the two
+routes against each other.  ``tube_spectrum(n)`` is the one helper for
+the real transform: the rfft and its inverse, the Parseval scaling and the
+DFT matrix used for single rows.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +42,9 @@ __all__ = [
     "row_slice",
     "tube_dft",
     "tube_idft",
+    "TubeSpectrum",
+    "tube_spectrum",
+    "tube_gram",
     "read_t3f1",
     "write_t3f1",
 ]
@@ -151,20 +161,24 @@ def bcirc(t: Tensor3) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * l)
 
 
-def _tprod_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Circular convolution over frontal slices on raw (n, ., .) arrays.
+# Rows of the left operand transformed at a time: the transient spectra stay
+# a fixed size however many rows the tensor has.
+_ROW_CHUNK = 256
 
-    out[k] = sum_j a[(k - j) mod n] @ x[j].
+
+def _tprod_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """t-product on raw (n, m, l) and (n, l, q) arrays, frequency by frequency.
+
+    out = irfft(rfft(a) @ rfft(x)) along the tubes, with ``a`` taken
+    ``_ROW_CHUNK`` rows at a time.
     """
     n = a.shape[0]
-    if n == 1:
-        return a[0] @ x
-    out = np.zeros((n, a.shape[1], x.shape[2]))
-    for s in range(n):
-        contrib = a[s] @ x  # batched over the slices of x
-        out[s:] += contrib[: n - s]
-        if s:
-            out[:s] += contrib[n - s :]
+    spec = tube_spectrum(n)
+    xhat = spec.forward(x)
+    out = np.empty((n, a.shape[1], x.shape[2]))
+    for start in range(0, a.shape[1], _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        out[:, rows] = spec.inverse(spec.forward(a[:, rows]) @ xhat)
     return out
 
 
@@ -226,6 +240,79 @@ def tube_idft(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifft(hat, axis=0)
 
 
+@dataclass(frozen=True, eq=False)
+class TubeSpectrum:
+    """The real DFT of length-n tubes: frequencies 0..n//2 of a real tube.
+
+    ``forward``/``inverse`` are ``rfft``/``irfft`` along one axis.  With
+    ``scaled=True`` frequency f is multiplied by ``scale[f] = sqrt(w_f / n)``,
+    where w_f is 1 at DC and at the Nyquist frequency (even n) and 2
+    elsewhere; then the complex Frobenius norm of a scaled spectrum equals the
+    real norm of the tensor (Parseval), and inner products carry over the same
+    way.  ``weights = scale**2`` are those Parseval weights.  ``matrix`` is the
+    (n//2+1, n) DFT matrix, built as the rfft of the identity so that its DC
+    and Nyquist rows are exactly real; :meth:`forward_small` applies it as
+    one matrix product, cheaper than an rfft call for a single row slice.
+    """
+
+    n: int
+    scale: np.ndarray
+    weights: np.ndarray
+    matrix: np.ndarray
+
+    def _along(self, vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+        return vec.reshape((-1,) + (1,) * (ndim - 1 - axis % ndim))
+
+    def forward(self, data: np.ndarray, axis: int = 0, scaled: bool = False) -> np.ndarray:
+        """rfft of real ``data`` along ``axis`` (length n there, n//2+1 after)."""
+        hat = np.fft.rfft(data, axis=axis)
+        if scaled:
+            hat *= self._along(self.scale, hat.ndim, axis)
+        return hat
+
+    def inverse(self, hat: np.ndarray, scaled: bool = False) -> np.ndarray:
+        """Real array whose :meth:`forward` along axis 0 (with the same ``scaled``) is ``hat``."""
+        if scaled:
+            hat = hat / self._along(self.scale, hat.ndim, 0)
+        return np.fft.irfft(hat, n=self.n, axis=0)
+
+    def forward_small(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of a 2-d (n, k) array as one product with ``matrix``."""
+        return np.dot(self.matrix, rows)
+
+
+@lru_cache(maxsize=64)
+def tube_spectrum(n: int) -> TubeSpectrum:
+    """The shared, read-only :class:`TubeSpectrum` for tubes of length n."""
+    if n < 1:
+        raise ValueError(f"tube length must be positive, got {n}")
+    freqs = n // 2 + 1
+    weights = np.full(freqs, 2.0 / n)
+    weights[0] = 1.0 / n
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n
+    matrix = np.fft.rfft(np.eye(n), axis=0)
+    scale = np.sqrt(weights)
+    for arr in (scale, weights, matrix):
+        arr.setflags(write=False)
+    return TubeSpectrum(n, scale, weights, matrix)
+
+
+def tube_gram(data: np.ndarray) -> np.ndarray:
+    """Gram matrices conj(Ahat_f)^T Ahat_f of an (n, m, l) array at frequencies 0..n//2.
+
+    The (n//2+1, l, l) complex Hermitian result is the spectrum of A* * A;
+    the rows of A are transformed ``_ROW_CHUNK`` at a time.
+    """
+    n, m, l = data.shape
+    spec = tube_spectrum(n)
+    gram = np.zeros((n // 2 + 1, l, l), dtype=np.complex128)
+    for start in range(0, m, _ROW_CHUNK):
+        hat = spec.forward(data[:, start : start + _ROW_CHUNK])
+        gram += hat.conj().transpose(0, 2, 1) @ hat
+    return gram
+
+
 # --- T3F1 binary tensor format ------------------------------------------
 #
 # bytes 0-3: magic "T3F1"; then m, l, n as little-endian uint64; then the
@@ -244,19 +331,21 @@ def write_t3f1(t: Tensor3, path) -> None:
 
 
 def read_t3f1(path) -> Tensor3:
+    """Read a T3F1 file into one preallocated array (the payload is not copied)."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _T3F1_MAGIC:
-        raise ValueError(f"{path}: not a T3F1 file (bad magic {raw[:4]!r})")
-    if len(raw) < 4 + 24:
-        raise ValueError(f"{path}: truncated T3F1 header")
-    m, l, n = (int(v) for v in np.frombuffer(raw[4:28], dtype="<u8"))
-    expected = 28 + 8 * m * l * n
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: T3F1 payload has {len(raw) - 28} bytes, expected {8 * m * l * n}"
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=28).reshape(n, m, l)
+        header = f.read(28)
+        if header[:4] != _T3F1_MAGIC:
+            raise ValueError(f"{path}: not a T3F1 file (bad magic {header[:4]!r})")
+        if len(header) < 28:
+            raise ValueError(f"{path}: truncated T3F1 header")
+        m, l, n = (int(v) for v in np.frombuffer(header[4:], dtype="<u8"))
+        payload = os.fstat(f.fileno()).st_size - 28
+        if payload != 8 * m * l * n:
+            raise ValueError(f"{path}: T3F1 payload has {payload} bytes, expected {8 * m * l * n}")
+        data = np.empty((n, m, l), dtype="<f8")
+        got = f.readinto(data.reshape(-1).view(np.uint8))
+        if got != payload:
+            raise ValueError(f"{path}: T3F1 payload has {got} bytes, expected {payload}")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: T3F1 payload holds non-finite values")
-    return Tensor3(data.copy())
+    return Tensor3(data)

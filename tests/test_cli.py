@@ -432,6 +432,56 @@ class TestFrames:
         npt.assert_array_equal(back.data, stack)
 
 
+class TestBlockSizeFlag:
+    """--block-size belongs to colblock only; elsewhere it is an error, not silently dropped."""
+
+    @pytest.fixture
+    def gen(self, tmp_path):
+        out = tmp_path / "gen"
+        main(["gen", "--dims", "12,4,2,3", "--seed", "3", "--out", str(out)])
+        return out
+
+    def commands(self, gen, out, model, extra):
+        return {
+            "mask": ["mask", "--a", str(gen / "a.t3f"), "--model", model, *extra, "--out", str(out)],
+            "solve": ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--model", model,
+                      *extra, "--iters", "5", "--out", str(out)],
+            "experiment": ["experiment", "--dims", "12,4,2,3", "--p", "0.5", "--model", model, *extra,
+                           "--iters", "5", "--swap-iter", "3", "--out", str(out)],
+        }
+
+    @pytest.mark.parametrize("command", ["mask", "solve", "experiment"])
+    @pytest.mark.parametrize("model", ["uniform", "frontal"])
+    def test_rejected_on_models_without_blocks(self, gen, tmp_path, capsys, command, model):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(self.commands(gen, out, model, ["--block-size", "3"])[command])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "--block-size" in err and f"--model {model}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mask", "solve", "experiment"])
+    def test_colblock_defaults_to_one(self, gen, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(self.commands(gen, out, "colblock", [])[command]) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        if command == "experiment":
+            assert params["block_size"] == 1
+        else:
+            assert params["model"] == "colblock p=0.5 b=1"
+
+
+def test_module_entry_point(capsys, monkeypatch):
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["msgdt", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("msgdt", run_name="__main__")
+    assert exc.value.code == 0
+    assert "msgdt" in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

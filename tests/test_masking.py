@@ -27,6 +27,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             mg.ColumnBlockMissing(0.5, 0)
 
+    @pytest.mark.parametrize("b", [2.0, 1.5, True, "2"])
+    def test_non_integer_block_size_named(self, b):
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            mg.ColumnBlockMissing(0.5, b)
+
+    def test_numpy_integer_block_size_allowed(self):
+        assert mg.ColumnBlockMissing(0.5, np.int64(2)).b == 2
+
     def test_block_must_divide_columns(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="divide"):

@@ -11,8 +11,18 @@ from msgdt.checks import (
     self_adjointness_max_dev,
     unbiasedness_relative_error,
 )
-from msgdt.masking import model_for, row_mask_batch
+from msgdt.masking import draw_masked_row, model_for, row_mask_batch
 from msgdt.solver import _row_gradient
+from msgdt.tensor import tube_spectrum
+
+
+def spatial_row_gradient(arow, brow, x, model):
+    """The spectral kernel on spatial (n, l), (n, q), (n, l, q) inputs, returned as g."""
+    spec = tube_spectrum(arow.shape[0])
+    ghat = _row_gradient(
+        spec.forward(arow), model.p * spec.forward(brow, scaled=True), spec.forward(x, scaled=True), model, spec
+    )
+    return spec.inverse(ghat, scaled=True)
 
 
 def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
@@ -144,7 +154,7 @@ class TestKernelMatchesDenseOracle:
             arow = mask * rng.standard_normal((n, l))
             brow = rng.standard_normal((n, q))
             x = rng.standard_normal((n, l, q))
-            got = _row_gradient(arow, brow, x, model)
+            got = spatial_row_gradient(arow, brow, x, model)
             want = mg.gradient_estimate(
                 mg.Tensor3(arow[:, None, :]),
                 mg.Tensor3(brow[:, None, :]),
@@ -153,6 +163,87 @@ class TestKernelMatchesDenseOracle:
                 p,
             ).data
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def spatial_reference_run(problem, config, x_star, full_a):
+    """run_msgdt's iteration written on X itself: dense C, gradient_estimate, project_ball.
+
+    Draws rows from the generator exactly as run_msgdt does; returns the final
+    iterate and (iteration, update_norm, iterate_error, objective) per record.
+    """
+    a, b, model = problem.a_tilde, problem.b, problem.model
+    m, l, n = a.dims
+    c = mg.correction_tensor(model, l, n)
+    rng = np.random.default_rng(config.seed)
+    if config.sampling == "once":
+        order = rng.permutation(m)[: config.total_iters]
+    x = problem.x0
+    records = [(0, None, mg.frob_norm(x - x_star), mg.objective(full_a, b, x))]
+    for t in range(1, config.total_iters + 1):
+        if config.sampling == "once":
+            i = int(order[t - 1])
+            arow = a.data[:, i, :]
+        else:
+            i, arow = draw_masked_row(model, a.data, rng)
+        g = mg.gradient_estimate(mg.Tensor3(arow[:, None, :]), mg.row_slice(b, i), x, c, model.p)
+        x = mg.project_ball(x - mg.step_size(config.schedule, t) * g, config.projection_radius)
+        if t % config.trace_every == 0 or t == config.total_iters:
+            records.append((t, mg.frob_norm(g), mg.frob_norm(x - x_star), mg.objective(full_a, b, x)))
+    return x, records
+
+
+class TestRunMatchesSpatialReference:
+    """The spectral iteration against the same iteration on X with the dense oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        l=st.integers(1, 4),
+        q=st.integers(1, 3),
+        p=st.one_of(st.just(1.0), st.floats(0.2, 1.0)),
+        kind=st.sampled_from(["uniform", "colblock", "frontal"]),
+        sampling=st.sampled_from(["once", "redraw"]),
+        project=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, l=2, q=1, p=0.5, kind="uniform", sampling="once", project=False, seed=0)
+    @example(n=1, l=3, q=2, p=0.7, kind="frontal", sampling="redraw", project=True, seed=1)
+    @example(n=4, l=4, q=2, p=0.5, kind="colblock", sampling="redraw", project=True, seed=2)
+    @example(n=5, l=2, q=3, p=0.4, kind="colblock", sampling="once", project=True, seed=3)
+    @example(n=6, l=3, q=2, p=0.6, kind="frontal", sampling="once", project=False, seed=4)
+    @example(n=3, l=4, q=1, p=0.3, kind="uniform", sampling="redraw", project=False, seed=5)
+    def test_trace_and_final_iterate(self, n, l, q, p, kind, sampling, project, seed):
+        m, iters = 60, 55
+        system = mg.gen_synthetic(mg.Dims(m, l, q, n), seed)
+        model = model_for(kind, p, l if kind == "colblock" and seed % 2 else 1)
+        rng = np.random.default_rng(seed)
+        a = system.a if sampling == "redraw" else mg.hadamard(mg.draw_mask(model, m, l, n, rng), system.a)
+        x0 = mg.Tensor3(rng.standard_normal((n, l, q)))
+        # a noisy B keeps every trace column away from zero, so relative errors stay meaningful
+        b = mg.Tensor3(system.b.data + 0.1 * rng.standard_normal(system.b.data.shape))
+        problem = mg.ProblemInstance(a_tilde=a, b=b, model=model, x0=x0)
+        radius = 0.5 * mg.frob_norm(system.x_star) if project else None
+        config = mg.SolverConfig(
+            schedule=mg.ConstantStep(0.5 / mg.lipschitz_constant(system.a, p)),
+            total_iters=iters,
+            projection_radius=radius,
+            sampling=sampling,
+            seed=seed,
+            trace_every=10,
+        )
+        got = mg.run_msgdt(problem, config, x_star=system.x_star, full_a=system.a)
+        x_ref, records = spatial_reference_run(problem, config, system.x_star, system.a)
+
+        def close(u, v):
+            return abs(u - v) <= 1e-12 * abs(v)
+
+        assert np.linalg.norm(got.x_final.data - x_ref.data) <= 1e-12 * np.linalg.norm(x_ref.data)
+        assert [r.iteration for r in got.trace.records] == [r[0] for r in records]
+        for rec, (_, update, err, obj) in zip(got.trace.records, records):
+            assert (rec.update_norm is None) == (update is None)
+            assert update is None or close(rec.update_norm, update)
+            assert close(rec.iterate_error, err)
+            assert close(rec.objective, obj)
 
 
 class TestLinearPart:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
+from msgdt import tensor as tn
 from msgdt.tensor import from_slices
 
 dims_st = st.integers(min_value=1, max_value=5)
@@ -106,6 +108,52 @@ class TestTprod:
         a = random_tensor(m, l, n, rng)
         x = random_tensor(l, q, n, rng)
         npt.assert_allclose(mg.tprod(a, x).data, tprod_oracle(a, x).data, atol=1e-10)
+
+
+class TestTprodChunks:
+    """The rfft t-product takes the rows of A in chunks; every chunking agrees with bcirc."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "m", [1, tn._ROW_CHUNK - 1, tn._ROW_CHUNK, tn._ROW_CHUNK + 1, 2 * tn._ROW_CHUNK + 187]
+    )
+    def test_matches_bcirc_across_row_chunks(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        a = random_tensor(m, 3, n, rng)
+        x = random_tensor(3, 2, n, rng)
+        got = mg.tprod(a, x).data
+        want = tprod_oracle(a, x).data
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestTubeSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_parseval_scaling(self, n):
+        rng = np.random.default_rng(n)
+        spec = tn.tube_spectrum(n)
+        x, y = rng.standard_normal((2, n, 3, 2))
+        xh, yh = spec.forward(x, scaled=True), spec.forward(y, scaled=True)
+        npt.assert_allclose(np.linalg.norm(xh), np.linalg.norm(x), rtol=1e-13)
+        npt.assert_allclose(np.vdot(xh, yh).real, np.vdot(x, y), rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(spec.inverse(xh, scaled=True), x, rtol=0, atol=1e-14)
+        npt.assert_allclose(spec.weights.sum(), 1.0)  # w_f / n over the half spectrum counts every frequency once
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_matrix_matches_rfft(self, n):
+        rng = np.random.default_rng(n)
+        spec = tn.tube_spectrum(n)
+        rows = rng.standard_normal((n, 4))
+        npt.assert_allclose(spec.forward_small(rows), np.fft.rfft(rows, axis=0), rtol=0, atol=1e-13)
+        # DC and Nyquist rows are exactly real, so the iterate keeps a real DC/Nyquist part
+        assert not spec.matrix[0].imag.any()
+        if n % 2 == 0:
+            assert not spec.matrix[-1].imag.any()
+
+    def test_shared_and_read_only(self):
+        spec = tn.tube_spectrum(4)
+        assert tn.tube_spectrum(4) is spec
+        with pytest.raises(ValueError):
+            spec.scale[0] = 1.0
 
 
 class TestTranspose:
@@ -325,6 +373,19 @@ class TestT3F1:
         mg.write_t3f1(mg.Tensor3(data), path)
         with pytest.raises(ValueError, match=r"t\.t3f.*non-finite"):
             mg.read_t3f1(path)
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        t = mg.Tensor3(np.random.default_rng(21).standard_normal((4, 500, 250)))  # 4 MB
+        path = tmp_path / "big.t3f"
+        mg.write_t3f1(t, path)
+        tracemalloc.start()
+        try:
+            back = mg.read_t3f1(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, t.data)
+        assert peak < 1.25 * t.data.nbytes
 
     def test_rejects_truncated_header(self, tmp_path):
         path = tmp_path / "t.t3f"
