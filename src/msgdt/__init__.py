@@ -69,8 +69,6 @@ from .tensor import (
     row_slice,
     tprod,
     transpose,
-    tube_dft,
-    tube_idft,
     unfold,
     write_t3f1,
     zeros,
@@ -90,8 +88,6 @@ __all__ = [
     "frob_norm",
     "hadamard",
     "row_slice",
-    "tube_dft",
-    "tube_idft",
     "identity_tensor",
     "zeros",
     "ones",

@@ -374,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="sweep p values over seeded synthetic systems")
     ex.add_argument("--dims", default="10000,20,10,10", help="m,l,q,n")
     ex.add_argument("--p", default="0.3,0.5,0.7,0.99", help="comma-separated observation probabilities")
-    ex.add_argument("--model", choices=tuple(MODEL_KINDS), default="uniform")
-    ex.add_argument("--block-size", type=int, default=None, help="column block size (colblock only; default 1)")
+    add_model_flags(ex, with_p=False)
     ex.add_argument("--iters", type=int, default=None, help="default: one pass (m iterations)")
     ex.add_argument("--swap-iter", type=int, default=5000)
     ex.add_argument("--step-divisor", type=float, default=5000.0)

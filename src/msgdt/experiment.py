@@ -1,23 +1,19 @@
 """Batch experiment driver: sweep observation probabilities over seeded
 synthetic systems and emit plot-ready trace CSVs plus a summary table.
 
-For every (p, trial) pair the driver builds a fresh Gaussian system (shared
-across p within a trial, so p-comparisons are paired), masks it, runs the
-solver with the hybrid step schedule alpha = p^2 / step_divisor matched at
-the swap iteration, and writes ``trace_p{p}_trial{t}.csv``.  The summary
-holds iterate errors at iteration 0, the swap, and the end of each run.
-
-Independent runs may execute in parallel; the MSGDT_THREADS environment
-variable caps the worker count (default 1, clamped to the runs and CPUs).
-Outputs are byte-identical regardless of parallelism because every run
-derives its own seed from (seed, trial, p-index).
+Runs execute serially in the calling process, trial by trial.  Each trial
+builds one Gaussian system and shares it across every p, so p-comparisons
+are paired; each p masks it, runs the solver with the hybrid step schedule
+alpha = p^2 / step_divisor matched at the swap iteration, and writes
+``trace_p{p}_trial{t}.csv``.  The summary holds iterate errors at iteration
+0, the swap, and the end of each run, in (p, trial) order.  Every run
+derives its own seeds from (seed, trial, p-index), so outputs do not depend
+on the order the runs execute in.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +22,7 @@ import numpy as np
 from . import __version__
 from .masking import draw_mask, model_for
 from .solver import HybridStep, ProblemInstance, SolverConfig, run_msgdt
-from .synthetic import Dims, gen_synthetic
+from .synthetic import Dims, SyntheticSystem, gen_synthetic
 from .tensor import Tensor3, hadamard
 
 __all__ = ["ExperimentSpec", "SummaryRow", "run_experiment", "write_manifest"]
@@ -52,10 +48,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.p_values:
             raise ValueError("no experiments requested: p_values is empty")
+        trace_names = {}
         for p in self.p_values:
             model_for(self.model_kind, p, self.block_size)  # validates kind, p and block size
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            name = f"{p:g}"
+            if name in trace_names:
+                raise ValueError(
+                    f"p values {trace_names[name]!r} and {p!r} would share the trace file "
+                    f"trace_p{name}_trial*.csv"
+                )
+            trace_names[name] = p
+        for field in ("trials", "swap_iter", "trace_every"):
+            value = getattr(self, field)
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
+        if self.iters is not None and self.iters < 0:
+            raise ValueError(f"iters must be >= 0, got {self.iters}")
         if self.step_divisor <= 0:
             raise ValueError(f"step divisor must be positive, got {self.step_divisor}")
 
@@ -89,10 +97,9 @@ def _seed_int(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0])
 
 
-def _run_one(spec: ExperimentSpec, p_index: int, trial: int) -> SummaryRow:
+def _run_one(spec: ExperimentSpec, p_index: int, trial: int, system: SyntheticSystem) -> SummaryRow:
     p = spec.p_values[p_index]
     model = model_for(spec.model_kind, p, spec.block_size)
-    system = gen_synthetic(spec.dims, np.random.SeedSequence([spec.seed, trial]))
 
     if spec.sampling == "once":
         mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, p_index, 1]))
@@ -135,16 +142,6 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int) -> SummaryRow:
     )
 
 
-def _worker_count(jobs: int) -> int:
-    """MSGDT_THREADS, clamped to the number of jobs and of CPUs."""
-    raw = os.environ.get("MSGDT_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"MSGDT_THREADS must be an integer worker count, got {raw!r}") from None
-    return max(1, min(requested, jobs, os.cpu_count() or 1))
-
-
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run every (p, trial) pair; write traces, summary.csv, and a manifest."""
     if spec.sampling == "once" and spec.total_iters > spec.dims.m:
@@ -155,15 +152,13 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(pi, trial) for pi in range(len(spec.p_values)) for trial in range(spec.trials)]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_run_one, [spec] * len(jobs), [pi for pi, _ in jobs], [t for _, t in jobs])
-            )
-    else:
-        rows = [_run_one(spec, pi, t) for pi, t in jobs]
+    runs = {}
+    for trial in range(spec.trials):
+        system = gen_synthetic(spec.dims, np.random.SeedSequence([spec.seed, trial]))
+        for pi in range(len(spec.p_values)):
+            runs[pi, trial] = _run_one(spec, pi, trial, system)
+        del system  # free it before the next trial's is built
+    rows = [runs[key] for key in sorted(runs)]
 
     with open(out / "summary.csv", "w", newline="") as f:
         f.write(SUMMARY_HEADER + "\n")

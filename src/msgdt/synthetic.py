@@ -34,10 +34,11 @@ class Dims:
     @classmethod
     def parse(cls, text: str) -> "Dims":
         """Parse 'm,l,q,n'."""
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"expected dims as m,l,q,n, got {text!r}")
-        return cls(*(int(v) for v in parts))
+        try:  # a wrong count fails the unpacking, a non-integer the int()
+            m, l, q, n = (int(v) for v in text.split(","))
+        except ValueError:
+            raise ValueError(f"expected dims as m,l,q,n, got {text!r}") from None
+        return cls(m, l, q, n)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ __all__ = [
     "frob_norm",
     "hadamard",
     "row_slice",
-    "tube_dft",
-    "tube_idft",
     "TubeSpectrum",
     "tube_spectrum",
     "tube_gram",
@@ -228,16 +226,6 @@ def row_slice(t: Tensor3, i: int) -> Tensor3:
     if not 0 <= i < t.m:
         raise ValueError(f"row index {i} out of range for m={t.m}")
     return Tensor3(t.data[:, i : i + 1, :].copy())
-
-
-def tube_dft(t: Tensor3) -> np.ndarray:
-    """Unnormalized DFT applied down every length-n tube, as a complex (n, m, l) array."""
-    return np.fft.fft(t.data, axis=0)
-
-
-def tube_idft(hat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`tube_dft` on a complex (n, m, l) array."""
-    return np.fft.ifft(hat, axis=0)
 
 
 @dataclass(frozen=True, eq=False)

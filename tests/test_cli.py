@@ -294,64 +294,44 @@ class TestExperiment:
                 ]
             )
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        args = [
-            "experiment",
-            "--dims",
-            "40,3,2,2",
-            "--p",
-            "0.5,0.9",
-            "--swap-iter",
-            "20",
-            "--step-divisor",
-            "20",
-            "--trials",
-            "2",
-            "--seed",
-            "14",
-            "--trace-every",
-            "10",
-        ]
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        monkeypatch.setenv("MSGDT_THREADS", "1")
-        main(args + ["--out", str(serial)])
-        monkeypatch.setenv("MSGDT_THREADS", "2")
-        main(args + ["--out", str(parallel)])
-        assert read_bytes_map(serial) == read_bytes_map(parallel)
+    SMALL = ["experiment", "--dims", "40,3,2,2", "--swap-iter", "20", "--step-divisor", "20",
+             "--seed", "14", "--trace-every", "10"]
 
-    SMALL = ["experiment", "--dims", "20,2,2,2", "--p", "0.5,0.9", "--trials", "2",
-             "--swap-iter", "5", "--step-divisor", "20", "--trace-every", "10"]
-
-    def test_non_integer_thread_count_named(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MSGDT_THREADS", "two")
-        with pytest.raises(ValueError, match="MSGDT_THREADS"):
-            main(self.SMALL + ["--out", str(tmp_path / "x")])
-
-    @pytest.mark.parametrize("cpus,expected", [(64, 4), (3, 3)])
-    def test_worker_count_clamped(self, tmp_path, monkeypatch, cpus, expected):
-        # a stand-in executor records max_workers and runs the jobs in-process
+    def test_one_system_per_trial(self, tmp_path, monkeypatch):
         from msgdt import experiment
 
-        seen = []
+        built = []
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def counting_gen(*args):
+            built.append(args)
+            return mg.gen_synthetic(*args)
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(experiment, "gen_synthetic", counting_gen)
+        out = tmp_path / "x"
+        main(self.SMALL + ["--p", "0.5,0.7,0.9", "--trials", "2", "--out", str(out)])
+        assert len(built) == 2  # one per trial, shared by its three p values
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        runs = [(p, t) for p in ("0.5", "0.7", "0.9") for t in ("0", "1")]
+        assert [tuple(line.split(",")[1:3]) for line in summary] == runs
+        for p, t in runs:
+            assert (out / f"trace_p{p}_trial{t}.csv").exists()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("MSGDT_THREADS", "100000")
-        main(self.SMALL + ["--out", str(tmp_path / "x")])
-        assert seen == [expected]  # 4 runs: 2 p values x 2 trials
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--p", "0.5,0.5000000001"], "p values 0.5 and 0.5000000001 would share the trace file"),
+            (["--p", "0.5,0.5"], "p values 0.5 and 0.5 would share the trace file"),
+            (["--p", "0.5", "--swap-iter", "0"], "swap_iter must be >= 1, got 0"),
+            (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0"),
+            (["--p", "0.5", "--iters", "-1"], "iters must be >= 0, got -1"),
+        ],
+        ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters"],
+    )
+    def test_bad_spec_rejected_before_any_output(self, tmp_path, extra, message):
+        out = tmp_path / "x"
+        with pytest.raises(ValueError, match=message):
+            main(self.SMALL + extra + ["--out", str(out)])
+        assert not out.exists()
 
 
 class TestBounds:

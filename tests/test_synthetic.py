@@ -35,5 +35,6 @@ def test_dims_validation_and_parse():
     with pytest.raises(ValueError):
         mg.Dims(0, 1, 1, 1)
     assert mg.Dims.parse("4,3,2,1") == mg.Dims(4, 3, 2, 1)
-    with pytest.raises(ValueError):
-        mg.Dims.parse("4,3,2")
+    for text in ("4,3,2", "10,2,2,x"):
+        with pytest.raises(ValueError, match=f"expected dims as m,l,q,n, got '{text}'"):
+            mg.Dims.parse(text)
