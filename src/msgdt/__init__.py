@@ -7,7 +7,10 @@ tensors (:mod:`msgdt.masking`), the SGD iteration (:mod:`msgdt.solver`),
 every convergence constant of the fixed- and decaying-step analyses
 (:mod:`msgdt.bounds`), and Monte Carlo / enumeration verifiers
 (:mod:`msgdt.checks`).  ``msgdt.cli`` exposes all of it on the command
-line.
+line.  The dense reference constructions the verifiers and tests compare
+against (``bcirc``, mask enumeration, the dense ``g(X)``) live in
+:mod:`msgdt.oracle`, which is not imported here: ``from msgdt import
+oracle`` loads it.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +34,6 @@ from .masking import (
     UniformMissing,
     correction_tensor,
     draw_mask,
-    enumerate_row_masks,
     format_model,
     parse_model,
     verify_expectation_identity,
@@ -45,31 +47,21 @@ from .solver import (
     RunTrace,
     SolverConfig,
     StepSchedule,
-    full_gradient,
-    gradient_estimate,
     objective,
     project_ball,
     run_msgdt,
     step_size,
-    update_linear_part,
 )
-from .synthetic import Dims, SyntheticSystem, gaussian_tensor, gen_synthetic
+from .synthetic import Dims, SyntheticSystem, gen_synthetic
 from .tensor import (
     Tensor3,
-    bcirc,
-    fold,
     frob_norm,
-    from_slices,
     hadamard,
-    identity_tensor,
     inner,
-    is_hermitian,
     ones,
     read_t3f1,
-    row_slice,
     tprod,
     transpose,
-    unfold,
     write_t3f1,
     zeros,
 )
@@ -78,20 +70,13 @@ __all__ = [
     "__version__",
     # tensor
     "Tensor3",
-    "unfold",
-    "fold",
-    "bcirc",
     "tprod",
     "transpose",
-    "is_hermitian",
     "inner",
     "frob_norm",
     "hadamard",
-    "row_slice",
-    "identity_tensor",
     "zeros",
     "ones",
-    "from_slices",
     "read_t3f1",
     "write_t3f1",
     # masking
@@ -103,7 +88,6 @@ __all__ = [
     "format_model",
     "draw_mask",
     "correction_tensor",
-    "enumerate_row_masks",
     "verify_expectation_identity",
     # solver
     "ConstantStep",
@@ -115,12 +99,9 @@ __all__ = [
     "ProblemInstance",
     "RunTrace",
     "RunResult",
-    "gradient_estimate",
-    "update_linear_part",
     "project_ball",
     "run_msgdt",
     "objective",
-    "full_gradient",
     # bounds
     "BoundReport",
     "compute_bound_report",
@@ -136,5 +117,4 @@ __all__ = [
     "Dims",
     "SyntheticSystem",
     "gen_synthetic",
-    "gaussian_tensor",
 ]

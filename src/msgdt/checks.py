@@ -28,17 +28,10 @@ from .masking import (
     MissingModel,
     correction_tensor,
     draw_masked_row,
-    enumerate_row_masks,
     verify_expectation_identity,
 )
-from .solver import (
-    _row_gradient,
-    _masked_row_spectra,
-    _row_spectra,
-    full_gradient,
-    objective,
-    update_linear_part,
-)
+from .oracle import enumerate_row_masks, full_gradient, update_linear_part
+from .solver import _masked_row_spectra, _row_gradient, _row_spectra, objective
 from .tensor import Tensor3
 
 __all__ = [

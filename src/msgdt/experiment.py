@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .masking import draw_mask, model_for
-from .solver import HybridStep, ProblemInstance, SolverConfig, run_msgdt
+from .solver import HybridStep, ProblemInstance, SamplingMode, SolverConfig, run_msgdt
 from .synthetic import Dims, SyntheticSystem, gen_synthetic
 from .tensor import Tensor3, hadamard
 
@@ -42,7 +42,7 @@ class ExperimentSpec:
     seed: int = 0
     out_dir: Path = Path(".")
     iters: int | None = None  # default: one pass over the rows (m)
-    sampling: str = "once"
+    sampling: SamplingMode = "once"
     trace_every: int = 100
 
     def __post_init__(self):
@@ -66,6 +66,13 @@ class ExperimentSpec:
             raise ValueError(f"iters must be >= 0, got {self.iters}")
         if self.step_divisor <= 0:
             raise ValueError(f"step divisor must be positive, got {self.step_divisor}")
+        if self.sampling not in ("once", "redraw"):
+            raise ValueError(f"sampling mode must be 'once' or 'redraw', got {self.sampling!r}")
+        if self.sampling == "once" and self.total_iters > self.dims.m:
+            raise ValueError(
+                f"infeasible spec: {self.total_iters} iterations without replacement "
+                f"but only {self.dims.m} rows; lower --iters or use redraw sampling"
+            )
 
     @property
     def total_iters(self) -> int:
@@ -118,7 +125,7 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int, system: SyntheticSy
     config = SolverConfig(
         schedule=schedule,
         total_iters=spec.total_iters,
-        sampling=spec.sampling,  # type: ignore[arg-type]
+        sampling=spec.sampling,
         seed=_seed_int(spec.seed, trial, p_index, 2),
         trace_every=spec.trace_every,
         also_record=(spec.swap_iter,) if spec.swap_iter <= spec.total_iters else (),
@@ -144,11 +151,6 @@ def _run_one(spec: ExperimentSpec, p_index: int, trial: int, system: SyntheticSy
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Run every (p, trial) pair; write traces, summary.csv, and a manifest."""
-    if spec.sampling == "once" and spec.total_iters > spec.dims.m:
-        raise ValueError(
-            f"infeasible spec: {spec.total_iters} iterations without replacement "
-            f"but only {spec.dims.m} rows; lower --iters or use redraw sampling"
-        )
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

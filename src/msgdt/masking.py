@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "draw_masked_row",
     "draw_mask",
     "correction_tensor",
-    "enumerate_row_masks",
     "ExpectationReport",
     "verify_expectation_identity",
 ]
@@ -170,8 +169,8 @@ def unit_map(model: MissingModel, l: int, n: int) -> tuple[np.ndarray, int]:
 
     Units are numbered ``j*n + k`` (uniform), ``j // b`` (column blocks) or
     ``k`` (frontal slices): the order in which mask draws consume the
-    generator and the bit order of :func:`enumerate_row_masks`.  The map is
-    built, and the block size checked, once per model and shape.
+    generator and the bit order of :func:`msgdt.oracle.enumerate_row_masks`.
+    The map is built, and the block size checked, once per model and shape.
     """
     check_block(model, l)
     k, j = np.indices((n, l))
@@ -224,24 +223,6 @@ def correction_tensor(model: MissingModel, l: int, n: int) -> Tensor3:
     return Tensor3(data)
 
 
-def enumerate_row_masks(model: MissingModel, l: int, n: int) -> Iterator[tuple[np.ndarray, float]]:
-    """All possible masks of a single row slice with their probabilities.
-
-    Yields (mask, prob) with mask of shape (n, l), in the bit order of the
-    units of :func:`unit_map`.  There are 2^(l*n) configurations for uniform,
-    2^(l/b) for column blocks and 2^n for frontal slices: keep the dims tiny.
-    """
-    umap, units = unit_map(model, l, n)
-    p = model.p
-    for config in range(2**units):
-        bits = [(config >> u) & 1 for u in range(units)]
-        ones = sum(bits)
-        prob = p**ones * (1.0 - p) ** (units - ones)
-        if prob == 0.0:
-            continue
-        yield np.array(bits, dtype=np.float64)[umap], prob
-
-
 def _gram_sum(rows: np.ndarray) -> np.ndarray:
     """sum_t Atilde_t* * Atilde_t over a batch of row slices, (t, n, l) -> (n, l, l).
 
@@ -250,17 +231,6 @@ def _gram_sum(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[1]
     return tn.tube_spectrum(n).inverse(tn.tube_gram(rows.transpose(1, 0, 2)))
-
-
-def exact_row_gram_expectation(a_row: Tensor3, model: MissingModel) -> Tensor3:
-    """E_D[Atilde* * Atilde] for one 1 x l x n row slice, by exhaustive enumeration."""
-    if a_row.m != 1:
-        raise ValueError(f"expected a 1 x l x n row slice, got dims {a_row.dims}")
-    row = a_row.data[:, 0, :]  # (n, l)
-    acc = np.zeros((a_row.n, a_row.l, a_row.l))
-    for mask, prob in enumerate_row_masks(model, a_row.l, a_row.n):
-        acc += prob * _gram_sum((mask * row)[None])
-    return Tensor3(acc)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
 
 The iteration never builds C: ``_row_gradient`` applies (C o H) * X in a
-closed form per model, and ``gradient_estimate`` keeps the dense formula
-with an explicit C as the reference the kernel is tested against.
+closed form per model, and :func:`msgdt.oracle.gradient_estimate` keeps the
+dense formula with an explicit C as the reference the kernel is tested
+against.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -46,7 +47,6 @@ from .masking import (
     MissingModel,
     UniformMissing,
     check_block,
-    check_p,
     correction_tensor,
     draw_masked_row,
     format_model,
@@ -64,12 +64,9 @@ __all__ = [
     "TraceRecord",
     "RunTrace",
     "RunResult",
-    "gradient_estimate",
-    "update_linear_part",
     "project_ball",
     "run_msgdt",
     "objective",
-    "full_gradient",
 ]
 
 SamplingMode = Literal["once", "redraw"]
@@ -257,35 +254,6 @@ def _project(arr: np.ndarray, radius: float) -> np.ndarray:
     return arr * (radius / norm)
 
 
-def gradient_estimate(
-    a_row_tilde: Tensor3, b_row: Tensor3, x: Tensor3, c: Tensor3, p: float
-) -> Tensor3:
-    """The stochastic update direction g(X) for one observed row slice.
-
-    Dense reference for the solver's kernel: g(X) = M * X - (1/p) Atilde_i* * B_i
-    with M from :func:`update_linear_part` and an explicit correction ``c``.
-    """
-    check_p(p)
-    if a_row_tilde.m != 1 or b_row.m != 1:
-        raise ValueError("row slices must have a single row")
-    if a_row_tilde.l != x.m or x.l != b_row.l or a_row_tilde.n != x.n or b_row.n != x.n:
-        raise ValueError(
-            f"inconsistent shapes: A row {a_row_tilde.dims}, B row {b_row.dims}, X {x.dims}"
-        )
-    lin = tn.tprod(update_linear_part(a_row_tilde, c, p), x)
-    return lin - tn.tprod(tn.transpose(a_row_tilde), b_row) * (1.0 / p)
-
-
-def update_linear_part(a_row_tilde: Tensor3, c: Tensor3, p: float) -> Tensor3:
-    """The l x l x n tensor M with g(X) - g(Y) = M * (X - Y).
-
-    M = (1/p^2) Atilde* * Atilde - ((1-p)/p^2) C o (Atilde* * Atilde); it is
-    Hermitian whenever C is, which makes X -> M * X self-adjoint.
-    """
-    gram = tn.tprod(tn.transpose(a_row_tilde), a_row_tilde)
-    return Tensor3(gram.data / (p * p) - ((1.0 - p) / (p * p)) * c.data * gram.data)
-
-
 def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
     """Projection onto the Frobenius ball of the given radius (None = identity)."""
     if radius is None:
@@ -342,12 +310,6 @@ def objective(full_a: Tensor3, b: Tensor3, x: Tensor3) -> float:
     """F(X) = ||A * X - B||^2 / (2m); needs the unmasked A."""
     residual = tn.tprod(full_a, x) - b
     return tn.inner(residual, residual) / (2.0 * full_a.m)
-
-
-def full_gradient(full_a: Tensor3, b: Tensor3, x: Tensor3) -> Tensor3:
-    """grad F(X) = (1/m) A* * (A * X - B)."""
-    residual = tn.tprod(full_a, x) - b
-    return Tensor3(tn.tprod(tn.transpose(full_a), residual).data / full_a.m)
 
 
 def _row_spectra(data: np.ndarray, rows, spec: tn.TubeSpectrum, p: Optional[float] = None) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensor import Tensor3, tprod
 
-__all__ = ["Dims", "SyntheticSystem", "gen_synthetic", "gaussian_tensor"]
+__all__ = ["Dims", "SyntheticSystem", "gen_synthetic"]
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,9 @@ class SyntheticSystem:
     b: Tensor3
 
 
-def gaussian_tensor(m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:
-    return Tensor3(rng.standard_normal((n, m, l)))
-
-
 def gen_synthetic(dims: Dims, seed: Union[int, np.random.SeedSequence]) -> SyntheticSystem:
     """Gaussian A and X* with B = A * X* exactly."""
     rng = np.random.default_rng(seed)
-    a = gaussian_tensor(dims.m, dims.l, dims.n, rng)
-    x_star = gaussian_tensor(dims.l, dims.q, dims.n, rng)
+    a = Tensor3(rng.standard_normal((dims.n, dims.m, dims.l)))
+    x_star = Tensor3(rng.standard_normal((dims.n, dims.l, dims.q)))
     return SyntheticSystem(a=a, x_star=x_star, b=tprod(a, x_star))

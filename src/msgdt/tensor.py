@@ -2,18 +2,18 @@
 
 A third-order tensor of shape m x l x n (rows, columns, frontal slices) is
 stored frontal-slice-major: ``data`` is a C-contiguous float64 array of shape
-``(n, m, l)``, so entry (i, j, k) lives at ``data[k, i, j]`` and ``unfold`` is
-a plain reshape.  Zero-based indices throughout.
+``(n, m, l)``, so entry (i, j, k) lives at ``data[k, i, j]`` and the mn x l
+unfolding is a plain reshape.  Zero-based indices throughout.
 
 The t-product A * X is fold(bcirc(A) @ unfold(X)).  The tube DFT
 block-diagonalizes bcirc (Kilmer & Martin, Linear Algebra Appl. 435, 2011),
 so it is computed in the real tube-Fourier domain: ``rfft`` down every tube
 keeps the n//2+1 nonnegative frequencies of a real tensor, each frequency
-is one matrix product, and ``irfft`` brings the result back.  ``bcirc``
-materializes the block-circulant matrix only so tests can check the two
-routes against each other.  ``tube_spectrum(n)`` is the one helper for
-the real transform: the rfft and its inverse, the Parseval scaling and the
-DFT matrix used for single rows.
+is one matrix product, and ``irfft`` brings the result back.
+:func:`msgdt.oracle.bcirc` materializes the block-circulant matrix so tests
+can check the two routes against each other.  ``tube_spectrum(n)`` is the
+one helper for the real transform: the rfft and its inverse, the Parseval
+scaling and the DFT matrix used for single rows.
 """
 
 from __future__ import annotations
@@ -28,18 +28,11 @@ __all__ = [
     "Tensor3",
     "zeros",
     "ones",
-    "identity_tensor",
-    "from_slices",
-    "unfold",
-    "fold",
-    "bcirc",
     "tprod",
     "transpose",
-    "is_hermitian",
     "inner",
     "frob_norm",
     "hadamard",
-    "row_slice",
     "TubeSpectrum",
     "tube_spectrum",
     "tube_gram",
@@ -82,10 +75,6 @@ class Tensor3:
         n, m, l = self.data.shape
         return (m, l, n)
 
-    def slice(self, k: int) -> np.ndarray:
-        """Frontal slice k as an m x l array (copy)."""
-        return self.data[k].copy()
-
     def __add__(self, other: "Tensor3") -> "Tensor3":
         _require_same_dims(self, other, "add")
         return Tensor3(self.data + other.data)
@@ -120,45 +109,6 @@ def ones(m: int, l: int, n: int) -> Tensor3:
     return Tensor3(np.ones((n, m, l)))
 
 
-def identity_tensor(l: int, n: int) -> Tensor3:
-    """l x l x n identity of the t-product: slice 0 is I, the rest are zero."""
-    data = np.zeros((n, l, l))
-    data[0] = np.eye(l)
-    return Tensor3(data)
-
-
-def from_slices(slices) -> Tensor3:
-    """Stack equally-sized m x l matrices as frontal slices 0..n-1."""
-    return Tensor3(np.stack([np.asarray(s, dtype=np.float64) for s in slices]))
-
-
-def unfold(t: Tensor3) -> np.ndarray:
-    """mn x l matrix stacking the frontal slices top to bottom."""
-    n, m, l = t.data.shape
-    return t.data.reshape(n * m, l).copy()
-
-
-def fold(mat: np.ndarray, n: int) -> Tensor3:
-    """Inverse of :func:`unfold` given the slice count n."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] % n != 0:
-        raise ValueError(f"cannot fold matrix of shape {mat.shape} into {n} slices")
-    m = mat.shape[0] // n
-    return Tensor3(mat.reshape(n, m, mat.shape[1]))
-
-
-def bcirc(t: Tensor3) -> np.ndarray:
-    """mn x ln block-circulant matrix: block (r, c) is frontal slice (r - c) mod n.
-
-    Materialized only for testing and small oracles; the t-product itself
-    never builds it.
-    """
-    n, m, l = t.data.shape
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    blocks = t.data[idx]  # (n, n, m, l)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * l)
-
-
 # Rows of the left operand transformed at a time: the transient spectra stay
 # a fixed size however many rows the tensor has.
 _ROW_CHUNK = 256
@@ -187,22 +137,10 @@ def tprod(a: Tensor3, x: Tensor3) -> Tensor3:
     return Tensor3(_tprod_data(a.data, x.data))
 
 
-def _transpose_data(arr: np.ndarray) -> np.ndarray:
-    n = arr.shape[0]
-    order = (-np.arange(n)) % n  # 0, n-1, ..., 1
-    return np.ascontiguousarray(arr.transpose(0, 2, 1)[order])
-
-
 def transpose(t: Tensor3) -> Tensor3:
     """t-transpose: every slice transposed, slices 1..n-1 reversed in order."""
-    return Tensor3(_transpose_data(t.data))
-
-
-def is_hermitian(t: Tensor3, tol: float = 0.0) -> bool:
-    """True iff t equals its t-transpose up to max-abs deviation ``tol``."""
-    if t.m != t.l:
-        raise ValueError(f"hermitian check needs square slices, got dims {t.dims}")
-    return float(np.max(np.abs(t.data - _transpose_data(t.data)))) <= tol
+    order = (-np.arange(t.n)) % t.n  # 0, n-1, ..., 1
+    return Tensor3(t.data.transpose(0, 2, 1)[order])
 
 
 def inner(a: Tensor3, b: Tensor3) -> float:
@@ -219,13 +157,6 @@ def hadamard(a: Tensor3, b: Tensor3) -> Tensor3:
     """Element-wise product."""
     _require_same_dims(a, b, "multiply")
     return Tensor3(a.data * b.data)
-
-
-def row_slice(t: Tensor3, i: int) -> Tensor3:
-    """Row slice i as a 1 x l x n tensor (copy)."""
-    if not 0 <= i < t.m:
-        raise ValueError(f"row index {i} out of range for m={t.m}")
-    return Tensor3(t.data[:, i : i + 1, :].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,11 +242,18 @@ _T3F1_MAGIC = b"T3F1"
 
 
 def write_t3f1(t: Tensor3, path) -> None:
+    """Write ``t`` as T3F1 straight from its array (the payload is not copied).
+
+    Non-finite data is refused before the file is opened, so every file
+    written here is one :func:`read_t3f1` accepts.
+    """
+    if not np.isfinite(t.data).all():
+        raise ValueError(f"{path}: refusing to write non-finite values to a T3F1 file")
     m, l, n = t.dims
     header = _T3F1_MAGIC + np.array([m, l, n], dtype="<u8").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(t.data.astype("<f8").tobytes())
+        f.write(memoryview(np.asarray(t.data, "<f8")))
 
 
 def read_t3f1(path) -> Tensor3:

@@ -20,7 +20,7 @@ from msgdt.checks import (
 )
 from msgdt.cli import main as cli_main
 from msgdt.experiment import ExperimentSpec, run_experiment
-from msgdt.masking import exact_row_gram_expectation
+from msgdt.oracle import bcirc, exact_row_gram_expectation, fold, unfold
 
 
 def _report(capsys, num, ok, detail):
@@ -65,7 +65,7 @@ def test_criterion_01_tprod_oracle_equivalence(capsys):
         n = int(rng.integers(1, 6))
         a = mg.Tensor3(rng.standard_normal((n, m, l)))
         x = mg.Tensor3(rng.standard_normal((n, l, q)))
-        want = mg.fold(mg.bcirc(a) @ mg.unfold(x), n).data
+        want = fold(bcirc(a) @ unfold(x), n).data
         got = mg.tprod(a, x).data
         scale = max(float(np.max(np.abs(want))), 1e-300)
         worst = max(worst, float(np.max(np.abs(got - want))) / scale)
@@ -167,7 +167,7 @@ def test_criterion_07_strong_convexity(capsys):
     rng = np.random.default_rng(110)
     a = mg.Tensor3(rng.standard_normal((3, 5, 3)))  # 5 x 3 x 3
     mu, sigma_min = mg.strong_convexity(a)
-    oracle = float(np.linalg.svd(mg.bcirc(a), compute_uv=False).min())
+    oracle = float(np.linalg.svd(bcirc(a), compute_uv=False).min())
     agrees = abs(sigma_min - oracle) <= 1e-8
     b = mg.tprod(a, mg.Tensor3(rng.standard_normal((3, 3, 2))))
     margin = strong_convexity_margin(a, b, mu, pairs=1000, rng=np.random.default_rng(111))

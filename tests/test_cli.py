@@ -200,6 +200,16 @@ class TestSolve:
             outs.append(read_bytes_map(out))
         assert outs[0] == outs[1]
 
+    def test_divergent_run_raises_and_writes_no_iterate(self, tmp_path):
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "200,4,2,3", "--seed", "1", "--out", str(gen)])
+        out = tmp_path / "run"
+        argv = ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "200",
+                "--step-divisor", "0.0001", "--out", str(out)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="xfinal.t3f.*non-finite"):
+            main(argv)
+        assert not (out / "xfinal.t3f").exists()
+
 
 class TestExperiment:
     def test_small_sweep(self, tmp_path):
@@ -324,13 +334,22 @@ class TestExperiment:
             (["--p", "0.5", "--swap-iter", "0"], "swap_iter must be >= 1, got 0"),
             (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0"),
             (["--p", "0.5", "--iters", "-1"], "iters must be >= 0, got -1"),
+            (["--p", "0.5", "--iters", "41"], "infeasible spec: 41 iterations without replacement but only 40 rows"),
         ],
-        ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters"],
+        ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters", "once-budget"],
     )
     def test_bad_spec_rejected_before_any_output(self, tmp_path, extra, message):
         out = tmp_path / "x"
         with pytest.raises(ValueError, match=message):
             main(self.SMALL + extra + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_bad_sampling_rejected_by_the_spec(self, tmp_path):
+        from msgdt.experiment import ExperimentSpec, run_experiment
+
+        out = tmp_path / "x"
+        with pytest.raises(ValueError, match="sampling mode must be 'once' or 'redraw', got 'bogus'"):
+            run_experiment(ExperimentSpec(dims=mg.Dims(40, 3, 2, 2), p_values=(0.5,), out_dir=out, sampling="bogus"))
         assert not out.exists()
 
 

@@ -1,4 +1,9 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
+from msgdt import oracle
 from msgdt.checks import (
     lipschitz_ratio_max,
     self_adjointness_max_dev,
@@ -82,7 +88,7 @@ class TestGradientEstimate:
         b_row = mg.Tensor3(rng.standard_normal((3, 1, 2)))
         x = mg.Tensor3(rng.standard_normal((3, 4, 2)))
         c = mg.correction_tensor(mg.UniformMissing(1.0), 4, 3)
-        g = mg.gradient_estimate(a_row, b_row, x, c, p=1.0)
+        g = oracle.gradient_estimate(a_row, b_row, x, c, p=1.0)
         want = mg.tprod(mg.transpose(a_row), mg.tprod(a_row, x) - b_row)
         npt.assert_allclose(g.data, want.data, atol=1e-12)
 
@@ -93,7 +99,7 @@ class TestGradientEstimate:
         b_row = mg.Tensor3(rng.standard_normal((2, 1, 2)))
         x = mg.zeros(3, 2, 2)
         c = mg.correction_tensor(mg.UniformMissing(p), 3, 2)
-        g = mg.gradient_estimate(a_row, b_row, x, c, p)
+        g = oracle.gradient_estimate(a_row, b_row, x, c, p)
         want = (-1.0 / p) * mg.tprod(mg.transpose(a_row), b_row)
         npt.assert_allclose(g.data, want.data, atol=1e-12)
 
@@ -103,13 +109,13 @@ class TestGradientEstimate:
         x = mg.ones(2, 2, 2)
         c = mg.correction_tensor(mg.UniformMissing(0.5), 2, 2)
         with pytest.raises(ValueError):
-            mg.gradient_estimate(a_row, b_row, x, c, p=0.0)
+            oracle.gradient_estimate(a_row, b_row, x, c, p=0.0)
         with pytest.raises(ValueError):
-            mg.gradient_estimate(a_row, b_row, x, c, p=1.5)
+            oracle.gradient_estimate(a_row, b_row, x, c, p=1.5)
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):
-            mg.gradient_estimate(
+            oracle.gradient_estimate(
                 mg.ones(1, 2, 2),
                 mg.ones(1, 3, 2),
                 mg.ones(3, 3, 2),  # x.m != a.l
@@ -155,7 +161,7 @@ class TestKernelMatchesDenseOracle:
             brow = rng.standard_normal((n, q))
             x = rng.standard_normal((n, l, q))
             got = spatial_row_gradient(arow, brow, x, model)
-            want = mg.gradient_estimate(
+            want = oracle.gradient_estimate(
                 mg.Tensor3(arow[:, None, :]),
                 mg.Tensor3(brow[:, None, :]),
                 mg.Tensor3(x),
@@ -185,7 +191,8 @@ def spatial_reference_run(problem, config, x_star, full_a):
             arow = a.data[:, i, :]
         else:
             i, arow = draw_masked_row(model, a.data, rng)
-        g = mg.gradient_estimate(mg.Tensor3(arow[:, None, :]), mg.row_slice(b, i), x, c, model.p)
+        brow = mg.Tensor3(b.data[:, i : i + 1, :])
+        g = oracle.gradient_estimate(mg.Tensor3(arow[:, None, :]), brow, x, c, model.p)
         x = mg.project_ball(x - mg.step_size(config.schedule, t) * g, config.projection_radius)
         if t % config.trace_every == 0 or t == config.total_iters:
             records.append((t, mg.frob_norm(g), mg.frob_norm(x - x_star), mg.objective(full_a, b, x)))
@@ -262,8 +269,8 @@ class TestLinearPart:
         rng = np.random.default_rng(11)
         a_row = mg.Tensor3(rng.standard_normal((3, 1, 4)))
         c = mg.correction_tensor(mg.UniformMissing(0.5), 4, 3)
-        lin = mg.update_linear_part(a_row, c, 0.5)
-        assert mg.is_hermitian(lin, tol=1e-12)
+        lin = oracle.update_linear_part(a_row, c, 0.5)
+        assert oracle.is_hermitian(lin, tol=1e-12)
 
     def test_matches_gradient_difference(self):
         rng = np.random.default_rng(12)
@@ -273,9 +280,9 @@ class TestLinearPart:
         c = mg.correction_tensor(mg.FrontalSliceMissing(p), 3, 2)
         x = mg.Tensor3(rng.standard_normal((2, 3, 2)))
         y = mg.Tensor3(rng.standard_normal((2, 3, 2)))
-        gx = mg.gradient_estimate(a_row, b_row, x, c, p)
-        gy = mg.gradient_estimate(a_row, b_row, y, c, p)
-        lin = mg.update_linear_part(a_row, c, p)
+        gx = oracle.gradient_estimate(a_row, b_row, x, c, p)
+        gy = oracle.gradient_estimate(a_row, b_row, y, c, p)
+        lin = oracle.update_linear_part(a_row, c, p)
         npt.assert_allclose((gx - gy).data, mg.tprod(lin, x - y).data, atol=1e-10)
 
 
@@ -450,7 +457,7 @@ class TestObjective:
     def test_zero_at_solution(self):
         system, _ = make_problem(seed=27)
         assert mg.objective(system.a, system.b, system.x_star) == pytest.approx(0.0, abs=1e-20)
-        grad = mg.full_gradient(system.a, system.b, system.x_star)
+        grad = oracle.full_gradient(system.a, system.b, system.x_star)
         assert mg.frob_norm(grad) == pytest.approx(0.0, abs=1e-10)
 
     def test_directional_finite_difference(self):
@@ -463,7 +470,7 @@ class TestObjective:
             mg.objective(system.a, system.b, x + eps * z)
             - mg.objective(system.a, system.b, x - eps * z)
         ) / (2 * eps)
-        analytic = mg.inner(mg.full_gradient(system.a, system.b, x), z)
+        analytic = mg.inner(oracle.full_gradient(system.a, system.b, x), z)
         assert fd == pytest.approx(analytic, rel=1e-6)
 
 
@@ -525,3 +532,21 @@ class TestProblemValidation:
                 correction=problem.correction,
                 x0=problem.x0,
             )
+
+
+def test_solve_path_does_not_load_the_oracle():
+    # a fresh interpreter: this one has already imported the oracle
+    code = (
+        "import sys\n"
+        "import msgdt.solver, msgdt.experiment, msgdt.bounds, msgdt.synthetic\n"
+        "loaded = [m for m in ('msgdt.oracle', 'msgdt.checks') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(mg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    assert sorted(oracle.__all__) == sorted([
+        "bcirc", "unfold", "fold", "is_hermitian", "enumerate_row_masks", "exact_row_gram_expectation",
+        "gradient_estimate", "update_linear_part", "full_gradient",
+    ])
+    assert all(callable(getattr(oracle, name)) for name in oracle.__all__)

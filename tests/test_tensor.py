@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
+from msgdt import oracle
 from msgdt import tensor as tn
-from msgdt.tensor import from_slices
 
 dims_st = st.integers(min_value=1, max_value=5)
 
@@ -18,49 +18,56 @@ def random_tensor(m, l, n, rng):
     return mg.Tensor3(rng.standard_normal((n, m, l)))
 
 
+def identity(l, n):
+    """l x l x n identity of the t-product: slice 0 is I, the rest are zero."""
+    data = np.zeros((n, l, l))
+    data[0] = np.eye(l)
+    return mg.Tensor3(data)
+
+
 def tprod_oracle(a, x):
     """Independent route: materialize bcirc and multiply unfolded matrices."""
-    return mg.fold(mg.bcirc(a) @ mg.unfold(x), a.n)
+    return oracle.fold(oracle.bcirc(a) @ oracle.unfold(x), a.n)
 
 
 class TestUnfoldFold:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         t = random_tensor(3, 2, 4, rng)
-        back = mg.fold(mg.unfold(t), t.n)
+        back = oracle.fold(oracle.unfold(t), t.n)
         assert np.array_equal(back.data, t.data)
 
     def test_stacks_slices(self):
         s0 = np.array([[1.0, 2.0], [3.0, 4.0]])
         s1 = np.array([[5.0, 6.0], [7.0, 8.0]])
-        t = from_slices([s0, s1])
-        npt.assert_array_equal(mg.unfold(t), np.vstack([s0, s1]))
+        t = mg.Tensor3(np.stack([s0, s1]))
+        npt.assert_array_equal(oracle.unfold(t), np.vstack([s0, s1]))
 
     def test_zero(self):
-        assert not mg.unfold(mg.Tensor3(np.zeros((3, 2, 2)))).any()
+        assert not oracle.unfold(mg.Tensor3(np.zeros((3, 2, 2)))).any()
 
     def test_fold_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            mg.fold(np.zeros((5, 2)), 2)
+            oracle.fold(np.zeros((5, 2)), 2)
         with pytest.raises(ValueError):
-            mg.fold(np.zeros(6), 2)
+            oracle.fold(np.zeros(6), 2)
 
 
 class TestBcirc:
     def test_1x1x2_layout(self):
         t = mg.Tensor3(np.array([1.0, 2.0]).reshape(2, 1, 1))
-        npt.assert_array_equal(mg.bcirc(t), [[1.0, 2.0], [2.0, 1.0]])
+        npt.assert_array_equal(oracle.bcirc(t), [[1.0, 2.0], [2.0, 1.0]])
 
     def test_first_block_column_is_unfold(self):
         rng = np.random.default_rng(1)
         t = random_tensor(3, 2, 4, rng)
-        npt.assert_array_equal(mg.bcirc(t)[:, : t.l], mg.unfold(t))
+        npt.assert_array_equal(oracle.bcirc(t)[:, : t.l], oracle.unfold(t))
 
     def test_frobenius_scaling(self):
         rng = np.random.default_rng(2)
         t = random_tensor(4, 3, 5, rng)
         npt.assert_allclose(
-            np.linalg.norm(mg.bcirc(t)), math.sqrt(t.n) * mg.frob_norm(t), rtol=1e-14
+            np.linalg.norm(oracle.bcirc(t)), math.sqrt(t.n) * mg.frob_norm(t), rtol=1e-14
         )
 
 
@@ -68,7 +75,7 @@ class TestTprod:
     def test_identity(self):
         rng = np.random.default_rng(3)
         x = random_tensor(3, 7, 4, rng)
-        out = mg.tprod(mg.identity_tensor(3, 4), x)
+        out = mg.tprod(identity(3, 4), x)
         npt.assert_allclose(out.data, x.data, rtol=0, atol=1e-15)
 
     def test_1x1x2_tubes(self):
@@ -79,7 +86,7 @@ class TestTprod:
     def test_all_ones_unfold_entries(self):
         m, l, q, n = 2, 3, 4, 2
         prod = mg.tprod(mg.ones(m, l, n), mg.ones(l, q, n))
-        assert np.all(mg.unfold(prod) == l * n)
+        assert np.all(oracle.unfold(prod) == l * n)
 
     def test_dimension_mismatch_names_shapes(self):
         a = mg.ones(2, 3, 2)
@@ -178,7 +185,7 @@ class TestTranspose:
         rng = np.random.default_rng(7)
         a = random_tensor(5, 3, 4, rng)
         gram = mg.tprod(mg.transpose(a), a)
-        assert mg.is_hermitian(gram, tol=1e-12)
+        assert oracle.is_hermitian(gram, tol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(m=dims_st, l=dims_st, n=dims_st, seed=st.integers(0, 2**32 - 1))
@@ -189,15 +196,15 @@ class TestTranspose:
 
 class TestHermitian:
     def test_identity_true(self):
-        assert mg.is_hermitian(mg.identity_tensor(3, 4))
+        assert oracle.is_hermitian(identity(3, 4))
 
     def test_shifted_tube_false(self):
         t = mg.Tensor3(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
-        assert not mg.is_hermitian(t)
+        assert not oracle.is_hermitian(t)
 
     def test_requires_square_slices(self):
         with pytest.raises(ValueError):
-            mg.is_hermitian(mg.ones(2, 3, 2))
+            oracle.is_hermitian(mg.ones(2, 3, 2))
 
 
 class TestInnerNorm:
@@ -212,7 +219,7 @@ class TestInnerNorm:
         a = random_tensor(3, 2, 4, rng)
         b = random_tensor(3, 2, 4, rng)
         npt.assert_allclose(
-            mg.inner(a, b), float(np.sum(mg.unfold(a) * mg.unfold(b))), rtol=1e-14
+            mg.inner(a, b), float(np.sum(oracle.unfold(a) * oracle.unfold(b))), rtol=1e-14
         )
 
     def test_shape_mismatch(self):
@@ -248,37 +255,12 @@ class TestElementwise:
             a + mg.ones(2, 2, 2)
 
 
-class TestRowSlice:
-    def test_single_row_tensor(self):
-        rng = np.random.default_rng(12)
-        t = random_tensor(1, 4, 3, rng)
-        assert np.array_equal(mg.row_slice(t, 0).data, t.data)
-
-    def test_norms_partition(self):
-        rng = np.random.default_rng(13)
-        t = random_tensor(5, 3, 2, rng)
-        total = sum(mg.frob_norm(mg.row_slice(t, i)) ** 2 for i in range(t.m))
-        assert total == pytest.approx(mg.frob_norm(t) ** 2, rel=1e-13)
-
-    def test_entries(self):
-        rng = np.random.default_rng(14)
-        t = random_tensor(4, 3, 2, rng)
-        rs = mg.row_slice(t, 2)
-        for j in range(t.l):
-            for k in range(t.n):
-                assert rs.data[k, 0, j] == t.data[k, 2, j]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mg.row_slice(mg.ones(2, 2, 2), 2)
-
-
 class TestTubeDFT:
     def test_block_diagonal_singular_values_match_bcirc(self):
         rng = np.random.default_rng(16)
         n = 4
         a = random_tensor(4, 3, n, rng)
-        sv_oracle = np.sort(np.linalg.svd(mg.bcirc(a), compute_uv=False))
+        sv_oracle = np.sort(np.linalg.svd(oracle.bcirc(a), compute_uv=False))
         hat = tn.tube_spectrum(n).forward(a.data)
         # the half spectrum stands for every frequency: each one but DC and Nyquist
         # also for its conjugate, whose slice has the same singular values
@@ -362,9 +344,18 @@ class TestT3F1:
         data = np.ones((2, 2, 3))
         data[1, 0, 2] = bad
         path = tmp_path / "t.t3f"
-        mg.write_t3f1(mg.Tensor3(data), path)
+        path.write_bytes(b"T3F1" + np.array([2, 3, 2], dtype="<u8").tobytes() + data.astype("<f8").tobytes())
         with pytest.raises(ValueError, match=r"t\.t3f.*non-finite"):
             mg.read_t3f1(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_data(self, tmp_path, bad):
+        data = np.ones((2, 2, 3))
+        data[0, 1, 1] = bad
+        path = tmp_path / "t.t3f"
+        with pytest.raises(ValueError, match=r"t\.t3f.*non-finite"):
+            mg.write_t3f1(mg.Tensor3(data), path)
+        assert not path.exists()
 
     def test_read_holds_one_copy_of_the_payload(self, tmp_path):
         t = mg.Tensor3(np.random.default_rng(21).standard_normal((4, 500, 250)))  # 4 MB
@@ -378,6 +369,18 @@ class TestT3F1:
             tracemalloc.stop()
         assert np.array_equal(back.data, t.data)
         assert peak < 1.25 * t.data.nbytes
+
+    def test_write_makes_no_copy_of_the_payload(self, tmp_path):
+        t = mg.Tensor3(np.random.default_rng(22).standard_normal((4, 500, 250)))  # 4 MB
+        path = tmp_path / "big.t3f"
+        tracemalloc.start()
+        try:
+            mg.write_t3f1(t, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * t.data.nbytes
+        assert path.read_bytes()[28:] == t.data.astype("<f8").tobytes()
 
     def test_rejects_truncated_header(self, tmp_path):
         path = tmp_path / "t.t3f"
