@@ -59,7 +59,7 @@ def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingM
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
-    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
+    pb_hat = _row_spectra(b.data, spec, model.p)
     acc = np.zeros_like(yhat)
     for i in range(m):
         arow = a.data[:, i, :]
@@ -88,10 +88,11 @@ def lipschitz_ratio_max(
     _, l, n = a.dims
     q = b.l
     spec = tn.tube_spectrum(n)
-    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
+    pb_hat = _row_spectra(b.data, spec, model.p)
+    ahat, pbhat = np.empty((spec.matrix.shape[0], l), complex), np.empty(pb_hat.shape[1:], complex)
     worst = 0.0
     for _ in range(trials):
-        ahat, pbhat = _masked_row_spectra(model, a.data, pb_hat, rng, spec)
+        _masked_row_spectra(model, a.data, pb_hat, rng, spec, ahat, pbhat)
         xy = rng.standard_normal((2, n, l, q))  # the same variates as drawing X, then Y
         x, y = xy
         xhat, yhat = (spec.matrix @ xy.reshape(2, n, l * q) * spec.scale[:, None]).reshape(2, -1, l, q)
@@ -116,10 +117,11 @@ def second_moment_sample(
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
     spec = tn.tube_spectrum(a.n)
     yhat = spec.forward(x.data, scaled=True)
-    pb_hat = _row_spectra(b.data, slice(None), spec, model.p)
+    pb_hat = _row_spectra(b.data, spec, model.p)
+    ahat, pbhat = np.empty((spec.matrix.shape[0], a.l), complex), np.empty(pb_hat.shape[1:], complex)
     total = 0.0
     for _ in range(trials):
-        ahat, pbhat = _masked_row_spectra(model, a.data, pb_hat, rng, spec)
+        _masked_row_spectra(model, a.data, pb_hat, rng, spec, ahat, pbhat)
         g = _row_gradient(ahat, pbhat, yhat, model, spec)
         total += float(np.vdot(g, g).real)
     return SecondMomentSample(total / trials, trials)

@@ -428,11 +428,16 @@ def _resolve_block_size(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input ends it with a one-line ``msgdt <command>: error:`` and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "block_size"):
         _resolve_block_size(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
+        print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

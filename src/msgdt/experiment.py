@@ -1,14 +1,17 @@
 """Batch experiment driver: sweep observation probabilities over seeded
 synthetic systems and emit plot-ready trace CSVs plus a summary table.
 
-Runs execute serially in the calling process, trial by trial.  Each trial
-builds one Gaussian system and shares it across every p, so p-comparisons
-are paired; each p masks it, runs the solver with the hybrid step schedule
-alpha = p^2 / step_divisor matched at the swap iteration, and writes
-``trace_p{p}_trial{t}.csv``.  The summary holds iterate errors at iteration
-0, the swap, and the end of each run, in (p, trial) order.  Every run
-derives its own seeds from (seed, trial, p-index), so outputs do not depend
-on the order the runs execute in.
+Runs execute in the calling process, trial by trial.  Each trial builds
+one Gaussian system and shares it across every p, so p-comparisons are
+paired.  The runs of one trial advance together, as one
+:func:`~msgdt.solver.run_batch`: each p draws its own mask (as a unit
+draw; the solver masks rows as it reads them, so no masked copy of A is
+made), runs the hybrid step schedule alpha = p^2 / step_divisor matched at
+the swap iteration, and writes ``trace_p{p}_trial{t}.csv``.  The summary
+holds iterate errors at iteration 0, the swap, and the end of each run, in
+(p, trial) order.  Every run derives its own seeds from (seed, trial,
+p-index), and a batched run gives the same bits as the run alone, so
+outputs do not depend on how the runs are grouped or ordered.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .masking import draw_mask, model_for
-from .solver import HybridStep, ProblemInstance, SamplingMode, SolverConfig, run_msgdt
+from .masking import draw_units, model_for
+from .solver import HybridStep, ProblemInstance, SamplingMode, SolverConfig, run_batch
 from .synthetic import Dims, SyntheticSystem, gen_synthetic
-from .tensor import Tensor3, hadamard
+from .tensor import Tensor3
 
 __all__ = ["ExperimentSpec", "SummaryRow", "run_experiment", "write_manifest"]
 
@@ -104,49 +107,60 @@ def _seed_int(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0])
 
 
-def _run_one(spec: ExperimentSpec, p_index: int, trial: int, system: SyntheticSystem) -> SummaryRow:
-    p = spec.p_values[p_index]
-    model = model_for(spec.model_kind, p, spec.block_size)
+def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> list[SummaryRow]:
+    """Every p of one trial as one :func:`~msgdt.solver.run_batch` on the trial's system.
 
-    if spec.sampling == "once":
-        mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, p_index, 1]))
-        a = hadamard(draw_mask(model, spec.dims.m, spec.dims.l, spec.dims.n, mask_rng), system.a)
-    else:  # redraw: the solver masks each drawn row itself
-        a = system.a
+    In "once" mode each run carries the full A with its own unit draw, and
+    the solver masks rows as it transforms them: no run holds a masked copy
+    of A.  In "redraw" mode the solver masks each drawn row itself.
+    """
+    dims = spec.dims
+    problems, configs = [], []
+    for pi, p in enumerate(spec.p_values):
+        model = model_for(spec.model_kind, p, spec.block_size)
+        units = None
+        if spec.sampling == "once":
+            mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, pi, 1]))
+            units = draw_units(model, dims.l, dims.n, dims.m, mask_rng)
+        problems.append(
+            ProblemInstance(
+                a_tilde=system.a,
+                b=system.b,
+                model=model,
+                x0=Tensor3(np.zeros((dims.n, dims.l, dims.q))),
+                units=units,
+            )
+        )
+        configs.append(
+            SolverConfig(
+                schedule=HybridStep.matched(p * p / spec.step_divisor, spec.swap_iter),
+                total_iters=spec.total_iters,
+                sampling=spec.sampling,
+                seed=_seed_int(spec.seed, trial, pi, 2),
+                trace_every=spec.trace_every,
+                also_record=(spec.swap_iter,) if spec.swap_iter <= spec.total_iters else (),
+            )
+        )
+    results = run_batch(problems, configs, x_star=system.x_star)
 
-    alpha = p * p / spec.step_divisor
-    schedule = HybridStep.matched(alpha, spec.swap_iter)
-    problem = ProblemInstance(
-        a_tilde=a,
-        b=system.b,
-        model=model,
-        x0=Tensor3(np.zeros((spec.dims.n, spec.dims.l, spec.dims.q))),
-    )
-    config = SolverConfig(
-        schedule=schedule,
-        total_iters=spec.total_iters,
-        sampling=spec.sampling,
-        seed=_seed_int(spec.seed, trial, p_index, 2),
-        trace_every=spec.trace_every,
-        also_record=(spec.swap_iter,) if spec.swap_iter <= spec.total_iters else (),
-    )
-    result = run_msgdt(problem, config, x_star=system.x_star)
-
-    trace_path = Path(spec.out_dir) / f"trace_p{p:g}_trial{trial}.csv"
-    result.trace.write_csv(trace_path)
-
-    by_iter = result.trace.by_iteration()
-    swap_rec = by_iter.get(spec.swap_iter)
-    return SummaryRow(
-        model=spec.model_kind,
-        p=p,
-        trial=trial,
-        iters=config.total_iters,
-        swap_iter=spec.swap_iter,
-        error_initial=by_iter[0].iterate_error,
-        error_swap=None if swap_rec is None else swap_rec.iterate_error,
-        error_final=by_iter[config.total_iters].iterate_error,
-    )
+    rows = []
+    for p, result in zip(spec.p_values, results):
+        result.trace.write_csv(Path(spec.out_dir) / f"trace_p{p:g}_trial{trial}.csv")
+        by_iter = result.trace.by_iteration()
+        swap_rec = by_iter.get(spec.swap_iter)
+        rows.append(
+            SummaryRow(
+                model=spec.model_kind,
+                p=p,
+                trial=trial,
+                iters=spec.total_iters,
+                swap_iter=spec.swap_iter,
+                error_initial=by_iter[0].iterate_error,
+                error_swap=None if swap_rec is None else swap_rec.iterate_error,
+                error_final=by_iter[spec.total_iters].iterate_error,
+            )
+        )
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
@@ -157,8 +171,8 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     runs = {}
     for trial in range(spec.trials):
         system = gen_synthetic(spec.dims, np.random.SeedSequence([spec.seed, trial]))
-        for pi in range(len(spec.p_values)):
-            runs[pi, trial] = _run_one(spec, pi, trial, system)
+        for pi, row in enumerate(_run_trial(spec, trial, system)):
+            runs[pi, trial] = row
         del system  # free it before the next trial's is built
     rows = [runs[key] for key in sorted(runs)]
 

@@ -48,6 +48,8 @@ __all__ = [
     "parse_model",
     "format_model",
     "unit_map",
+    "draw_units",
+    "masked_rows",
     "draw_masked_row",
     "draw_mask",
     "correction_tensor",
@@ -184,10 +186,31 @@ def unit_map(model: MissingModel, l: int, n: int) -> tuple[np.ndarray, int]:
     return umap, units
 
 
+def draw_units(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent row-slice draws as a (count, units) boolean array, True = unit kept.
+
+    This is the one place masks consume the generator: one variate per unit,
+    row by row.  Indexing a draw with the :func:`unit_map` expands it to
+    (count, n, l) row masks.
+    """
+    return rng.random((count, unit_map(model, l, n)[1])) < model.p
+
+
 def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent row-slice masks, stacked as a (count, n, l) 0/1 array."""
-    umap, units = unit_map(model, l, n)
-    return (rng.random((count, units)) < model.p)[:, umap].astype(np.float64)
+    return draw_units(model, l, n, count, rng)[:, unit_map(model, l, n)[0]].astype(np.float64)
+
+
+def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` of A's (n, m, l) array under the masks of the unit draw ``keep``, as (rows, n, l).
+
+    Row i is masked by ``keep[i]``, so the result is bit for bit those rows
+    of ``hadamard(D, A)`` for the mask D that :func:`draw_mask` expands
+    from the same draw (0/1 times an entry is exact, signed zeros
+    included), without forming D or the masked tensor.
+    """
+    n, _, l = a_data.shape
+    return keep[rows][:, unit_map(model, l, n)[0]] * a_data[:, rows, :].transpose(1, 0, 2)
 
 
 def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -198,7 +221,7 @@ def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Gene
 
 
 def draw_mask(model: MissingModel, m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:
-    """Binary mask D of dims m x l x n drawn from the model."""
+    """Binary mask D of dims m x l x n drawn from the model: :func:`draw_units` for m rows, expanded."""
     rows = row_mask_batch(model, l, n, m, rng)  # (m, n, l)
     return Tensor3(np.ascontiguousarray(rows.transpose(1, 0, 2)))
 

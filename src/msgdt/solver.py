@@ -31,12 +31,20 @@ Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
 replacement and draws a fresh mask for the chosen row every iteration (the
 problem then carries the fully known A).
+
+Independent runs on one shape and model kind advance together:
+:func:`run_batch` stacks their spectra along a leading run axis and steps
+them all through one kernel call per iteration, which spreads numpy's
+per-call cost over the runs.  Each run keeps its own p, X0, step sizes,
+row order or generator, and gets the bits it gets alone;
+:func:`run_msgdt` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -50,6 +58,8 @@ from .masking import (
     correction_tensor,
     draw_masked_row,
     format_model,
+    masked_rows,
+    unit_map,
 )
 from .tensor import Tensor3
 
@@ -59,12 +69,14 @@ __all__ = [
     "HybridStep",
     "StepSchedule",
     "step_size",
+    "step_table",
     "SolverConfig",
     "ProblemInstance",
     "TraceRecord",
     "RunTrace",
     "RunResult",
     "project_ball",
+    "run_batch",
     "run_msgdt",
     "objective",
 ]
@@ -131,6 +143,21 @@ def step_size(schedule: StepSchedule, t: int) -> float:
     return schedule.c / math.sqrt(t)
 
 
+def step_table(schedule: StepSchedule, total_iters: int) -> np.ndarray:
+    """Step sizes of iterations 1..total_iters as one array, entry t-1 bit-equal to ``step_size(schedule, t)``.
+
+    sqrt and division are correctly rounded in NumPy as in :mod:`math`, so
+    the vectorised formulas give the scalar ones' bits.
+    """
+    t = np.arange(1, total_iters + 1, dtype=np.float64)
+    if isinstance(schedule, ConstantStep):
+        return np.full(total_iters, schedule.alpha, dtype=np.float64)
+    decay = schedule.c / np.sqrt(t)
+    if isinstance(schedule, InverseSqrtStep):
+        return decay
+    return np.where(t < schedule.swap_iter, np.float64(schedule.alpha), decay)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, step schedule, projection, sampling mode, seed.
@@ -164,9 +191,13 @@ class ProblemInstance:
     """One masked linear system plus everything the iteration needs.
 
     ``a_tilde`` holds the observed data in "once" mode; in "redraw" mode it
-    holds the fully known A (masks are drawn per iteration).  The iteration
-    takes its correction from ``model``; a ``correction`` tensor, when given,
-    is only cross-checked against the model's dense C.
+    holds the fully known A (masks are drawn per iteration).  In "once"
+    mode ``a_tilde`` may instead hold the full A with ``units``, an
+    (m, units) :func:`~msgdt.masking.draw_units` draw: the iteration then
+    masks each row as it transforms it, with the same bits as the masked
+    tensor, and no masked copy of A is made.  The iteration takes its
+    correction from ``model``; a ``correction`` tensor, when given, is only
+    cross-checked against the model's dense C.
     """
 
     a_tilde: Tensor3
@@ -174,6 +205,7 @@ class ProblemInstance:
     model: MissingModel
     x0: Tensor3
     correction: Optional[Tensor3] = None
+    units: Optional[np.ndarray] = None
 
     def __post_init__(self):
         m, l, n = self.a_tilde.dims
@@ -182,6 +214,13 @@ class ProblemInstance:
         if self.x0.dims != (l, self.b.l, n):
             raise ValueError(f"X0 dims {self.x0.dims} inconsistent with system {(l, self.b.l, n)}")
         check_block(self.model, l)
+        if self.units is not None:
+            shape = (m, unit_map(self.model, l, n)[1])
+            if self.units.dtype != np.bool_ or self.units.shape != shape:
+                raise ValueError(
+                    f"unit draw of dtype {self.units.dtype} and shape {self.units.shape} is not a "
+                    f"boolean {shape} draw of the model '{format_model(self.model)}'"
+                )
         if self.correction is not None and not np.array_equal(
             self.correction.data, correction_tensor(self.model, l, n).data
         ):
@@ -191,16 +230,60 @@ class ProblemInstance:
             )
 
 
-def _row_gradient(
-    ahat: np.ndarray, pbhat: np.ndarray, yhat: np.ndarray, model: MissingModel, spec: tn.TubeSpectrum
-) -> np.ndarray:
-    """Scaled spectrum of the update direction g(X) for one masked row slice.
+@dataclass(frozen=True, eq=False)
+class _Coefficients:
+    """The p-dependent factors of :func:`_row_gradient` for a batch of runs of one model kind.
 
-    ``ahat`` (f, l) is the rfft of the masked row Atilde_i along its tubes;
-    ``pbhat`` (f, q) and ``yhat`` (f, l, q) are the Parseval-scaled spectra
-    of p B_i and of X; ``spec`` is the tubes' transform.  With a = ahat[f]
-    as a 1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2,
-    where
+    ``inv`` = 1/p^2 and ``corr`` = (1-p)/p^2 per run, shaped to broadcast
+    against the kernel's residuals; ``corr_w`` = corr * weights, with the
+    frequency axis last.  ``block`` is the column block size (None for the
+    other models) and ``uniform`` marks the uniform model.
+    """
+
+    uniform: bool
+    block: Optional[int]
+    inv: np.ndarray
+    corr: np.ndarray
+    corr_w: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -> _Coefficients:
+    """Read-only kernel coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
+    model = models[0]
+    block = model.b if isinstance(model, ColumnBlockMissing) else None
+    p = np.array([mod.p for mod in models], dtype=np.float64).reshape(lead)
+    inv = 1.0 / (p * p)
+    corr = (1.0 - p) * inv
+    tail = (1,) * (3 if block is None else 4)
+    # complex 1/p^2 and (1-p)/p^2 scale complex arrays without a per-call cast, with the same bits
+    arrays = (
+        inv.reshape(lead + tail).astype(np.complex128),
+        corr.reshape(lead + tail).astype(np.complex128),
+        np.multiply.outer(corr, spec.weights),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Coefficients(isinstance(model, UniformMissing), block, *arrays)
+
+
+def _row_gradient(
+    ahat: np.ndarray,
+    pbhat: np.ndarray,
+    yhat: np.ndarray,
+    model: Union[MissingModel, _Coefficients],
+    spec: tn.TubeSpectrum,
+) -> np.ndarray:
+    """Scaled spectrum of the update direction g(X) for one masked row slice per run.
+
+    ``ahat`` (..., f, l) is the rfft of the masked row Atilde_i along its
+    tubes; ``pbhat`` (..., f, q) and ``yhat`` (..., f, l, q) are the
+    Parseval-scaled spectra of p B_i and of X; ``spec`` is the tubes'
+    transform.  Leading axes are runs: a batch passes the
+    :class:`_Coefficients` of its per-run models, built once, and a single
+    run may pass its model.  Each run's result depends on that run's inputs
+    only, with the same bits whatever the batch.  With a = ahat[f] as a
+    1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2, where
 
     * lead = conj(a)^T (a Y_f - (p b)_f),
     * uniform: corr = d o Y_f with d_j = sum_k arow[k, j]^2,
@@ -211,29 +294,27 @@ def _row_gradient(
     d and H_0 are sums over the tube, read off the spectrum by Parseval;
     the real H_0 acts on the real view of Y.
     """
-    freqs, l, q = yhat.shape
-    p = model.p
-    inv = 1.0 / (p * p)
-    corr_scale = (1.0 - p) * inv
-    if isinstance(model, ColumnBlockMissing):
-        nb, bs = l // model.b, model.b
-        ab = ahat.reshape(freqs, nb, 1, bs)
-        axb = ab @ yhat.reshape(freqs, nb, bs, q)  # a_b Y_fb, (f, nb, 1, q)
-        resid = axb.sum(axis=1, keepdims=True)
-        resid -= pbhat[:, None, None, :]
-        z = inv * resid - corr_scale * axb
-        return (ab.conj().reshape(freqs, nb, bs, 1) * z).reshape(freqs, l, q)
-    resid = ahat[:, None, :] @ yhat  # (f, 1, q)
-    resid -= pbhat[:, None, :]
-    resid *= inv
+    c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
+    *lead, freqs, l, q = yhat.shape
+    if c.block is not None:
+        nb, bs = l // c.block, c.block
+        ab = ahat.reshape(*lead, freqs, nb, 1, bs)
+        axb = ab @ yhat.reshape(*lead, freqs, nb, bs, q)  # a_b Y_fb, (..., f, nb, 1, q)
+        resid = axb.sum(axis=-3, keepdims=True)
+        resid -= pbhat[..., None, None, :]
+        z = c.inv * resid - c.corr * axb
+        return (ab.conj().reshape(*lead, freqs, nb, bs, 1) * z).reshape(yhat.shape)
+    resid = ahat[..., None, :] @ yhat  # (..., f, 1, q)
+    resid -= pbhat[..., None, :]
+    resid *= c.inv
     conj = ahat.conj()
-    g = conj[:, :, None] * resid
-    if isinstance(model, UniformMissing):
-        d = (corr_scale * spec.weights) @ (ahat * conj).real
-        g -= d[:, None] * yhat
+    g = conj[..., None] * resid
+    if c.uniform:
+        d = c.corr_w[..., None, :] @ (ahat * conj).real  # (..., 1, l)
+        g -= d[..., None] * yhat
     else:
-        h0 = (((corr_scale * spec.weights) * conj.T) @ ahat).real
-        g -= (h0 @ yhat.view(np.float64)).view(np.complex128)
+        h0 = ((c.corr_w[..., None, :] * conj.swapaxes(-1, -2)) @ ahat).real
+        g -= (h0[..., None, :, :] @ yhat.view(np.float64)).view(np.complex128)
     return g
 
 
@@ -243,23 +324,23 @@ def _norm(arr: np.ndarray) -> float:
     return math.sqrt(float(np.dot(flat, flat)))
 
 
-def _project(arr: np.ndarray, radius: float) -> np.ndarray:
-    """``arr`` scaled onto the Frobenius ball of ``radius``; ``arr`` itself when inside.
+def _project(arr: np.ndarray, radius: float) -> None:
+    """Scale ``arr`` in place onto the Frobenius ball of ``radius``; leave it when inside.
 
     Parseval makes this the same map on X and on its scaled spectrum.
     """
     norm = _norm(arr)
-    if norm <= radius:
-        return arr
-    return arr * (radius / norm)
+    if norm > radius:
+        arr *= radius / norm
 
 
 def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
     """Projection onto the Frobenius ball of the given radius (None = identity)."""
     if radius is None:
         return x
-    data = _project(x.data, radius)
-    return x if data is x.data else Tensor3(data)
+    data = x.data.copy()
+    _project(data, radius)
+    return Tensor3(data)
 
 
 @dataclass(frozen=True)
@@ -312,28 +393,195 @@ def objective(full_a: Tensor3, b: Tensor3, x: Tensor3) -> float:
     return tn.inner(residual, residual) / (2.0 * full_a.m)
 
 
-def _row_spectra(data: np.ndarray, rows, spec: tn.TubeSpectrum, p: Optional[float] = None) -> np.ndarray:
-    """rffts of the row slices ``rows`` of an (n, m, k) array, as (rows, f, k).
+def _row_spectra(data: np.ndarray, spec: tn.TubeSpectrum, p: float) -> np.ndarray:
+    """Parseval-scaled spectra of p times every row slice of an (n, m, k) array, as (m, f, k).
 
-    Given ``p``, the Parseval-scaled spectra of p times the rows instead:
-    the kernel's ``pbhat`` when the array is B.
+    With B as the array, row i is the kernel's ``pbhat`` for row i.
     """
-    hat = spec.forward(data[:, rows, :].transpose(1, 0, 2), axis=1, scaled=p is not None)
-    if p is not None:
-        hat *= p
+    hat = spec.forward(data.transpose(1, 0, 2), axis=1, scaled=True)
+    hat *= p
     return hat
 
 
 def _masked_row_spectra(
-    model: MissingModel, a_data: np.ndarray, pb_hat: np.ndarray, rng: np.random.Generator, spec: tn.TubeSpectrum
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ahat, pbhat) for a fresh :func:`~msgdt.masking.draw_masked_row` draw.
+    model: MissingModel,
+    a_data: np.ndarray,
+    pb_hat: np.ndarray,
+    rng: np.random.Generator,
+    spec: tn.TubeSpectrum,
+    ahat: np.ndarray,
+    pbhat: np.ndarray,
+) -> None:
+    """Write (ahat, pbhat) of a fresh :func:`~msgdt.masking.draw_masked_row` draw into ``ahat``, ``pbhat``.
 
     The masked row goes through one product with the DFT matrix; ``pb_hat``
-    holds the scaled spectra of every row of p B, row index first.
+    holds the :func:`_row_spectra` of p B, row index first.  Callers keep
+    the two output arrays across draws, so a draw allocates no spectra.
     """
     i, arow = draw_masked_row(model, a_data, rng)
-    return spec.forward_small(arow), pb_hat[i]
+    spec.forward_small(arow, out=ahat)
+    pbhat[...] = pb_hat[i]
+
+
+def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -> None:
+    """Reject a batch whose runs do not share what the one loop needs shared."""
+    if not problems or len(problems) != len(configs):
+        raise ValueError(
+            f"a batch needs one config per problem, got {len(problems)} problems and {len(configs)} configs"
+        )
+
+    def shared(prob: ProblemInstance, cfg: SolverConfig) -> dict:
+        return {
+            "shape (m, l, q, n)": prob.a_tilde.dims[:2] + (prob.b.l, prob.a_tilde.n),
+            "model kind": type(prob.model).__name__,
+            "block size": getattr(prob.model, "b", None),
+            "sampling": cfg.sampling,
+            "total_iters": cfg.total_iters,
+            "trace_every": cfg.trace_every,
+            "also_record": set(cfg.also_record),
+            "projection_radius": cfg.projection_radius,
+        }
+
+    first = shared(problems[0], configs[0])
+    for k, (prob, cfg) in enumerate(zip(problems, configs)):
+        for name, value in shared(prob, cfg).items():
+            if value != first[name]:
+                raise ValueError(
+                    f"runs of one batch must share {name}: run 0 has {first[name]!r}, run {k} has {value!r}"
+                )
+        if prob.units is not None and cfg.sampling == "redraw":
+            raise ValueError(f"run {k}: a unit draw masks rows in 'once' mode only; 'redraw' draws its own masks")
+    m, T = problems[0].a_tilde.m, configs[0].total_iters
+    if configs[0].sampling == "once" and T > m:
+        raise ValueError(
+            f"{T} iterations need {T} distinct rows but A has only {m}; "
+            "use sampling='redraw' or lower the budget"
+        )
+
+
+def _chunk_spectra(problems, orders, rows: slice, spec: tn.TubeSpectrum, p: np.ndarray):
+    """(ahat, pbhat) of every run's rows ``order[rows]``, stacked as (rows, R, f, l) and (rows, R, f, q).
+
+    Each run's rows are gathered in its own order (and masked by its unit
+    draw, if it has one); then one rfft transforms all of A's and one all
+    of B's.  ``p`` (R, 1, 1) scales each run's B spectra.
+    """
+    n, _, l = problems[0].a_tilde.data.shape
+    count = len(orders[0][rows])
+    a_rows = np.empty((count, len(problems), n, l))
+    b_rows = np.empty((count, len(problems), n, problems[0].b.l))
+    for r, (prob, order) in enumerate(zip(problems, orders)):
+        idx = order[rows]
+        if prob.units is None:
+            a_rows[:, r] = prob.a_tilde.data[:, idx, :].transpose(1, 0, 2)
+        else:
+            a_rows[:, r] = masked_rows(prob.model, prob.a_tilde.data, prob.units, idx)
+        b_rows[:, r] = prob.b.data[:, idx, :].transpose(1, 0, 2)
+    pbhat = spec.forward(b_rows, axis=2, scaled=True)
+    pbhat *= p
+    return spec.forward(a_rows, axis=2), pbhat
+
+
+def run_batch(
+    problems: list[ProblemInstance],
+    configs: list[SolverConfig],
+    x_star: Optional[Tensor3] = None,
+    full_a: Optional[Tensor3] = None,
+) -> list[RunResult]:
+    """Run R independent iterations together, one :class:`RunResult` per run, in order.
+
+    Run r solves ``problems[r]`` under ``configs[r]``: its own p (through
+    its model), X0, seed, row order or redraw stream, and step schedule.
+    The runs must share the shape, the model kind and block size, the
+    sampling mode, the iteration budget, the trace iterations and the
+    projection radius; a mismatch raises a ValueError naming the field.
+    The iterates' scaled spectra are stacked as (R, f, l, q) and every
+    iteration steps them all through one kernel call.  Each run's result is
+    the same, bit for bit, as when it runs alone: the kernel works run by
+    run inside its products, and norms, projection and trace records are
+    taken on each run's slice.
+
+    ``x_star`` and ``full_a`` only feed the trace (iterate error and
+    objective); in "redraw" mode the full A must be in ``a_tilde``.  The
+    iterates live in the scaled tube-Fourier domain (module docstring).
+    "once" mode transforms each run's rows of A and B in its permutation
+    order, ``tensor._ROW_CHUNK`` rows at a time, so no whole-tensor
+    spectrum of A is kept; "redraw" mode keeps the spectrum of all of p B
+    (about the size of B) once per distinct (B, p) and transforms each
+    drawn masked row of A, each run drawing from its own generator.
+    """
+    problems, configs = list(problems), list(configs)
+    _check_batch(problems, configs)
+    R, cfg0 = len(problems), configs[0]
+    T, radius, redraw = cfg0.total_iters, cfg0.projection_radius, cfg0.sampling == "redraw"
+    m, l, n = problems[0].a_tilde.dims
+    spec = tn.tube_spectrum(n)
+    # One run's coefficients and steps are 0-d, which numpy applies as scalars, at scalar speed.
+    # The steps are complex, so they scale the complex spectra without a per-iteration cast.
+    run_axes = (R,) if R > 1 else ()
+    models = tuple(prob.model for prob in problems)
+    coeffs = _coefficients(models, spec, run_axes)
+    alphas = np.stack([step_table(cfg.schedule, T) for cfg in configs], axis=1)  # (T, R)
+    steps = alphas.astype(np.complex128).reshape((T,) + run_axes + (1,) * len(run_axes) * 3)
+    rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
+    chunk = tn._ROW_CHUNK
+
+    if redraw:  # rows repeat: transform all of p B once per distinct (B, p)
+        pb_hats = {}
+        for prob in problems:
+            key = (id(prob.b), prob.model.p)
+            if key not in pb_hats:
+                pb_hats[key] = _row_spectra(prob.b.data, spec, prob.model.p)
+        ahat = np.empty((R, spec.matrix.shape[0], l), dtype=np.complex128)
+        pbhat = np.empty((R, spec.matrix.shape[0], problems[0].b.l), dtype=np.complex128)
+        # each run's draw arguments, its output rows (views made once) included
+        draws = [
+            (prob.model, prob.a_tilde.data, pb_hats[id(prob.b), prob.model.p], rng, spec, ahat[r], pbhat[r])
+            for r, (prob, rng) in enumerate(zip(problems, rngs))
+        ]
+    else:
+        orders = [rng.permutation(m)[:T] for rng in rngs]
+        p_runs = np.array([mod.p for mod in models]).reshape(R, 1, 1)
+    y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
+    y_runs = list(y)  # per-run views, updated in place with y
+    y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
+
+    record_at = {0, T} | set(cfg0.also_record)
+    traces = [RunTrace() for _ in problems]
+
+    def record(t: int, g: Optional[np.ndarray]) -> None:
+        for r, (prob, trace) in enumerate(zip(problems, traces)):
+            alpha, update = (None, None) if g is None else (float(alphas[t - 1, r]), _norm(g[r]))
+            err = None if y_star is None else _norm(y[r] - y_star)
+            obj = None if full_a is None else objective(full_a, prob.b, Tensor3(spec.inverse(y[r], scaled=True)))
+            trace.records.append(TraceRecord(t, alpha, update, err, obj))
+
+    record(0, None)
+    for t in range(1, T + 1):
+        if redraw:
+            for args in draws:
+                _masked_row_spectra(*args)
+        else:
+            j = (t - 1) % chunk
+            if j == 0:
+                a_chunk, pb_chunk = _chunk_spectra(problems, orders, slice(t - 1, t - 1 + chunk), spec, p_runs)
+            ahat, pbhat = a_chunk[j], pb_chunk[j]
+
+        g = _row_gradient(ahat, pbhat, y, coeffs, spec)
+        y -= steps[t - 1] * g
+        if radius is not None:
+            for y_run in y_runs:
+                _project(y_run, radius)
+
+        if t in record_at or t % cfg0.trace_every == 0:
+            record(t, g)
+
+    results = []
+    for r, (prob, trace) in enumerate(zip(problems, traces)):
+        # without a step the final iterate is X0 itself, not its round trip through the transform
+        x_final = prob.x0.data.copy() if T == 0 else spec.inverse(y[r], scaled=True)
+        results.append(RunResult(Tensor3(x_final), trace))
+    return results
 
 
 def run_msgdt(
@@ -342,72 +590,5 @@ def run_msgdt(
     x_star: Optional[Tensor3] = None,
     full_a: Optional[Tensor3] = None,
 ) -> RunResult:
-    """Run the iteration for ``config.total_iters`` steps.
-
-    ``x_star`` and ``full_a`` only feed the trace (iterate error and
-    objective); in "redraw" mode the full A must be in ``problem.a_tilde``.
-    The iterate lives in the scaled tube-Fourier domain (module docstring);
-    "once" mode transforms the rows of A and B in permutation order,
-    ``tensor._ROW_CHUNK`` rows at a time, so no whole-tensor spectrum of A
-    is kept; "redraw" mode keeps the spectrum of all of p B (about the size
-    of B) and transforms each drawn masked row of A.
-    """
-    m = problem.a_tilde.m
-    n = problem.a_tilde.n
-    T = config.total_iters
-    if config.sampling == "once" and T > m:
-        raise ValueError(
-            f"{T} iterations need {T} distinct rows but A has only {m}; "
-            "use sampling='redraw' or lower the budget"
-        )
-
-    rng = np.random.default_rng(config.seed)
-    if config.sampling == "once":
-        row_order = rng.permutation(m)[:T]
-    model = problem.model
-    spec = tn.tube_spectrum(n)
-    chunk = tn._ROW_CHUNK
-
-    a_data = problem.a_tilde.data
-    b_data = problem.b.data
-    if config.sampling == "redraw":  # rows repeat: transform all of p B once
-        pb_hat = _row_spectra(b_data, slice(None), spec, model.p)
-    y = spec.forward(problem.x0.data, scaled=True)
-    y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
-    radius = config.projection_radius
-
-    record_at = {0, T} | set(config.also_record)
-    trace = RunTrace()
-
-    def metrics():
-        err = None if y_star is None else _norm(y - y_star)
-        obj = None if full_a is None else objective(full_a, problem.b, Tensor3(spec.inverse(y, scaled=True)))
-        return err, obj
-
-    err, obj = metrics()
-    trace.records.append(TraceRecord(0, None, None, err, obj))
-
-    for t in range(1, T + 1):
-        if config.sampling == "once":
-            j = (t - 1) % chunk
-            if j == 0:
-                rows = row_order[t - 1 : t - 1 + chunk]
-                a_chunk = _row_spectra(a_data, rows, spec)
-                pb_chunk = _row_spectra(b_data, rows, spec, model.p)
-            ahat, pbhat = a_chunk[j], pb_chunk[j]
-        else:
-            ahat, pbhat = _masked_row_spectra(model, a_data, pb_hat, rng, spec)
-
-        g = _row_gradient(ahat, pbhat, y, model, spec)
-        alpha = step_size(config.schedule, t)
-        y -= alpha * g
-        if radius is not None:
-            y = _project(y, radius)
-
-        if t in record_at or t % config.trace_every == 0:
-            err, obj = metrics()
-            trace.records.append(TraceRecord(t, alpha, _norm(g), err, obj))
-
-    # without a step the final iterate is X0 itself, not its round trip through the transform
-    x_final = problem.x0.data.copy() if T == 0 else spec.inverse(y, scaled=True)
-    return RunResult(Tensor3(x_final), trace)
+    """Run the iteration for ``config.total_iters`` steps: :func:`run_batch` with one run."""
+    return run_batch([problem], [config], x_star, full_a)[0]

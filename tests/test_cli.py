@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,14 @@ from msgdt.frames import ingest_frames, write_pgm
 
 def read_bytes_map(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def assert_one_line_error(capsys, code, command, message):
+    """A rejected command exits 2 with one stderr line naming the command, as argparse errors do."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"msgdt {command}: error: ") and err.count("\n") == 1, err
+    assert re.search(message, err), err
 
 
 class TestGen:
@@ -200,14 +209,16 @@ class TestSolve:
             outs.append(read_bytes_map(out))
         assert outs[0] == outs[1]
 
-    def test_divergent_run_raises_and_writes_no_iterate(self, tmp_path):
+    def test_divergent_run_raises_and_writes_no_iterate(self, tmp_path, capsys):
         gen = tmp_path / "gen"
         main(["gen", "--dims", "200,4,2,3", "--seed", "1", "--out", str(gen)])
         out = tmp_path / "run"
         argv = ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "200",
                 "--step-divisor", "0.0001", "--out", str(out)]
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="xfinal.t3f.*non-finite"):
-            main(argv)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main(argv)
+        assert_one_line_error(capsys, code, "solve", "xfinal.t3f.*non-finite")
         assert not (out / "xfinal.t3f").exists()
 
 
@@ -258,7 +269,7 @@ class TestExperiment:
         def no_mask(*args):
             raise AssertionError("redraw runs must not draw the full mask")
 
-        monkeypatch.setattr(experiment, "draw_mask", no_mask)
+        monkeypatch.setattr(experiment, "draw_units", no_mask)  # the once-mode mask draw
         spec = experiment.ExperimentSpec(
             dims=mg.Dims(30, 4, 2, 3),
             p_values=(0.5,),
@@ -274,8 +285,9 @@ class TestExperiment:
         rows = experiment.run_experiment(spec)
         assert len(rows) == 1 and rows[0].iters == 50
 
-    def test_empty_p_list_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no experiments requested"):
+    def test_empty_p_list_rejected(self, tmp_path, capsys):
+        assert_one_line_error(
+            capsys,
             main(
                 [
                     "experiment",
@@ -286,10 +298,14 @@ class TestExperiment:
                     "--out",
                     str(tmp_path / "x"),
                 ]
-            )
+            ),
+            "experiment",
+            "no experiments requested",
+        )
 
-    def test_infeasible_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="infeasible"):
+    def test_infeasible_budget_rejected(self, tmp_path, capsys):
+        assert_one_line_error(
+            capsys,
             main(
                 [
                     "experiment",
@@ -302,7 +318,11 @@ class TestExperiment:
                     "--out",
                     str(tmp_path / "x"),
                 ]
-            )
+            ),
+            "experiment",
+            "infeasible spec: 20 iterations without replacement but only 10 rows",
+        )
+        assert not (tmp_path / "x").exists()
 
     SMALL = ["experiment", "--dims", "40,3,2,2", "--swap-iter", "20", "--step-divisor", "20",
              "--seed", "14", "--trace-every", "10"]
@@ -338,10 +358,9 @@ class TestExperiment:
         ],
         ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters", "once-budget"],
     )
-    def test_bad_spec_rejected_before_any_output(self, tmp_path, extra, message):
+    def test_bad_spec_rejected_before_any_output(self, tmp_path, capsys, extra, message):
         out = tmp_path / "x"
-        with pytest.raises(ValueError, match=message):
-            main(self.SMALL + extra + ["--out", str(out)])
+        assert_one_line_error(capsys, main(self.SMALL + extra + ["--out", str(out)]), "experiment", message)
         assert not out.exists()
 
     def test_bad_sampling_rejected_by_the_spec(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import msgdt as mg
 from msgdt import oracle
-from msgdt.masking import row_mask_batch
+from msgdt.masking import draw_units, masked_rows, row_mask_batch, unit_map
 
 ALL_KINDS = [
     mg.UniformMissing(0.5),
@@ -166,23 +166,49 @@ def _contract_unit_mask(model, l, n, bits):
     return np.tile(bits[:, None], (1, l))
 
 
+CONTRACT_CASES = [
+    (mg.UniformMissing(0.4), 5, 3, 1),
+    (mg.UniformMissing(0.7), 20, 10, 500),
+    (mg.ColumnBlockMissing(0.4, 1), 5, 3, 1),
+    (mg.ColumnBlockMissing(0.5, 2), 4, 3, 2000),
+    (mg.ColumnBlockMissing(0.3, 4), 20, 10, 37),
+    (mg.ColumnBlockMissing(0.6, 5), 5, 1, 10),
+    (mg.FrontalSliceMissing(0.4), 5, 3, 1),
+    (mg.FrontalSliceMissing(0.5), 4, 3, 2000),
+    (mg.FrontalSliceMissing(1.0), 3, 2, 4),
+]
+
+
 class TestRngContract:
     """Mask draws and enumeration follow the per-model contract exactly."""
 
-    @pytest.mark.parametrize(
-        "model,l,n,count",
-        [
-            (mg.UniformMissing(0.4), 5, 3, 1),
-            (mg.UniformMissing(0.7), 20, 10, 500),
-            (mg.ColumnBlockMissing(0.4, 1), 5, 3, 1),
-            (mg.ColumnBlockMissing(0.5, 2), 4, 3, 2000),
-            (mg.ColumnBlockMissing(0.3, 4), 20, 10, 37),
-            (mg.ColumnBlockMissing(0.6, 5), 5, 1, 10),
-            (mg.FrontalSliceMissing(0.4), 5, 3, 1),
-            (mg.FrontalSliceMissing(0.5), 4, 3, 2000),
-            (mg.FrontalSliceMissing(1.0), 3, 2, 4),
-        ],
-    )
+    @pytest.mark.parametrize("model,l,n,count", CONTRACT_CASES)
+    def test_draw_mask_expands_the_unit_draw(self, model, l, n, count):
+        rng, twin = np.random.default_rng(22), np.random.default_rng(22)
+        mask = mg.draw_mask(model, count, l, n, rng)
+        keep = draw_units(model, l, n, count, twin)
+        assert keep.dtype == np.bool_ and keep.shape == (count, unit_map(model, l, n)[1])
+        assert np.array_equal(mask.data, keep[:, unit_map(model, l, n)[0]].transpose(1, 0, 2))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("model,l,n,count", CONTRACT_CASES)
+    def test_chunkwise_masked_rows_match_the_masked_tensor(self, model, l, n, count):
+        rng = np.random.default_rng(23)
+        a = mg.Tensor3(rng.standard_normal((n, count, l)))
+        mask = mg.draw_mask(model, count, l, n, np.random.default_rng(24))
+        keep = draw_units(model, l, n, count, np.random.default_rng(24))
+        want = mg.hadamard(mask, a).data.transpose(1, 0, 2)  # rows first
+        order = rng.permutation(count)
+        chunk = max(1, count // 3)
+        for start in range(0, count, chunk):
+            rows = order[start : start + chunk]
+            got = masked_rows(model, a.data, keep, rows)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.ascontiguousarray(want[rows]).tobytes()  # signed zeros included
+        if model.p < 1.0 and count > 1:
+            assert np.signbit(want[want == 0.0]).any()  # 0.0 x negative entries gave -0.0
+
+    @pytest.mark.parametrize("model,l,n,count", CONTRACT_CASES)
     def test_row_mask_batch_matches_contract(self, model, l, n, count):
         got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
         got = row_mask_batch(model, l, n, count, got_rng)
@@ -193,8 +219,6 @@ class TestRngContract:
         assert got_rng.random() == want_rng.random()
 
     def test_unit_map_shared_read_only(self):
-        from msgdt.masking import unit_map
-
         umap, units = unit_map(mg.ColumnBlockMissing(0.5, 2), 4, 3)
         assert units == 2 and umap.shape == (3, 4) and not umap.flags.writeable
 

@@ -1,4 +1,5 @@
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from msgdt.checks import (
     self_adjointness_max_dev,
     unbiasedness_relative_error,
 )
-from msgdt.masking import draw_masked_row, model_for, row_mask_batch
-from msgdt.solver import _row_gradient
+from msgdt.masking import draw_masked_row, draw_units, model_for, row_mask_batch
+from msgdt.solver import _row_gradient, run_batch, step_table
 from msgdt.tensor import tube_spectrum
 
 
@@ -71,6 +72,26 @@ class TestStepSchedules:
     def test_one_based(self):
         with pytest.raises(ValueError):
             mg.step_size(mg.ConstantStep(0.1), 0)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            mg.ConstantStep(0.1),
+            mg.ConstantStep(3),
+            mg.InverseSqrtStep(0.7),
+            mg.HybridStep.matched(0.3, 1),
+            mg.HybridStep.matched(0.3, 997),
+            mg.HybridStep.matched(0.3, 998),
+            mg.HybridStep(alpha=2e-3, swap_iter=400, c=0.13),
+        ],
+        ids=["constant", "constant-int", "inverse-sqrt", "swap-1", "swap-T", "swap-T+1", "unmatched"],
+    )
+    def test_table_matches_step_size(self, schedule):
+        T = 997
+        table = step_table(schedule, T)
+        assert table.dtype == np.float64 and table.shape == (T,)
+        assert np.array_equal(table, [mg.step_size(schedule, t) for t in range(1, T + 1)])
+        assert step_table(schedule, 0).shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -251,6 +272,135 @@ class TestRunMatchesSpatialReference:
             assert update is None or close(rec.update_norm, update)
             assert close(rec.iterate_error, err)
             assert close(rec.objective, obj)
+
+
+def result_bits(result):
+    """Every bit of a run's outcome: the final iterate's bytes and each trace field's float bytes."""
+    fields = [
+        np.float64(np.nan if v is None else v).tobytes() + bytes([v is None])
+        for r in result.trace.records
+        for v in (r.step_size, r.update_norm, r.iterate_error, r.objective)
+    ]
+    return result.x_final.data.tobytes(), [r.iteration for r in result.trace.records], b"".join(fields)
+
+
+def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True):
+    """``size`` runs on one system with distinct p, seeds, X0 and schedules, plus the trace inputs."""
+    m, l, q = 40, 4, 2
+    system = mg.gen_synthetic(mg.Dims(m, l, q, n), seed)
+    rng = np.random.default_rng(seed)
+    block = 2 if kind == "colblock" else 1
+    lg = mg.lipschitz_constant(system.a, 1.0)
+    problems, configs = [], []
+    for r in range(size):
+        p = (0.3, 0.45, 0.6, 0.8, 1.0)[r]
+        model = model_for(kind, p, block)
+        a, units = system.a, None
+        if sampling == "once" and masked_by_units and r % 2 == 0:
+            units = draw_units(model, l, n, m, rng)
+        elif sampling == "once":
+            a = mg.hadamard(mg.draw_mask(model, m, l, n, rng), system.a)
+        problems.append(mg.ProblemInstance(a_tilde=a, b=system.b, model=model, units=units,
+                                           x0=mg.Tensor3(rng.standard_normal((n, l, q)))))
+        schedule = (mg.ConstantStep(0.4 * p * p / lg), mg.InverseSqrtStep(0.5 * p * p / lg),
+                    mg.HybridStep.matched(0.3 * p * p / lg, 17))[r % 3]
+        configs.append(mg.SolverConfig(
+            schedule=schedule,
+            total_iters=35,
+            projection_radius=0.5 * mg.frob_norm(system.x_star) if project else None,
+            sampling=sampling,
+            seed=seed + 100 * r,
+            trace_every=8,
+            also_record=(17,),
+        ))
+    return problems, configs, system
+
+
+class TestRunBatch:
+    """Each run of a batch gives the bits it gives alone, whatever the batch size and its position."""
+
+    def check(self, problems, configs, system, order):
+        alone = [result_bits(mg.run_msgdt(p, c, system.x_star, system.a)) for p, c in zip(problems, configs)]
+        batched = run_batch([problems[i] for i in order], [configs[i] for i in order], system.x_star, system.a)
+        assert [result_bits(res) for res in batched] == [alone[i] for i in order]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "colblock", "frontal"]),
+        sampling=st.sampled_from(["once", "redraw"]),
+        project=st.booleans(),
+        n=st.sampled_from([1, 2, 3, 10]),
+        order=st.sampled_from([1, 2, 5]).flatmap(lambda size: st.permutations(range(size))),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="uniform", sampling="once", project=False, n=1, order=[0], seed=0)
+    @example(kind="colblock", sampling="redraw", project=True, n=10, order=[1, 0], seed=1)
+    @example(kind="frontal", sampling="once", project=True, n=3, order=[4, 2, 0, 3, 1], seed=2)
+    @example(kind="uniform", sampling="redraw", project=False, n=2, order=[3, 0, 4, 1, 2], seed=3)
+    @example(kind="colblock", sampling="once", project=False, n=2, order=[2, 4, 1, 0, 3], seed=4)
+    @example(kind="frontal", sampling="redraw", project=False, n=10, order=[0, 1], seed=5)
+    def test_each_run_matches_its_solo_run(self, kind, sampling, project, n, order, seed):
+        problems, configs, system = batch_runs(kind, sampling, project, n, len(order), seed)
+        self.check(problems, configs, system, order)
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @pytest.mark.parametrize("sampling", ["once", "redraw"])
+    def test_divergent_run_does_not_leak(self, kind, sampling):
+        problems, configs, system = batch_runs(kind, sampling, False, 3, 5, 7)
+        lg = mg.lipschitz_constant(system.a, problems[2].model.p)
+        configs[2] = mg.SolverConfig(schedule=mg.ConstantStep(1e30 / lg), total_iters=35, sampling=sampling,
+                                     seed=11, trace_every=8, also_record=(17,))
+        with np.errstate(all="ignore"):
+            solo = mg.run_msgdt(problems[2], configs[2], system.x_star, system.a)
+            assert not np.isfinite(solo.x_final.data).all()
+            self.check(problems, configs, system, [3, 2, 0, 4, 1])
+
+    def test_once_mode_unit_draw_equals_masked_tensor(self):
+        # a run that masks rows from its unit draw is the run on the masked tensor, bit for bit
+        problems, configs, system = batch_runs("frontal", "once", True, 3, 2, 8)
+        masked = mg.ProblemInstance(
+            a_tilde=mg.hadamard(mg.draw_mask(problems[0].model, 40, 4, 3, np.random.default_rng(9)), system.a),
+            b=system.b, model=problems[0].model, x0=problems[0].x0,
+        )
+        by_units = mg.ProblemInstance(
+            a_tilde=system.a, b=system.b, model=problems[0].model, x0=problems[0].x0,
+            units=draw_units(problems[0].model, 4, 3, 40, np.random.default_rng(9)),
+        )
+        got = [result_bits(mg.run_msgdt(p, configs[0], system.x_star, system.a)) for p in (masked, by_units)]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            (lambda p, c: (mg.ProblemInstance(a_tilde=p.a_tilde, b=p.b, model=mg.FrontalSliceMissing(0.5),
+                                              x0=p.x0), c), "model kind"),
+            (lambda p, c: (mg.ProblemInstance(a_tilde=p.a_tilde, b=p.b, model=mg.ColumnBlockMissing(0.5, 4),
+                                              x0=p.x0), c), "block size"),
+            (lambda p, c: (p, dataclasses.replace(c, total_iters=30)), "total_iters"),
+            (lambda p, c: (p, dataclasses.replace(c, sampling="redraw")), "sampling"),
+            (lambda p, c: (p, dataclasses.replace(c, trace_every=5)), "trace_every"),
+            (lambda p, c: (p, dataclasses.replace(c, also_record=())), "also_record"),
+            (lambda p, c: (p, dataclasses.replace(c, projection_radius=1.0)), "projection_radius"),
+            (lambda p, c: (make_problem(m=40, l=4, q=3, n=2, model_kind="colblock")[1], c), "shape"),
+        ],
+        ids=["model", "block", "iters", "sampling", "trace-every", "also-record", "radius", "shape"],
+    )
+    def test_mismatched_runs_refused(self, change, field):
+        problems, configs, system = batch_runs("colblock", "once", False, 2, 2, 10, masked_by_units=False)
+        problems[1], configs[1] = change(problems[1], configs[1])
+        with pytest.raises(ValueError, match=f"runs of one batch must share {field}"):
+            run_batch(problems, configs, system.x_star)
+
+    def test_unit_draw_refused_in_redraw_mode(self):
+        problems, configs, system = batch_runs("uniform", "once", False, 2, 1, 12)
+        with pytest.raises(ValueError, match="'once' mode only"):
+            run_batch(problems, [dataclasses.replace(configs[0], sampling="redraw")])
+
+    def test_unit_draw_shape_checked(self):
+        _, problem = make_problem(m=20, l=3, n=2)
+        with pytest.raises(ValueError, match="boolean"):
+            mg.ProblemInstance(a_tilde=problem.a_tilde, b=problem.b, model=problem.model, x0=problem.x0,
+                               units=np.ones((20, 5), dtype=bool))
 
 
 class TestLinearPart:
