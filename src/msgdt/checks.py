@@ -31,7 +31,7 @@ from .masking import (
     verify_expectation_identity,
 )
 from .oracle import enumerate_row_masks, full_gradient, update_linear_part
-from .solver import _masked_row_spectra, _row_gradient, _row_spectra, objective
+from .solver import _row_gradient, objective
 from .tensor import Tensor3
 
 __all__ = [
@@ -52,6 +52,18 @@ def verify_expectation_identity_row(
     """Identity check on a fresh Gaussian 1 x l x n row slice."""
     row = Tensor3(rng.standard_normal((n, 1, l)))
     return verify_expectation_identity(row, model, trials, rng)
+
+
+def _row_spectra(data: np.ndarray, spec: tn.TubeSpectrum, p: float) -> np.ndarray:
+    """Parseval-scaled spectra of p times every row slice of an (n, m, k) array, as (m, f, k): B's give ``pbhat``."""
+    hat = spec.forward(data.transpose(1, 0, 2), axis=1, scaled=True)
+    hat *= p
+    return hat
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
@@ -85,14 +97,15 @@ def lipschitz_ratio_max(
 ) -> tuple[float, float]:
     """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
+    _check_trials(trials)
     _, l, n = a.dims
     q = b.l
     spec = tn.tube_spectrum(n)
     pb_hat = _row_spectra(b.data, spec, model.p)
-    ahat, pbhat = np.empty((spec.matrix.shape[0], l), complex), np.empty(pb_hat.shape[1:], complex)
     worst = 0.0
     for _ in range(trials):
-        _masked_row_spectra(model, a.data, pb_hat, rng, spec, ahat, pbhat)
+        i, arow = draw_masked_row(model, a.data, rng)
+        ahat, pbhat = spec.forward_small(arow), pb_hat[i]
         xy = rng.standard_normal((2, n, l, q))  # the same variates as drawing X, then Y
         x, y = xy
         xhat, yhat = (spec.matrix @ xy.reshape(2, n, l * q) * spec.scale[:, None]).reshape(2, -1, l, q)
@@ -115,14 +128,14 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
+    _check_trials(trials)
     spec = tn.tube_spectrum(a.n)
     yhat = spec.forward(x.data, scaled=True)
     pb_hat = _row_spectra(b.data, spec, model.p)
-    ahat, pbhat = np.empty((spec.matrix.shape[0], a.l), complex), np.empty(pb_hat.shape[1:], complex)
     total = 0.0
     for _ in range(trials):
-        _masked_row_spectra(model, a.data, pb_hat, rng, spec, ahat, pbhat)
-        g = _row_gradient(ahat, pbhat, yhat, model, spec)
+        i, arow = draw_masked_row(model, a.data, rng)
+        g = _row_gradient(spec.forward_small(arow), pb_hat[i], yhat, model, spec)
         total += float(np.vdot(g, g).real)
     return SecondMomentSample(total / trials, trials)
 

@@ -46,7 +46,10 @@ def _parse_radius(text: str):
 
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok)
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise ValueError(f"--p takes comma-separated numbers, got {text!r}") from None
 
 
 def _out_dir(args) -> Path:
@@ -57,19 +60,17 @@ def _out_dir(args) -> Path:
 
 def cmd_gen(args) -> int:
     dims = Dims.parse(args.dims)
-    out = _out_dir(args)
     if args.xstar:
         x_star = read_t3f1(args.xstar)
         if x_star.dims != (dims.l, dims.q, dims.n):
-            raise SystemExit(
-                f"loaded solution dims {x_star.dims} do not match --dims {args.dims}"
-            )
+            raise ValueError(f"loaded solution dims {x_star.dims} do not match --dims {args.dims}")
         rng = np.random.default_rng(args.seed)
         a = Tensor3(rng.standard_normal((dims.n, dims.m, dims.l)))
         b = tprod(a, x_star)
     else:
         system = gen_synthetic(dims, args.seed)
         a, x_star, b = system.a, system.x_star, system.b
+    out = _out_dir(args)
     write_t3f1(a, out / "a.t3f")
     write_t3f1(x_star, out / "xstar.t3f")
     write_t3f1(b, out / "b.t3f")

@@ -50,6 +50,7 @@ __all__ = [
     "unit_map",
     "draw_units",
     "masked_rows",
+    "draw_rows",
     "draw_masked_row",
     "draw_mask",
     "correction_tensor",
@@ -189,9 +190,9 @@ def unit_map(model: MissingModel, l: int, n: int) -> tuple[np.ndarray, int]:
 def draw_units(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent row-slice draws as a (count, units) boolean array, True = unit kept.
 
-    This is the one place masks consume the generator: one variate per unit,
-    row by row.  Indexing a draw with the :func:`unit_map` expands it to
-    (count, n, l) row masks.
+    Every mask draw consumes the generator so, one variate per unit, row by
+    row (:func:`draw_rows` takes each row's index first); the :func:`unit_map`
+    expands a draw to (count, n, l) row masks.
     """
     return rng.random((count, unit_map(model, l, n)[1])) < model.p
 
@@ -202,22 +203,37 @@ def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.rand
 
 
 def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
-    """Rows ``rows`` of A's (n, m, l) array under the masks of the unit draw ``keep``, as (rows, n, l).
+    """Rows ``rows`` of A's (n, m, l) array, row ``rows[k]`` under the unit draw ``keep[k]``, as (rows, n, l).
 
-    Row i is masked by ``keep[i]``, so the result is bit for bit those rows
-    of ``hadamard(D, A)`` for the mask D that :func:`draw_mask` expands
-    from the same draw (0/1 times an entry is exact, signed zeros
-    included), without forming D or the masked tensor.
+    With ``keep = units[rows]`` the result is bit for bit those rows of
+    ``hadamard(D, A)`` for the mask D that :func:`draw_mask` expands from the
+    draw ``units`` (0/1 times an entry is exact, signed zeros included).
     """
     n, _, l = a_data.shape
-    return keep[rows][:, unit_map(model, l, n)[0]] * a_data[:, rows, :].transpose(1, 0, 2)
+    return keep[:, unit_map(model, l, n)[0]] * a_data[:, rows, :].transpose(1, 0, 2)
+
+
+def draw_rows(
+    model: MissingModel, m: int, l: int, n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, keep): ``count`` uniform row indices of m rows, each followed by its row's unit draw.
+
+    Draw k takes ``rng.integers(m)``, then one variate per unit, so the
+    stream is the same however ``count`` splits it; ``keep[k]`` masks ``idx[k]``.
+    """
+    idx = np.empty(count, dtype=np.intp)
+    variates = np.empty((count, unit_map(model, l, n)[1]))
+    for k in range(count):  # one integers(m, size=count) call would give another stream
+        idx[k] = rng.integers(m)
+        rng.random(out=variates[k])
+    return idx, variates < model.p
 
 
 def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """(i, Atilde_i): a uniform row index i of A's (n, m, l) array, then row i under a fresh mask."""
+    """(i, Atilde_i): :func:`draw_rows` with count 1 on A's (n, m, l) array, row i masked."""
     n, m, l = a_data.shape
-    i = int(rng.integers(m))
-    return i, row_mask_batch(model, l, n, 1, rng)[0] * a_data[:, i, :]
+    idx, keep = draw_rows(model, m, l, n, 1, rng)
+    return int(idx[0]), masked_rows(model, a_data, keep, idx)[0]
 
 
 def draw_mask(model: MissingModel, m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:

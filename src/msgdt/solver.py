@@ -16,8 +16,7 @@ spectrum Y = s o rfft(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
 Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 ``update_norm`` and ``iterate_error`` are plain norms of spectra, and
 ``irfft`` runs only for ``objective`` records and the final iterate.  Row
-spectra come from one rfft per chunk of rows in "once" mode and from one
-product with the DFT matrix per drawn row in "redraw" mode.  Compared with
+spectra come from one rfft per chunk of up to 256 rows.  Compared with
 iterating on X directly the results differ by rounding only: about 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
@@ -30,7 +29,8 @@ against.
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
 replacement and draws a fresh mask for the chosen row every iteration (the
-problem then carries the fully known A).
+problem then carries the fully known A).  The modes differ only in where a
+chunk's rows and masks come from (``_row_source``).
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
@@ -56,7 +56,7 @@ from .masking import (
     UniformMissing,
     check_block,
     correction_tensor,
-    draw_masked_row,
+    draw_rows,
     format_model,
     masked_rows,
     unit_map,
@@ -393,36 +393,6 @@ def objective(full_a: Tensor3, b: Tensor3, x: Tensor3) -> float:
     return tn.inner(residual, residual) / (2.0 * full_a.m)
 
 
-def _row_spectra(data: np.ndarray, spec: tn.TubeSpectrum, p: float) -> np.ndarray:
-    """Parseval-scaled spectra of p times every row slice of an (n, m, k) array, as (m, f, k).
-
-    With B as the array, row i is the kernel's ``pbhat`` for row i.
-    """
-    hat = spec.forward(data.transpose(1, 0, 2), axis=1, scaled=True)
-    hat *= p
-    return hat
-
-
-def _masked_row_spectra(
-    model: MissingModel,
-    a_data: np.ndarray,
-    pb_hat: np.ndarray,
-    rng: np.random.Generator,
-    spec: tn.TubeSpectrum,
-    ahat: np.ndarray,
-    pbhat: np.ndarray,
-) -> None:
-    """Write (ahat, pbhat) of a fresh :func:`~msgdt.masking.draw_masked_row` draw into ``ahat``, ``pbhat``.
-
-    The masked row goes through one product with the DFT matrix; ``pb_hat``
-    holds the :func:`_row_spectra` of p B, row index first.  Callers keep
-    the two output arrays across draws, so a draw allocates no spectra.
-    """
-    i, arow = draw_masked_row(model, a_data, rng)
-    spec.forward_small(arow, out=ahat)
-    pbhat[...] = pb_hat[i]
-
-
 def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -> None:
     """Reject a batch whose runs do not share what the one loop needs shared."""
     if not problems or len(problems) != len(configs):
@@ -459,23 +429,42 @@ def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -
         )
 
 
-def _chunk_spectra(problems, orders, rows: slice, spec: tn.TubeSpectrum, p: np.ndarray):
-    """(ahat, pbhat) of every run's rows ``order[rows]``, stacked as (rows, R, f, l) and (rows, R, f, q).
+def _row_source(prob: ProblemInstance, config: SolverConfig):
+    """A run's (start, count) -> (idx, keep): its rows and unit draws for iterations start+1 .. start+count.
 
-    Each run's rows are gathered in its own order (and masked by its unit
-    draw, if it has one); then one rfft transforms all of A's and one all
-    of B's.  ``p`` (R, 1, 1) scales each run's B spectra.
+    "once" slices a permutation drawn up front (keep None when ``a_tilde``
+    is masked already); "redraw" draws rows and masks ahead with
+    :func:`~msgdt.masking.draw_rows`, in the order of one draw per iteration.
+    """
+    m, l, n = prob.a_tilde.dims
+    rng = np.random.default_rng(config.seed)
+    if config.sampling == "redraw":
+        return lambda start, count: draw_rows(prob.model, m, l, n, count, rng)
+    order = rng.permutation(m)[: config.total_iters]
+
+    def rows(start: int, count: int):
+        idx = order[start : start + count]
+        return idx, None if prob.units is None else prob.units[idx]
+
+    return rows
+
+
+def _chunk_spectra(problems, draws, spec: tn.TubeSpectrum, p: np.ndarray):
+    """(ahat, pbhat) of every run's rows, stacked as (rows, R, f, l) and (rows, R, f, q).
+
+    Each run's rows ``idx`` of ``draws`` are gathered (and masked by its
+    ``keep``); then one rfft transforms all of A's and one all of B's.
+    ``p`` (R, 1, 1) scales each run's B spectra.
     """
     n, _, l = problems[0].a_tilde.data.shape
-    count = len(orders[0][rows])
+    count = len(draws[0][0])
     a_rows = np.empty((count, len(problems), n, l))
     b_rows = np.empty((count, len(problems), n, problems[0].b.l))
-    for r, (prob, order) in enumerate(zip(problems, orders)):
-        idx = order[rows]
-        if prob.units is None:
+    for r, (prob, (idx, keep)) in enumerate(zip(problems, draws)):
+        if keep is None:
             a_rows[:, r] = prob.a_tilde.data[:, idx, :].transpose(1, 0, 2)
         else:
-            a_rows[:, r] = masked_rows(prob.model, prob.a_tilde.data, prob.units, idx)
+            a_rows[:, r] = masked_rows(prob.model, prob.a_tilde.data, keep, idx)
         b_rows[:, r] = prob.b.data[:, idx, :].transpose(1, 0, 2)
     pbhat = spec.forward(b_rows, axis=2, scaled=True)
     pbhat *= p
@@ -504,18 +493,15 @@ def run_batch(
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``a_tilde``.  The
     iterates live in the scaled tube-Fourier domain (module docstring).
-    "once" mode transforms each run's rows of A and B in its permutation
-    order, ``tensor._ROW_CHUNK`` rows at a time, so no whole-tensor
-    spectrum of A is kept; "redraw" mode keeps the spectrum of all of p B
-    (about the size of B) once per distinct (B, p) and transforms each
-    drawn masked row of A, each run drawing from its own generator.
+    Every run's rows of A and B, from its permutation or its redraws, are
+    masked and transformed ``tensor._ROW_CHUNK`` at a time, so no
+    whole-tensor spectrum is kept.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
     R, cfg0 = len(problems), configs[0]
-    T, radius, redraw = cfg0.total_iters, cfg0.projection_radius, cfg0.sampling == "redraw"
-    m, l, n = problems[0].a_tilde.dims
-    spec = tn.tube_spectrum(n)
+    T, radius = cfg0.total_iters, cfg0.projection_radius
+    spec = tn.tube_spectrum(problems[0].a_tilde.n)
     # One run's coefficients and steps are 0-d, which numpy applies as scalars, at scalar speed.
     # The steps are complex, so they scale the complex spectra without a per-iteration cast.
     run_axes = (R,) if R > 1 else ()
@@ -523,25 +509,9 @@ def run_batch(
     coeffs = _coefficients(models, spec, run_axes)
     alphas = np.stack([step_table(cfg.schedule, T) for cfg in configs], axis=1)  # (T, R)
     steps = alphas.astype(np.complex128).reshape((T,) + run_axes + (1,) * len(run_axes) * 3)
-    rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
+    sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
+    p_runs = np.array([mod.p for mod in models]).reshape(R, 1, 1)
     chunk = tn._ROW_CHUNK
-
-    if redraw:  # rows repeat: transform all of p B once per distinct (B, p)
-        pb_hats = {}
-        for prob in problems:
-            key = (id(prob.b), prob.model.p)
-            if key not in pb_hats:
-                pb_hats[key] = _row_spectra(prob.b.data, spec, prob.model.p)
-        ahat = np.empty((R, spec.matrix.shape[0], l), dtype=np.complex128)
-        pbhat = np.empty((R, spec.matrix.shape[0], problems[0].b.l), dtype=np.complex128)
-        # each run's draw arguments, its output rows (views made once) included
-        draws = [
-            (prob.model, prob.a_tilde.data, pb_hats[id(prob.b), prob.model.p], rng, spec, ahat[r], pbhat[r])
-            for r, (prob, rng) in enumerate(zip(problems, rngs))
-        ]
-    else:
-        orders = [rng.permutation(m)[:T] for rng in rngs]
-        p_runs = np.array([mod.p for mod in models]).reshape(R, 1, 1)
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
     y_runs = list(y)  # per-run views, updated in place with y
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
@@ -558,16 +528,12 @@ def run_batch(
 
     record(0, None)
     for t in range(1, T + 1):
-        if redraw:
-            for args in draws:
-                _masked_row_spectra(*args)
-        else:
-            j = (t - 1) % chunk
-            if j == 0:
-                a_chunk, pb_chunk = _chunk_spectra(problems, orders, slice(t - 1, t - 1 + chunk), spec, p_runs)
-            ahat, pbhat = a_chunk[j], pb_chunk[j]
+        j = (t - 1) % chunk
+        if j == 0:
+            draws = [source(t - 1, min(chunk, T - t + 1)) for source in sources]
+            a_chunk, pb_chunk = _chunk_spectra(problems, draws, spec, p_runs)
 
-        g = _row_gradient(ahat, pbhat, y, coeffs, spec)
+        g = _row_gradient(a_chunk[j], pb_chunk[j], y, coeffs, spec)
         y -= steps[t - 1] * g
         if radius is not None:
             for y_run in y_runs:

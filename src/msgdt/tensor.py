@@ -195,9 +195,9 @@ class TubeSpectrum:
             hat = hat / self._along(self.scale, hat.ndim, 0)
         return np.fft.irfft(hat, n=self.n, axis=0)
 
-    def forward_small(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`forward` of a 2-d (n, k) array as one product with ``matrix``, into ``out`` if given."""
-        return np.dot(self.matrix, rows, out=out)
+    def forward_small(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of a 2-d (n, k) array as one product with ``matrix``."""
+        return np.dot(self.matrix, rows)
 
 
 @lru_cache(maxsize=64)

@@ -65,6 +65,15 @@ class TestGen:
         b = mg.read_t3f1(out / "b.t3f")
         assert np.array_equal(mg.tprod(a, x_new).data, b.data)
 
+    def test_mismatched_solution_rejected_before_any_output(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        main(["gen", "--dims", "10,3,2,2", "--seed", "1", "--out", str(base)])
+        capsys.readouterr()
+        out = tmp_path / "derived"
+        code = main(["gen", "--dims", "20,4,2,2", "--xstar", str(base / "xstar.t3f"), "--out", str(out)])
+        assert_one_line_error(capsys, code, "gen", r"loaded solution dims \(3, 2, 2\) do not match --dims 20,4,2,2")
+        assert not out.exists()
+
 
 class TestMask:
     def test_mask_and_observed(self, tmp_path):
@@ -363,6 +372,12 @@ class TestExperiment:
         assert_one_line_error(capsys, main(self.SMALL + extra + ["--out", str(out)]), "experiment", message)
         assert not out.exists()
 
+    def test_malformed_p_list_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(self.SMALL + ["--p", "0.5,abc", "--out", str(out)])
+        assert_one_line_error(capsys, code, "experiment", "--p takes comma-separated numbers, got '0.5,abc'")
+        assert not out.exists()
+
     def test_bad_sampling_rejected_by_the_spec(self, tmp_path):
         from msgdt.experiment import ExperimentSpec, run_experiment
 
@@ -419,6 +434,13 @@ class TestVerify:
 
     def test_bounds_suite(self):
         assert main(["verify", "bounds", "--trials", "1500"]) == 0
+
+    @pytest.mark.parametrize("suite", ["bounds", "lipschitz"])
+    def test_zero_trials_rejected(self, tmp_path, capsys, suite):
+        out = tmp_path / "verify"
+        code = main(["verify", suite, "--trials", "0", "--out", str(out)])
+        assert_one_line_error(capsys, code, "verify", "trials must be >= 1, got 0")
+        assert not out.exists()
 
     def test_report_written(self, tmp_path):
         out = tmp_path / "verify"

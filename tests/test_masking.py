@@ -6,7 +6,7 @@ import pytest
 
 import msgdt as mg
 from msgdt import oracle
-from msgdt.masking import draw_units, masked_rows, row_mask_batch, unit_map
+from msgdt.masking import draw_rows, draw_units, masked_rows, row_mask_batch, unit_map
 
 ALL_KINDS = [
     mg.UniformMissing(0.5),
@@ -202,11 +202,28 @@ class TestRngContract:
         chunk = max(1, count // 3)
         for start in range(0, count, chunk):
             rows = order[start : start + chunk]
-            got = masked_rows(model, a.data, keep, rows)
+            got = masked_rows(model, a.data, keep[rows], rows)
             assert got.dtype == np.float64
             assert got.tobytes() == np.ascontiguousarray(want[rows]).tobytes()  # signed zeros included
         if model.p < 1.0 and count > 1:
             assert np.signbit(want[want == 0.0]).any()  # 0.0 x negative entries gave -0.0
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize(
+        "model,units",
+        [(mg.UniformMissing(0.4), 12), (mg.ColumnBlockMissing(0.5, 2), 2), (mg.FrontalSliceMissing(0.7), 3)],
+        ids=["uniform", "colblock", "frontal"],
+    )
+    def test_draw_rows_is_one_draw_per_row(self, model, units, count):
+        # the per-draw contract, written out: a row index, then that row's unit variates
+        m, l, n = 13, 4, 3
+        rng, twin = np.random.default_rng(25), np.random.default_rng(25)
+        idx, keep = draw_rows(model, m, l, n, count, rng)
+        want = [(int(twin.integers(m)), twin.random((1, units)) < model.p) for _ in range(count)]
+        assert idx.shape == (count,) and keep.dtype == np.bool_ and keep.shape == (count, units)
+        assert idx.tolist() == [i for i, _ in want]
+        assert np.array_equal(keep, np.concatenate([k for _, k in want]))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("model,l,n,count", CONTRACT_CASES)
     def test_row_mask_batch_matches_contract(self, model, l, n, count):

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,24 @@ class TestRunBatch:
         problems[1], configs[1] = change(problems[1], configs[1])
         with pytest.raises(ValueError, match=f"runs of one batch must share {field}"):
             run_batch(problems, configs, system.x_star)
+
+    def test_redraw_batch_keeps_no_spectrum_of_b(self):
+        # four p values on a tall B: rows of B are transformed a chunk at a time, not all of p B per p
+        m, l, q, n = 20000, 2, 3, 4
+        rng = np.random.default_rng(30)
+        a = mg.Tensor3(rng.standard_normal((n, m, l)))
+        b = mg.Tensor3(rng.standard_normal((n, m, q)))
+        problems = [mg.ProblemInstance(a_tilde=a, b=b, model=mg.UniformMissing(p), x0=mg.zeros(l, q, n))
+                    for p in (0.3, 0.5, 0.7, 0.9)]
+        configs = [mg.SolverConfig(schedule=mg.ConstantStep(1e-3), total_iters=600, sampling="redraw", seed=k,
+                                   trace_every=100) for k in range(len(problems))]
+        tracemalloc.start()
+        try:
+            run_batch(problems, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b.data.nbytes
 
     def test_unit_draw_refused_in_redraw_mode(self):
         problems, configs, system = batch_runs("uniform", "once", False, 2, 1, 12)
