@@ -194,7 +194,10 @@ def draw_units(model: MissingModel, l: int, n: int, count: int, rng: np.random.G
     row (:func:`draw_rows` takes each row's index first); the :func:`unit_map`
     expands a draw to (count, n, l) row masks.
     """
-    return rng.random((count, unit_map(model, l, n)[1])) < model.p
+    keep = np.empty((count, unit_map(model, l, n)[1]), dtype=np.bool_)
+    for block in np.split(keep, range(tn._ROW_CHUNK, count, tn._ROW_CHUNK)):  # no float array of every variate
+        np.less(rng.random(block.shape), model.p, out=block)
+    return keep
 
 
 def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -207,6 +208,16 @@ class TestRngContract:
             assert got.tobytes() == np.ascontiguousarray(want[rows]).tobytes()  # signed zeros included
         if model.p < 1.0 and count > 1:
             assert np.signbit(want[want == 0.0]).any()  # 0.0 x negative entries gave -0.0
+
+    def test_draw_units_makes_no_array_of_all_variates(self):
+        model, l, n, count = mg.UniformMissing(0.5), 20, 10, 20_000
+        tracemalloc.start()
+        try:
+            keep = draw_units(model, l, n, count, np.random.default_rng(26))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * keep.nbytes  # one call's (count, units) float variates are 8 times keep
 
     @pytest.mark.parametrize("count", [1, 7, 300])
     @pytest.mark.parametrize(
