@@ -13,6 +13,13 @@ routine returns plain numbers so callers decide what tolerance to enforce:
 The gradient checks call the solver's kernel on tube spectra: each fixed
 iterate is transformed once, squared norms of g are taken on its scaled
 spectrum (Parseval), and a result is transformed back once, not per draw.
+The Monte Carlo checks take their (row, mask) draws ``tensor._ROW_CHUNK``
+(256) at a time: one product with the DFT matrix transforms a chunk's
+masked rows and one kernel call, with a leading draw axis, serves them all.
+The generator is consumed draw by draw as one draw at a time would consume
+it, and the per-draw norms are summed or compared in draw order, so results
+and the generator state afterwards keep every bit, and memory per call does
+not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ from .masking import (
     MissingModel,
     correction_tensor,
     draw_masked_row,
+    draw_rows,
+    masked_rows,
+    unit_map,
     verify_expectation_identity,
 )
 from .oracle import enumerate_row_masks, full_gradient, update_linear_part
@@ -66,6 +76,11 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _chunk_sizes(trials: int) -> list[int]:
+    """Draws per kernel call: ``tensor._ROW_CHUNK`` at a time, then what is left."""
+    return [min(tn._ROW_CHUNK, trials - start) for start in range(0, trials, tn._ROW_CHUNK)]
+
+
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
     """Exact E[g(X)]: average over all rows and all mask configurations."""
     m, l, n = a.dims
@@ -98,23 +113,30 @@ def lipschitz_ratio_max(
     """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
     _check_trials(trials)
-    _, l, n = a.dims
+    m, l, n = a.dims
     q = b.l
     spec = tn.tube_spectrum(n)
     pb_hat = _row_spectra(b.data, spec, model.p)
+    units = unit_map(model, l, n)[1]
     worst = 0.0
-    for _ in range(trials):
-        i, arow = draw_masked_row(model, a.data, rng)
-        ahat, pbhat = spec.forward_small(arow), pb_hat[i]
-        xy = rng.standard_normal((2, n, l, q))  # the same variates as drawing X, then Y
-        x, y = xy
-        xhat, yhat = (spec.matrix @ xy.reshape(2, n, l * q) * spec.scale[:, None]).reshape(2, -1, l, q)
-        gx = _row_gradient(ahat, pbhat, xhat, model, spec)
-        gy = _row_gradient(ahat, pbhat, yhat, model, spec)
-        denom = float(np.linalg.norm(x - y))
-        if denom == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
+    for count in _chunk_sizes(trials):
+        idx = np.empty(count, dtype=np.intp)
+        variates = np.empty((count, units))
+        xy = np.empty((count, 2, n, l, q))
+        for k in range(count):  # trial by trial: the row, its mask, then X and Y
+            idx[k] = rng.integers(m)
+            rng.random(out=variates[k])
+            rng.standard_normal(out=xy[k])
+        ahat = spec.matrix @ masked_rows(model, a.data, variates < model.p, idx)
+        xyhat = (spec.matrix @ xy.reshape(count, 2, n, l * q) * spec.scale[:, None]).reshape(count, 2, -1, l, q)
+        g = _row_gradient(
+            np.broadcast_to(ahat[:, None], xyhat.shape[:-1]), pb_hat[idx, None], xyhat, model, spec
+        )
+        for (x, y), (gx, gy) in zip(xy, g):
+            denom = float(np.linalg.norm(x - y))
+            if denom == 0.0:
+                continue
+            worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
     return worst, lipschitz_constant(a, model.p)
 
 
@@ -129,14 +151,17 @@ def second_moment_sample(
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
     _check_trials(trials)
-    spec = tn.tube_spectrum(a.n)
+    m, l, n = a.dims
+    spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
     pb_hat = _row_spectra(b.data, spec, model.p)
     total = 0.0
-    for _ in range(trials):
-        i, arow = draw_masked_row(model, a.data, rng)
-        g = _row_gradient(spec.forward_small(arow), pb_hat[i], yhat, model, spec)
-        total += float(np.vdot(g, g).real)
+    for count in _chunk_sizes(trials):
+        idx, keep = draw_rows(model, m, l, n, count, rng)
+        ahat = spec.matrix @ masked_rows(model, a.data, keep, idx)
+        g = _row_gradient(ahat, pb_hat[idx], np.broadcast_to(yhat, (count,) + yhat.shape), model, spec)
+        for g_draw in g:  # summed in draw order
+            total += float(np.vdot(g_draw, g_draw).real)
     return SecondMomentSample(total / trials, trials)
 
 

@@ -429,7 +429,8 @@ def _resolve_block_size(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input ends it with a one-line ``msgdt <command>: error:`` and exit code 2."""
+    """Run one command; bad input or an unreadable file ends it with exit code 2 and a one-line
+    ``msgdt <command>: error:``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "block_size"):
@@ -438,6 +439,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a missing or unreadable file, named with the OS's reason
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
+        print(f"msgdt {args.command}: error: {reason}", file=sys.stderr)
         return 2
 
 

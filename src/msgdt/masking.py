@@ -213,7 +213,10 @@ def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows)
     draw ``units`` (0/1 times an entry is exact, signed zeros included).
     """
     n, _, l = a_data.shape
-    return keep[:, unit_map(model, l, n)[0]] * a_data[:, rows, :].transpose(1, 0, 2)
+    # A float mask makes the product float x float, without a buffered bool cast; ``take`` lays
+    # the expanded mask out row by row, where ``keep[:, map]`` would put the row axis innermost.
+    mask = np.take(keep.astype(np.float64), unit_map(model, l, n)[0], axis=1)
+    return mask * a_data[:, rows, :].transpose(1, 0, 2)
 
 
 def draw_rows(

@@ -1,6 +1,8 @@
 """The verifiers must be able to fail: feed them broken inputs and make
 sure they flag the violation, so green runs mean something."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ import msgdt as mg
 from msgdt import oracle
 from msgdt.checks import (
     enumerated_gradient_mean,
+    lipschitz_ratio_max,
+    second_moment_sample,
     strong_convexity_margin,
     unbiasedness_relative_error,
 )
+from msgdt.masking import draw_masked_row
 from msgdt.solver import _row_gradient
 from msgdt.tensor import _tprod_data, tube_spectrum
 
@@ -101,3 +106,78 @@ class TestDegenerateDims:
         mu, sigma = mg.strong_convexity(t)
         assert sigma == pytest.approx(2.0)
         assert mu == pytest.approx(4.0)
+
+
+class TestBatchedDraws:
+    """The Monte Carlo checks send their draws through the kernel in chunks; each
+    must give the bits and leave the generator where one draw at a time does."""
+
+    MODELS = (mg.UniformMissing(0.5), mg.ColumnBlockMissing(0.6, 2), mg.FrontalSliceMissing(0.4))
+
+    @staticmethod
+    def one_draw(a, b, model, rng):
+        """(ahat, pbhat) of one (row, mask) draw, transformed as a single row."""
+        spec = tube_spectrum(a.n)
+        i, arow = draw_masked_row(model, a.data, rng)
+        return spec.forward_small(arow), spec.forward(b.data[:, i, :], scaled=True) * model.p
+
+    def reference_second_moment(self, a, b, x, model, trials, rng):
+        spec = tube_spectrum(a.n)
+        yhat = spec.forward(x.data, scaled=True)
+        total = 0.0
+        for _ in range(trials):
+            g = _row_gradient(*self.one_draw(a, b, model, rng), yhat, model, spec)
+            total += float(np.vdot(g, g).real)
+        return total / trials
+
+    def reference_lipschitz(self, a, b, model, trials, rng):
+        _, l, n = a.dims
+        q = b.l
+        spec = tube_spectrum(n)
+        worst = 0.0
+        for _ in range(trials):
+            ahat, pbhat = self.one_draw(a, b, model, rng)
+            x, y = rng.standard_normal((n, l, q)), rng.standard_normal((n, l, q))
+            xhat, yhat = ((spec.forward_small(v.reshape(n, l * q)) * spec.scale[:, None]).reshape(-1, l, q) for v in (x, y))
+            gx, gy = (_row_gradient(ahat, pbhat, vhat, model, spec) for vhat in (xhat, yhat))
+            denom = float(np.linalg.norm(x - y))
+            if denom != 0.0:
+                worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
+        return worst
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "colblock", "frontal"])
+    def test_second_moment_matches_one_draw_at_a_time(self, model, trials):
+        system = mg.gen_synthetic(mg.Dims(7, 4, 3, 3), trials)
+        x = mg.Tensor3(np.random.default_rng(1).standard_normal((3, 4, 3)))
+        rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        got = second_moment_sample(system.a, system.b, x, model, trials, rng)
+        assert got.trials == trials
+        assert got.mean_sq_norm == self.reference_second_moment(system.a, system.b, x, model, trials, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "colblock", "frontal"])
+    def test_lipschitz_matches_one_draw_at_a_time(self, model, trials):
+        system = mg.gen_synthetic(mg.Dims(7, 4, 3, 3), trials)
+        rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        ratio, bound = lipschitz_ratio_max(system.a, system.b, model, trials, rng)
+        assert ratio == self.reference_lipschitz(system.a, system.b, model, trials, ref_rng)
+        assert bound == mg.lipschitz_constant(system.a, model.p)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_second_moment_memory_does_not_grow_with_trials(self):
+        system = mg.gen_synthetic(mg.Dims(40, 8, 4, 6), 2)
+        x = mg.Tensor3(np.random.default_rng(3).standard_normal((6, 8, 4)))
+        model = mg.UniformMissing(0.5)
+        second_moment_sample(system.a, system.b, x, model, 10, np.random.default_rng(4))  # warm the caches
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                second_moment_sample(system.a, system.b, x, model, trials, np.random.default_rng(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3000) <= 1.5 * peak(300)

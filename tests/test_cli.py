@@ -512,6 +512,26 @@ class TestBlockSizeFlag:
             assert params["model"] == "colblock p=0.5 b=1"
 
 
+class TestMissingInputFile:
+    """A missing input file gets the one-line error, naming the path, before any output exists."""
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "bounds"])
+    def test_one_line_error_and_no_output(self, tmp_path, capsys, command):
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "12,4,2,3", "--seed", "3", "--out", str(gen)])
+        capsys.readouterr()
+        missing, out = tmp_path / "missing.t3f", tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--dims", "12,4,2,3", "--xstar", str(missing), "--out", str(out)],
+            "solve": ["solve", "--a", str(missing), "--b", str(gen / "b.t3f"), "--iters", "5", "--out", str(out)],
+            "bounds": ["bounds", "--a", str(gen / "a.t3f"), "--b", str(missing), "--p", "0.5", "--radius", "10",
+                       "--out", str(out)],
+        }[command]
+        code = main(argv)
+        assert_one_line_error(capsys, code, command, re.escape(f"{missing}: No such file or directory"))
+        assert not out.exists()
+
+
 def test_module_entry_point(capsys, monkeypatch):
     import runpy
 
