@@ -13,13 +13,14 @@ routine returns plain numbers so callers decide what tolerance to enforce:
 The gradient checks call the solver's kernel on tube spectra: each fixed
 iterate is transformed once, squared norms of g are taken on its scaled
 spectrum (Parseval), and a result is transformed back once, not per draw.
-The Monte Carlo checks take their (row, mask) draws ``tensor._ROW_CHUNK``
-(256) at a time: one product with the DFT matrix transforms a chunk's
-masked rows and one kernel call, with a leading draw axis, serves them all.
-The generator is consumed draw by draw as one draw at a time would consume
-it, and the per-draw norms are summed or compared in draw order, so results
-and the generator state afterwards keep every bit, and memory per call does
-not grow with the number of trials.
+Their (row, mask) pairs, enumerated or drawn, go through the solver's row
+path: one :func:`~msgdt.tensor.row_chunks` slice at a time, each chunk's
+rows of A and B are masked and transformed by :func:`msgdt.solver.row_spectra`
+and sent through one kernel call with a leading draw axis.  The generator
+is consumed draw by draw as one draw at a time would consume it, and the
+per-draw terms are summed or compared in draw order, so results and the
+generator state afterwards do not depend on the chunking, and memory per
+call does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -30,18 +31,9 @@ import numpy as np
 
 from . import tensor as tn
 from .bounds import lipschitz_constant
-from .masking import (
-    ExpectationReport,
-    MissingModel,
-    correction_tensor,
-    draw_masked_row,
-    draw_rows,
-    masked_rows,
-    unit_map,
-    verify_expectation_identity,
-)
+from .masking import MissingModel, check_trials, correction_tensor, draw_masked_row, draw_rows, unit_map
 from .oracle import enumerate_row_masks, full_gradient, update_linear_part
-from .solver import _row_gradient, objective
+from .solver import _row_gradient, objective, row_spectra
 from .tensor import Tensor3
 
 __all__ = [
@@ -52,33 +44,7 @@ __all__ = [
     "second_moment_sample",
     "self_adjointness_max_dev",
     "strong_convexity_margin",
-    "verify_expectation_identity_row",
 ]
-
-
-def verify_expectation_identity_row(
-    l: int, n: int, model: MissingModel, trials: int, rng: np.random.Generator
-) -> ExpectationReport:
-    """Identity check on a fresh Gaussian 1 x l x n row slice."""
-    row = Tensor3(rng.standard_normal((n, 1, l)))
-    return verify_expectation_identity(row, model, trials, rng)
-
-
-def _row_spectra(data: np.ndarray, spec: tn.TubeSpectrum, p: float) -> np.ndarray:
-    """Parseval-scaled spectra of p times every row slice of an (n, m, k) array, as (m, f, k): B's give ``pbhat``."""
-    hat = spec.forward(data.transpose(1, 0, 2), axis=1, scaled=True)
-    hat *= p
-    return hat
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
-def _chunk_sizes(trials: int) -> list[int]:
-    """Draws per kernel call: ``tensor._ROW_CHUNK`` at a time, then what is left."""
-    return [min(tn._ROW_CHUNK, trials - start) for start in range(0, trials, tn._ROW_CHUNK)]
 
 
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
@@ -86,12 +52,17 @@ def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingM
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
-    pb_hat = _row_spectra(b.data, spec, model.p)
+    masks, probs = zip(*enumerate_row_masks(model, l, n))
+    umap, units = unit_map(model, l, n)
+    keep = np.empty((len(masks), units), dtype=np.bool_)
+    keep[:, umap] = np.array(masks) == 1.0  # each mask's unit draw
     acc = np.zeros_like(yhat)
-    for i in range(m):
-        arow = a.data[:, i, :]
-        for mask, prob in enumerate_row_masks(model, l, n):
-            acc += prob * _row_gradient(spec.forward_small(mask * arow), pb_hat[i], yhat, model, spec)
+    for pairs in tn.row_chunks(m * len(masks)):  # pair k: row k // len(masks) under mask k % len(masks)
+        row, config = np.divmod(np.arange(pairs.start, pairs.stop), len(masks))
+        ahat, pbhat = row_spectra([(a, b, model)], [(row, keep[config])], spec)
+        g = _row_gradient(ahat[:, 0], pbhat[:, 0], np.broadcast_to(yhat, (len(row),) + yhat.shape), model, spec)
+        for k, g_pair in zip(config, g):
+            acc += probs[k] * g_pair
     return Tensor3(spec.inverse(acc / m, scaled=True))
 
 
@@ -112,14 +83,14 @@ def lipschitz_ratio_max(
 ) -> tuple[float, float]:
     """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
-    _check_trials(trials)
+    check_trials(trials)
     m, l, n = a.dims
     q = b.l
     spec = tn.tube_spectrum(n)
-    pb_hat = _row_spectra(b.data, spec, model.p)
     units = unit_map(model, l, n)[1]
     worst = 0.0
-    for count in _chunk_sizes(trials):
+    for draws in tn.row_chunks(trials):
+        count = draws.stop - draws.start
         idx = np.empty(count, dtype=np.intp)
         variates = np.empty((count, units))
         xy = np.empty((count, 2, n, l, q))
@@ -127,11 +98,9 @@ def lipschitz_ratio_max(
             idx[k] = rng.integers(m)
             rng.random(out=variates[k])
             rng.standard_normal(out=xy[k])
-        ahat = spec.matrix @ masked_rows(model, a.data, variates < model.p, idx)
-        xyhat = (spec.matrix @ xy.reshape(count, 2, n, l * q) * spec.scale[:, None]).reshape(count, 2, -1, l, q)
-        g = _row_gradient(
-            np.broadcast_to(ahat[:, None], xyhat.shape[:-1]), pb_hat[idx, None], xyhat, model, spec
-        )
+        ahat, pbhat = row_spectra([(a, b, model)], [(idx, variates < model.p)], spec)
+        xyhat = spec.forward(xy, axis=2, scaled=True)
+        g = _row_gradient(np.broadcast_to(ahat, xyhat.shape[:-1]), pbhat, xyhat, model, spec)
         for (x, y), (gx, gy) in zip(xy, g):
             denom = float(np.linalg.norm(x - y))
             if denom == 0.0:
@@ -150,16 +119,15 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
-    _check_trials(trials)
+    check_trials(trials)
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
-    pb_hat = _row_spectra(b.data, spec, model.p)
     total = 0.0
-    for count in _chunk_sizes(trials):
-        idx, keep = draw_rows(model, m, l, n, count, rng)
-        ahat = spec.matrix @ masked_rows(model, a.data, keep, idx)
-        g = _row_gradient(ahat, pb_hat[idx], np.broadcast_to(yhat, (count,) + yhat.shape), model, spec)
+    for draws in tn.row_chunks(trials):
+        count = draws.stop - draws.start
+        ahat, pbhat = row_spectra([(a, b, model)], [draw_rows(model, m, l, n, count, rng)], spec)
+        g = _row_gradient(ahat[:, 0], pbhat[:, 0], np.broadcast_to(yhat, (count,) + yhat.shape), model, spec)
         for g_draw in g:  # summed in draw order
             total += float(np.vdot(g_draw, g_draw).real)
     return SecondMomentSample(total / trials, trials)
@@ -169,6 +137,7 @@ def self_adjointness_max_dev(
     a: Tensor3, b_cols: int, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> float:
     """Max relative gap |<M*X, Y> - <X, M*Y>| for the linear part M of g."""
+    check_trials(trials)
     _, l, n = a.dims
     c = correction_tensor(model, l, n)
     worst = 0.0
@@ -189,6 +158,7 @@ def strong_convexity_margin(
 ) -> float:
     """Smallest slack of F(Y) - F(X) - <grad F(X), Y-X> - (mu/2)||Y-X||^2
     over random pairs; negative values violate the inequality."""
+    check_trials(pairs)
     _, l, n = a.dims
     q = b.l
     margin = np.inf

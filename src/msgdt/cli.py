@@ -16,15 +16,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import compute_bound_report, solution_second_moment_bound
-from .checks import (
-    lipschitz_ratio_max,
-    second_moment_sample,
-    unbiasedness_relative_error,
-    verify_expectation_identity_row,
-)
+from .checks import lipschitz_ratio_max, second_moment_sample, unbiasedness_relative_error
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
-from .masking import MODEL_KINDS, draw_mask, format_model, kind_fields, model_for
+from .masking import MODEL_KINDS, draw_mask, format_model, kind_fields, model_for, verify_expectation_identity
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -200,9 +195,8 @@ def cmd_bounds(args) -> int:
 def _verify_identities(args, lines: list[str]) -> bool:
     rng = np.random.default_rng(args.seed)
     model = model_for(args.model, args.p, args.block_size)
-    report = verify_expectation_identity_row(
-        l=args.l, n=args.n, model=model, trials=args.trials, rng=rng
-    )
+    row = Tensor3(rng.standard_normal((args.n, 1, args.l)))  # a fresh Gaussian 1 x l x n row slice
+    report = verify_expectation_identity(row, model, args.trials, rng)
     ok = report.max_rel_err_c1 <= args.tol and report.max_rel_err_c2 <= args.tol
     lines.append(
         f"identities[{args.model} p={args.p:g}]: trials={report.trials} "
@@ -268,6 +262,27 @@ def _verify_bounds(args, lines: list[str]) -> bool:
 
 
 _VERIFY_DEFAULT_TRIALS = {"identities": 100_000, "unbiasedness": 1, "lipschitz": 1000, "bounds": 10_000}
+# The flags each suite reads besides --p, --seed and --out (identities reads them all; ``all``
+# passes each on), and the defaults of those left unset.
+_VERIFY_FLAGS = {
+    "identities": ("model", "block_size", "tol", "l", "n", "trials"),
+    "unbiasedness": (),
+    "lipschitz": ("trials",),
+    "bounds": ("trials",),
+}
+_VERIFY_FLAG_DEFAULTS = {"model": "uniform", "tol": 0.05, "l": 3, "n": 2}
+
+
+def _resolve_verify_flags(args) -> None:
+    """Reject a flag the chosen suite does not read; then fill in the defaults of the unset ones."""
+    if args.suite != "all":
+        for dest in _VERIFY_FLAGS["identities"]:
+            if getattr(args, dest) is not None and dest not in _VERIFY_FLAGS[args.suite]:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} is not read by the {args.suite} suite")
+    for dest, default in _VERIFY_FLAG_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def cmd_verify(args) -> int:
@@ -402,13 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="which checks to run",
     )
     add_model_flags(vf)
-    vf.add_argument("--trials", type=int, default=None, help="per-suite defaults when omitted")
+    vf.add_argument("--trials", type=int, default=None, help="per-suite defaults when omitted (not unbiasedness)")
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--tol", type=float, default=0.05, help="Monte Carlo deviation tolerance")
-    vf.add_argument("--l", type=int, default=3, help="row-slice columns for identity checks")
-    vf.add_argument("--n", type=int, default=2, help="row-slice frontal slices for identity checks")
+    vf.add_argument("--tol", type=float, help="Monte Carlo deviation tolerance (identities; default 0.05)")
+    vf.add_argument("--l", type=int, help="row-slice columns for identity checks (default 3)")
+    vf.add_argument("--n", type=int, help="row-slice frontal slices for identity checks (default 2)")
     vf.add_argument("--out", help="write verify.txt and a manifest here")
-    vf.set_defaults(func=cmd_verify)
+    # --model is read by identities only; it is resolved with the suite (_resolve_verify_flags)
+    vf.set_defaults(func=cmd_verify, model=None)
 
     fr = sub.add_parser("frames", help="convert between PGM frame stacks and T3F1 tensors")
     fr.add_argument("direction", choices=("import", "export"))
@@ -433,9 +449,11 @@ def main(argv=None) -> int:
     ``msgdt <command>: error:``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "block_size"):
-        _resolve_block_size(parser, args)
     try:
+        if args.command == "verify":
+            _resolve_verify_flags(args)
+        if hasattr(args, "block_size"):
+            _resolve_block_size(parser, args)
         return args.func(args)
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)

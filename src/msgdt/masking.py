@@ -17,7 +17,8 @@ Atilde* * Atilde whose expectation carries a factor p instead of p^2:
 The dense C is a test oracle: the solver applies each model's correction in
 closed form.  ``check_p``, ``MODEL_KINDS`` and ``model_for`` are the one p
 validator, table of model names and model constructor; ``unit_map`` is the
-one definition of each model's independent units.
+one definition of each model's independent units; ``check_trials`` is the
+one validator of a sampling check's draw count.
 
 Masks are drawn from a seeded NumPy PCG64 generator; with a fixed seed the
 draw is bit-reproducible.  Per-row draws consume generator state in
@@ -41,6 +42,7 @@ __all__ = [
     "FrontalSliceMissing",
     "MissingModel",
     "check_p",
+    "check_trials",
     "check_block",
     "MODEL_KINDS",
     "kind_fields",
@@ -63,6 +65,12 @@ def check_p(p: float) -> None:
     """Reject observation probabilities outside (0, 1]."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"observation probability must be in (0, 1], got {p}")
+
+
+def check_trials(trials: int) -> None:
+    """Reject a Monte Carlo draw count below one: a check over no draws would read as a pass."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,8 @@ def draw_units(model: MissingModel, l: int, n: int, count: int, rng: np.random.G
     expands a draw to (count, n, l) row masks.
     """
     keep = np.empty((count, unit_map(model, l, n)[1]), dtype=np.bool_)
-    for block in np.split(keep, range(tn._ROW_CHUNK, count, tn._ROW_CHUNK)):  # no float array of every variate
-        np.less(rng.random(block.shape), model.p, out=block)
+    for rows in tn.row_chunks(count):  # no float array of every variate
+        np.less(rng.random(keep[rows].shape), model.p, out=keep[rows])
     return keep
 
 
@@ -300,21 +308,16 @@ def verify_expectation_identity(
 
     relative to the largest entry magnitude of A* * A.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     if a_row.m != 1:
         raise ValueError(f"expected a 1 x l x n row slice, got dims {a_row.dims}")
     l, n, p = a_row.l, a_row.n, model.p
     row = a_row.data[:, 0, :]  # (n, l)
 
     estimate = np.zeros((n, l, l))
-    remaining = trials
-    chunk = max(1, min(trials, 8192))
-    while remaining:
-        take = min(chunk, remaining)
-        masks = row_mask_batch(model, l, n, take, rng)
+    for draws in tn.row_chunks(trials):
+        masks = row_mask_batch(model, l, n, draws.stop - draws.start, rng)
         estimate += _gram_sum(masks * row[None])
-        remaining -= take
     estimate /= trials
 
     exact = _gram_sum(row[None])

@@ -16,7 +16,9 @@ spectrum Y = s o rfft(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
 Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 ``update_norm`` and ``iterate_error`` are plain norms of spectra, and
 ``irfft`` runs only for ``objective`` records and the final iterate.  Row
-spectra come from one rfft per chunk of up to 256 rows.  Compared with
+spectra come from :func:`row_spectra`, one rfft per
+:func:`~msgdt.tensor.row_chunks` slice of up to 256 rows; the Monte Carlo
+checks in :mod:`msgdt.checks` take their draws' spectra from it too.  Compared with
 iterating on X directly the results differ by rounding only: about 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
@@ -76,6 +78,7 @@ __all__ = [
     "RunTrace",
     "RunResult",
     "project_ball",
+    "row_spectra",
     "run_batch",
     "run_msgdt",
     "objective",
@@ -131,27 +134,21 @@ StepSchedule = Union[ConstantStep, InverseSqrtStep, HybridStep]
 
 
 def step_size(schedule: StepSchedule, t: int) -> float:
-    """Step size for 1-based iteration t."""
+    """Step size for 1-based iteration t: :func:`step_table`'s formula at one t."""
     if t < 1:
         raise ValueError(f"iteration index is 1-based, got {t}")
-    if isinstance(schedule, ConstantStep):
-        return schedule.alpha
-    if isinstance(schedule, InverseSqrtStep):
-        return schedule.c / math.sqrt(t)
-    if t < schedule.swap_iter:
-        return schedule.alpha
-    return schedule.c / math.sqrt(t)
+    return float(_steps_at(schedule, np.float64(t)))
 
 
 def step_table(schedule: StepSchedule, total_iters: int) -> np.ndarray:
-    """Step sizes of iterations 1..total_iters as one array, entry t-1 bit-equal to ``step_size(schedule, t)``.
+    """Step sizes of iterations 1..total_iters as one array, entry t-1 equal to ``step_size(schedule, t)``."""
+    return _steps_at(schedule, np.arange(1, total_iters + 1, dtype=np.float64))
 
-    sqrt and division are correctly rounded in NumPy as in :mod:`math`, so
-    the vectorised formulas give the scalar ones' bits.
-    """
-    t = np.arange(1, total_iters + 1, dtype=np.float64)
+
+def _steps_at(schedule: StepSchedule, t: np.ndarray) -> np.ndarray:
+    """The schedule's step sizes at the float64 iterations ``t``, elementwise."""
     if isinstance(schedule, ConstantStep):
-        return np.full(total_iters, schedule.alpha, dtype=np.float64)
+        return np.full(np.shape(t), schedule.alpha, dtype=np.float64)
     decay = schedule.c / np.sqrt(t)
     if isinstance(schedule, InverseSqrtStep):
         return decay
@@ -430,7 +427,7 @@ def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -
 
 
 def _row_source(prob: ProblemInstance, config: SolverConfig):
-    """A run's (start, count) -> (idx, keep): its rows and unit draws for iterations start+1 .. start+count.
+    """A run's ``rows`` slice of iterations -> (idx, keep): its rows and unit draws for those iterations.
 
     "once" slices a permutation drawn up front (keep None when ``a_tilde``
     is masked already); "redraw" draws rows and masks ahead with
@@ -439,35 +436,38 @@ def _row_source(prob: ProblemInstance, config: SolverConfig):
     m, l, n = prob.a_tilde.dims
     rng = np.random.default_rng(config.seed)
     if config.sampling == "redraw":
-        return lambda start, count: draw_rows(prob.model, m, l, n, count, rng)
+        return lambda rows: draw_rows(prob.model, m, l, n, rows.stop - rows.start, rng)
     order = rng.permutation(m)[: config.total_iters]
 
-    def rows(start: int, count: int):
-        idx = order[start : start + count]
+    def drawn(rows: slice):
+        idx = order[rows]
         return idx, None if prob.units is None else prob.units[idx]
 
-    return rows
+    return drawn
 
 
-def _chunk_spectra(problems, draws, spec: tn.TubeSpectrum, p: np.ndarray):
-    """(ahat, pbhat) of every run's rows, stacked as (rows, R, f, l) and (rows, R, f, q).
+def row_spectra(runs, draws, spec: tn.TubeSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(ahat, pbhat) of every run's drawn rows, stacked as (rows, R, f, l) and (rows, R, f, q).
 
-    Each run's rows ``idx`` of ``draws`` are gathered (and masked by its
-    ``keep``); then one rfft transforms all of A's and one all of B's.
-    ``p`` (R, 1, 1) scales each run's B spectra.
+    ``runs`` holds an (A, B, model) triple per run and ``draws`` an
+    (idx, keep) pair per run: rows ``idx`` of A, each masked by its unit
+    draw in ``keep`` (None: taken as they are), and the same rows of B.  One
+    rfft transforms all of A's rows and one all of B's; B's spectra are
+    Parseval-scaled and multiplied by each run's p, as the kernel takes them.
     """
-    n, _, l = problems[0].a_tilde.data.shape
+    a0, b0, _ = runs[0]
+    n, _, l = a0.data.shape
     count = len(draws[0][0])
-    a_rows = np.empty((count, len(problems), n, l))
-    b_rows = np.empty((count, len(problems), n, problems[0].b.l))
-    for r, (prob, (idx, keep)) in enumerate(zip(problems, draws)):
+    a_rows = np.empty((count, len(runs), n, l))
+    b_rows = np.empty((count, len(runs), n, b0.l))
+    for r, ((a, b, model), (idx, keep)) in enumerate(zip(runs, draws)):
         if keep is None:
-            a_rows[:, r] = prob.a_tilde.data[:, idx, :].transpose(1, 0, 2)
+            a_rows[:, r] = a.data[:, idx, :].transpose(1, 0, 2)
         else:
-            a_rows[:, r] = masked_rows(prob.model, prob.a_tilde.data, keep, idx)
-        b_rows[:, r] = prob.b.data[:, idx, :].transpose(1, 0, 2)
+            a_rows[:, r] = masked_rows(model, a.data, keep, idx)
+        b_rows[:, r] = b.data[:, idx, :].transpose(1, 0, 2)
     pbhat = spec.forward(b_rows, axis=2, scaled=True)
-    pbhat *= p
+    pbhat *= np.array([model.p for _, _, model in runs]).reshape(-1, 1, 1)
     return spec.forward(a_rows, axis=2), pbhat
 
 
@@ -494,8 +494,9 @@ def run_batch(
     objective); in "redraw" mode the full A must be in ``a_tilde``.  The
     iterates live in the scaled tube-Fourier domain (module docstring).
     Every run's rows of A and B, from its permutation or its redraws, are
-    masked and transformed ``tensor._ROW_CHUNK`` at a time, so no
-    whole-tensor spectrum is kept.
+    masked and transformed by :func:`row_spectra` one
+    :func:`~msgdt.tensor.row_chunks` slice at a time, so no whole-tensor
+    spectrum is kept.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -510,8 +511,7 @@ def run_batch(
     alphas = np.stack([step_table(cfg.schedule, T) for cfg in configs], axis=1)  # (T, R)
     steps = alphas.astype(np.complex128).reshape((T,) + run_axes + (1,) * len(run_axes) * 3)
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
-    p_runs = np.array([mod.p for mod in models]).reshape(R, 1, 1)
-    chunk = tn._ROW_CHUNK
+    runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
     y_runs = list(y)  # per-run views, updated in place with y
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
@@ -527,20 +527,17 @@ def run_batch(
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
     record(0, None)
-    for t in range(1, T + 1):
-        j = (t - 1) % chunk
-        if j == 0:
-            draws = [source(t - 1, min(chunk, T - t + 1)) for source in sources]
-            a_chunk, pb_chunk = _chunk_spectra(problems, draws, spec, p_runs)
+    for rows in tn.row_chunks(T):
+        a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
+        for t, ahat, pbhat in zip(range(rows.start + 1, rows.stop + 1), a_chunk, pb_chunk):
+            g = _row_gradient(ahat, pbhat, y, coeffs, spec)
+            y -= steps[t - 1] * g
+            if radius is not None:
+                for y_run in y_runs:
+                    _project(y_run, radius)
 
-        g = _row_gradient(a_chunk[j], pb_chunk[j], y, coeffs, spec)
-        y -= steps[t - 1] * g
-        if radius is not None:
-            for y_run in y_runs:
-                _project(y_run, radius)
-
-        if t in record_at or t % cfg0.trace_every == 0:
-            record(t, g)
+            if t in record_at or t % cfg0.trace_every == 0:
+                record(t, g)
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

@@ -12,8 +12,11 @@ keeps the n//2+1 nonnegative frequencies of a real tensor, each frequency
 is one matrix product, and ``irfft`` brings the result back.
 :func:`msgdt.oracle.bcirc` materializes the block-circulant matrix so tests
 can check the two routes against each other.  ``tube_spectrum(n)`` is the
-one helper for the real transform: the rfft and its inverse, the Parseval
-scaling and the DFT matrix used for single rows.
+one helper for the real transform: the rfft and its inverse and the
+Parseval scaling.  ``row_chunks(count)`` is the one chunk policy for row
+slices: every routine that transforms, masks or draws rows takes them at
+most 256 at a time, so transient arrays stay a fixed size however many rows
+there are.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "TubeSpectrum",
     "tube_spectrum",
     "tube_gram",
+    "row_chunks",
     "read_t3f1",
     "write_t3f1",
 ]
@@ -109,23 +113,25 @@ def ones(m: int, l: int, n: int) -> Tensor3:
     return Tensor3(np.ones((n, m, l)))
 
 
-# Rows of the left operand transformed at a time: the transient spectra stay
-# a fixed size however many rows the tensor has.
 _ROW_CHUNK = 256
+
+
+def row_chunks(count: int) -> list[slice]:
+    """Consecutive slices of at most 256 rows that cover ``range(count)``, in order."""
+    return [slice(start, min(start + _ROW_CHUNK, count)) for start in range(0, count, _ROW_CHUNK)]
 
 
 def _tprod_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """t-product on raw (n, m, l) and (n, l, q) arrays, frequency by frequency.
 
-    out = irfft(rfft(a) @ rfft(x)) along the tubes, with ``a`` taken
-    ``_ROW_CHUNK`` rows at a time.
+    out = irfft(rfft(a) @ rfft(x)) along the tubes, with ``a`` taken one
+    :func:`row_chunks` slice at a time.
     """
     n = a.shape[0]
     spec = tube_spectrum(n)
     xhat = spec.forward(x)
     out = np.empty((n, a.shape[1], x.shape[2]))
-    for start in range(0, a.shape[1], _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
+    for rows in row_chunks(a.shape[1]):
         out[:, rows] = spec.inverse(spec.forward(a[:, rows]) @ xhat)
     return out
 
@@ -168,16 +174,12 @@ class TubeSpectrum:
     where w_f is 1 at DC and at the Nyquist frequency (even n) and 2
     elsewhere; then the complex Frobenius norm of a scaled spectrum equals the
     real norm of the tensor (Parseval), and inner products carry over the same
-    way.  ``weights = scale**2`` are those Parseval weights.  ``matrix`` is the
-    (n//2+1, n) DFT matrix, built as the rfft of the identity so that its DC
-    and Nyquist rows are exactly real; :meth:`forward_small` applies it as
-    one matrix product, cheaper than an rfft call for a single row slice.
+    way.  ``weights = scale**2`` are those Parseval weights.
     """
 
     n: int
     scale: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
 
     def _along(self, vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
         return vec.reshape((-1,) + (1,) * (ndim - 1 - axis % ndim))
@@ -195,10 +197,6 @@ class TubeSpectrum:
             hat = hat / self._along(self.scale, hat.ndim, 0)
         return np.fft.irfft(hat, n=self.n, axis=0)
 
-    def forward_small(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`forward` of a 2-d (n, k) array as one product with ``matrix``."""
-        return np.dot(self.matrix, rows)
-
 
 @lru_cache(maxsize=64)
 def tube_spectrum(n: int) -> TubeSpectrum:
@@ -210,24 +208,23 @@ def tube_spectrum(n: int) -> TubeSpectrum:
     weights[0] = 1.0 / n
     if n % 2 == 0:
         weights[-1] = 1.0 / n
-    matrix = np.fft.rfft(np.eye(n), axis=0)
     scale = np.sqrt(weights)
-    for arr in (scale, weights, matrix):
+    for arr in (scale, weights):
         arr.setflags(write=False)
-    return TubeSpectrum(n, scale, weights, matrix)
+    return TubeSpectrum(n, scale, weights)
 
 
 def tube_gram(data: np.ndarray) -> np.ndarray:
     """Gram matrices conj(Ahat_f)^T Ahat_f of an (n, m, l) array at frequencies 0..n//2.
 
     The (n//2+1, l, l) complex Hermitian result is the spectrum of A* * A;
-    the rows of A are transformed ``_ROW_CHUNK`` at a time.
+    the rows of A are transformed one :func:`row_chunks` slice at a time.
     """
     n, m, l = data.shape
     spec = tube_spectrum(n)
     gram = np.zeros((n // 2 + 1, l, l), dtype=np.complex128)
-    for start in range(0, m, _ROW_CHUNK):
-        hat = spec.forward(data[:, start : start + _ROW_CHUNK])
+    for rows in row_chunks(m):
+        hat = spec.forward(data[:, rows])
         gram += hat.conj().transpose(0, 2, 1) @ hat
     return gram
 

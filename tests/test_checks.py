@@ -12,6 +12,7 @@ from msgdt.checks import (
     enumerated_gradient_mean,
     lipschitz_ratio_max,
     second_moment_sample,
+    self_adjointness_max_dev,
     strong_convexity_margin,
     unbiasedness_relative_error,
 )
@@ -49,6 +50,20 @@ def test_inflated_mu_violates_inequality():
     assert strong_convexity_margin(system.a, system.b, mu, 50, rng) >= -1e-9
     rng = np.random.default_rng(3)
     assert strong_convexity_margin(system.a, system.b, 50 * mu, 50, rng) < 0
+
+
+def test_self_adjointness_over_no_draws_refused():
+    # over zero draws the largest gap would read 0.0, a pass
+    system = mg.gen_synthetic(mg.Dims(8, 3, 2, 2), 2)
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        self_adjointness_max_dev(system.a, 2, mg.UniformMissing(0.5), 0, np.random.default_rng(0))
+
+
+def test_strong_convexity_over_no_pairs_refused():
+    # over zero pairs the smallest slack would read inf, no violation
+    system = mg.gen_synthetic(mg.Dims(8, 3, 2, 2), 2)
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        strong_convexity_margin(system.a, system.b, 1.0, 0, np.random.default_rng(0))
 
 
 def test_enumerated_mean_matches_public_gradient_average():
@@ -119,7 +134,7 @@ class TestBatchedDraws:
         """(ahat, pbhat) of one (row, mask) draw, transformed as a single row."""
         spec = tube_spectrum(a.n)
         i, arow = draw_masked_row(model, a.data, rng)
-        return spec.forward_small(arow), spec.forward(b.data[:, i, :], scaled=True) * model.p
+        return spec.forward(arow), spec.forward(b.data[:, i, :], scaled=True) * model.p
 
     def reference_second_moment(self, a, b, x, model, trials, rng):
         spec = tube_spectrum(a.n)
@@ -138,7 +153,7 @@ class TestBatchedDraws:
         for _ in range(trials):
             ahat, pbhat = self.one_draw(a, b, model, rng)
             x, y = rng.standard_normal((n, l, q)), rng.standard_normal((n, l, q))
-            xhat, yhat = ((spec.forward_small(v.reshape(n, l * q)) * spec.scale[:, None]).reshape(-1, l, q) for v in (x, y))
+            xhat, yhat = (spec.forward(v, scaled=True) for v in (x, y))
             gx, gy = (_row_gradient(ahat, pbhat, vhat, model, spec) for vhat in (xhat, yhat))
             denom = float(np.linalg.norm(x - y))
             if denom != 0.0:

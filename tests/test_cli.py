@@ -442,6 +442,34 @@ class TestVerify:
         assert_one_line_error(capsys, code, "verify", "trials must be >= 1, got 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suite, extra, flag",
+        [
+            ("lipschitz", ["--model", "colblock", "--block-size", "2", "--tol", "1e-9", "--l", "7", "--trials", "20"],
+             "--model"),
+            ("lipschitz", ["--model", "frontal"], "--model"),
+            ("bounds", ["--block-size", "2"], "--block-size"),
+            ("bounds", ["--tol", "1e-9"], "--tol"),
+            ("lipschitz", ["--l", "4"], "--l"),
+            ("bounds", ["--n", "4"], "--n"),
+            ("unbiasedness", ["--trials", "5"], "--trials"),
+            ("unbiasedness", ["--model", "uniform"], "--model"),
+        ],
+    )
+    def test_flag_the_suite_does_not_read_rejected(self, tmp_path, capsys, suite, extra, flag):
+        out = tmp_path / "verify"
+        code = main(["verify", suite, *extra, "--out", str(out)])
+        assert_one_line_error(capsys, code, "verify", f"{flag} is not read by the {suite} suite")
+        assert not out.exists()
+
+    def test_all_passes_identity_flags_on(self, tmp_path):
+        args = ["--model", "colblock", "--block-size", "2", "--l", "4", "--n", "3", "--tol", "0.5", "--trials", "300"]
+        main(["verify", "all", *args, "--out", str(tmp_path / "all")])
+        main(["verify", "identities", *args, "--out", str(tmp_path / "one")])
+        first = (tmp_path / "all" / "verify.txt").read_text().splitlines()[0]
+        assert first == (tmp_path / "one" / "verify.txt").read_text().strip()
+        assert first.startswith("identities[colblock p=0.5]: trials=300 ") and first.endswith("tol=0.5 -> ok")
+
     def test_report_written(self, tmp_path):
         out = tmp_path / "verify"
         assert (

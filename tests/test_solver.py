@@ -275,6 +275,37 @@ class TestRunMatchesSpatialReference:
             assert close(rec.objective, obj)
 
 
+class TestRunAcrossRowChunks:
+    """Rows are transformed 256 at a time: runs that end at, before and after a chunk
+    boundary, or cross two, follow the spatial reference in both sampling modes."""
+
+    @pytest.mark.parametrize("iters", [255, 256, 257, 513])
+    @pytest.mark.parametrize("sampling", ["once", "redraw"])
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_matches_spatial_reference(self, kind, sampling, iters):
+        m, l, q, n = 520, 4, 2, 3
+        system = mg.gen_synthetic(mg.Dims(m, l, q, n), iters)
+        model = model_for(kind, 0.6, 2 if kind == "colblock" else 1)
+        rng = np.random.default_rng(iters)
+        a = system.a if sampling == "redraw" else mg.hadamard(mg.draw_mask(model, m, l, n, rng), system.a)
+        problem = mg.ProblemInstance(a_tilde=a, b=system.b, model=model, x0=mg.zeros(l, q, n))
+        config = mg.SolverConfig(
+            schedule=mg.HybridStep.matched(0.2 / mg.lipschitz_constant(system.a, 0.6), 200),
+            total_iters=iters,
+            sampling=sampling,
+            seed=iters,
+            trace_every=128,
+        )
+        got = mg.run_msgdt(problem, config, x_star=system.x_star, full_a=system.a)
+        x_ref, records = spatial_reference_run(problem, config, system.x_star, system.a)
+        assert np.linalg.norm(got.x_final.data - x_ref.data) <= 1e-12 * np.linalg.norm(x_ref.data)
+        assert [r.iteration for r in got.trace.records] == [r[0] for r in records]
+        for rec, (_, update, err, obj) in zip(got.trace.records[1:], records[1:]):
+            assert abs(rec.update_norm - update) <= 1e-12 * update
+            assert abs(rec.iterate_error - err) <= 1e-12 * err
+            assert abs(rec.objective - obj) <= 1e-12 * obj
+
+
 def result_bits(result):
     """Every bit of a run's outcome: the final iterate's bytes and each trace field's float bytes."""
     fields = [

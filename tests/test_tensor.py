@@ -133,6 +133,16 @@ class TestTprodChunks:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+class TestRowChunks:
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+    def test_consecutive_slices_of_at_most_256(self, count):
+        chunks = tn.row_chunks(count)
+        assert [i for rows in chunks for i in range(count)[rows]] == list(range(count))
+        assert all(0 < rows.stop - rows.start <= 256 and rows.step is None for rows in chunks)
+        assert all(rows.stop - rows.start == 256 for rows in chunks[:-1])
+        assert len(chunks) == -(-count // 256)
+
+
 class TestTubeSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_parseval_scaling(self, n):
@@ -146,15 +156,15 @@ class TestTubeSpectrum:
         npt.assert_allclose(spec.weights.sum(), 1.0)  # w_f / n over the half spectrum counts every frequency once
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
-    def test_matrix_matches_rfft(self, n):
+    def test_dc_and_nyquist_of_a_row_chunk_are_real(self, n):
+        # exactly real DC and Nyquist rows keep the iterate's DC/Nyquist part real
         rng = np.random.default_rng(n)
         spec = tn.tube_spectrum(n)
-        rows = rng.standard_normal((n, 4))
-        npt.assert_allclose(spec.forward_small(rows), np.fft.rfft(rows, axis=0), rtol=0, atol=1e-13)
-        # DC and Nyquist rows are exactly real, so the iterate keeps a real DC/Nyquist part
-        assert not spec.matrix[0].imag.any()
+        rows = rng.standard_normal((tn._ROW_CHUNK, 2, n, 4))
+        hat = spec.forward(rows, axis=2)
+        assert not hat[:, :, 0].imag.any()
         if n % 2 == 0:
-            assert not spec.matrix[-1].imag.any()
+            assert not hat[:, :, -1].imag.any()
 
     def test_shared_and_read_only(self):
         spec = tn.tube_spectrum(4)
