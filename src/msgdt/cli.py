@@ -435,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_block_size(parser: argparse.ArgumentParser, args) -> None:
+def _resolve_block_size(args) -> None:
     """Default --block-size to 1; reject it on a model that has no block size."""
     if args.block_size is None:
         args.block_size = 1
     elif "b" not in kind_fields(args.model):
         with_blocks = ", ".join(k for k in MODEL_KINDS if "b" in kind_fields(k))
-        parser.error(f"--block-size applies only to --model {with_blocks}, not to --model {args.model}")
+        raise ValueError(f"--block-size applies only to --model {with_blocks}, not to --model {args.model}")
 
 
 def main(argv=None) -> int:
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             _resolve_verify_flags(args)
         if hasattr(args, "block_size"):
-            _resolve_block_size(parser, args)
+            _resolve_block_size(args)
         return args.func(args)
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)

@@ -26,7 +26,10 @@ reference loop within 1e-12.
 The iteration never builds C: ``_row_gradient`` applies (C o H) * X in a
 closed form per model, and :func:`msgdt.oracle.gradient_estimate` keeps the
 dense formula with an explicit C as the reference the kernel is tested
-against.
+against.  The kernel's factors that depend on the row only (conj(ahat), the
+uniform d, the frontal H_0, the column blocks) are built by ``_row_terms``
+once per :func:`~msgdt.tensor.row_chunks` slice, for all of the slice's rows
+at once; each iteration then runs only the part that depends on the iterate.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -264,8 +267,31 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     return _Coefficients(isinstance(model, UniformMissing), block, *arrays)
 
 
+def _row_terms(ahat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
+    """The factors of :func:`_row_gradient` that depend on the rows ``ahat`` (..., f, l) only.
+
+    uniform: (a, conj(a)^T, d) and frontal slice: (a, conj(a)^T, H_0), each
+    shaped to act on (..., f, l, q) spectra, with H_0 a contiguous real
+    array; column block: (a_b, conj(a_b)^T) per block of columns.  Leading
+    axes are kept, so one call covers a whole chunk of rows and indexing
+    every factor at row k gives row k's factors, with the same bits.
+    """
+    *lead, freqs, l = ahat.shape
+    if c.block is not None:
+        nb, bs = l // c.block, c.block
+        ab = ahat.reshape(*lead, freqs, nb, 1, bs)
+        return ab, ab.conj().reshape(*lead, freqs, nb, bs, 1)
+    conj = ahat.conj()
+    if c.uniform:
+        corr = (c.corr_w[..., None, :] @ (ahat * conj).real)[..., None]  # d, (..., 1, l, 1)
+    else:
+        h0 = ((c.corr_w[..., None, :] * conj.swapaxes(-1, -2)) @ ahat).real
+        corr = np.ascontiguousarray(h0)[..., None, :, :]  # H_0, (..., 1, l, l)
+    return ahat[..., None, :], conj[..., None], corr
+
+
 def _row_gradient(
-    ahat: np.ndarray,
+    ahat: Union[np.ndarray, tuple[np.ndarray, ...]],
     pbhat: np.ndarray,
     yhat: np.ndarray,
     model: Union[MissingModel, _Coefficients],
@@ -274,13 +300,14 @@ def _row_gradient(
     """Scaled spectrum of the update direction g(X) for one masked row slice per run.
 
     ``ahat`` (..., f, l) is the rfft of the masked row Atilde_i along its
-    tubes; ``pbhat`` (..., f, q) and ``yhat`` (..., f, l, q) are the
-    Parseval-scaled spectra of p B_i and of X; ``spec`` is the tubes'
-    transform.  Leading axes are runs: a batch passes the
-    :class:`_Coefficients` of its per-run models, built once, and a single
-    run may pass its model.  Each run's result depends on that run's inputs
-    only, with the same bits whatever the batch.  With a = ahat[f] as a
-    1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2, where
+    tubes, or its :func:`_row_terms`; ``pbhat`` (..., f, q) and ``yhat``
+    (..., f, l, q) are the Parseval-scaled spectra of p B_i and of X;
+    ``spec`` is the tubes' transform.  Leading axes are runs: a batch passes
+    the :class:`_Coefficients` of its per-run models and the row terms of a
+    whole chunk, both built once, and a single run may pass its model and
+    its row spectrum.  Each run's result depends on that run's inputs only,
+    with the same bits whatever the batch.  With a = ahat[f] as a 1 x l
+    row, frequency f of the result is (lead - (1-p) corr) / p^2, where
 
     * lead = conj(a)^T (a Y_f - (p b)_f),
     * uniform: corr = d o Y_f with d_j = sum_k arow[k, j]^2,
@@ -292,43 +319,45 @@ def _row_gradient(
     the real H_0 acts on the real view of Y.
     """
     c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
+    terms = ahat if isinstance(ahat, tuple) else _row_terms(ahat, c)
     *lead, freqs, l, q = yhat.shape
     if c.block is not None:
-        nb, bs = l // c.block, c.block
-        ab = ahat.reshape(*lead, freqs, nb, 1, bs)
-        axb = ab @ yhat.reshape(*lead, freqs, nb, bs, q)  # a_b Y_fb, (..., f, nb, 1, q)
-        resid = axb.sum(axis=-3, keepdims=True)
+        ab, ab_conj = terms
+        axb = ab @ yhat.reshape(*lead, freqs, l // c.block, c.block, q)  # a_b Y_fb, (..., f, nb, 1, q)
+        resid = np.add.reduce(axb, axis=-3, keepdims=True)
         resid -= pbhat[..., None, None, :]
         z = c.inv * resid - c.corr * axb
-        return (ab.conj().reshape(*lead, freqs, nb, bs, 1) * z).reshape(yhat.shape)
-    resid = ahat[..., None, :] @ yhat  # (..., f, 1, q)
+        return (ab_conj * z).reshape(yhat.shape)
+    a, conj, corr = terms
+    resid = a @ yhat  # (..., f, 1, q)
     resid -= pbhat[..., None, :]
     resid *= c.inv
-    conj = ahat.conj()
-    g = conj[..., None] * resid
+    g = conj * resid
     if c.uniform:
-        d = c.corr_w[..., None, :] @ (ahat * conj).real  # (..., 1, l)
-        g -= d[..., None] * yhat
+        g -= corr * yhat
     else:
-        h0 = ((c.corr_w[..., None, :] * conj.swapaxes(-1, -2)) @ ahat).real
-        g -= (h0[..., None, :, :] @ yhat.view(np.float64)).view(np.complex128)
+        g -= (corr @ yhat.view(np.float64)).view(np.complex128)
     return g
 
 
-def _norm(arr: np.ndarray) -> float:
-    """Frobenius norm of a real array or of a complex spectrum (over its real view)."""
-    flat = arr.reshape(-1).view(np.float64)
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """A contiguous real array, or a complex spectrum, as one flat float64 view."""
+    return arr.reshape(-1).view(np.float64)
+
+
+def _norm(flat: np.ndarray) -> float:
+    """Frobenius norm of a :func:`_flat` view."""
     return math.sqrt(float(np.dot(flat, flat)))
 
 
-def _project(arr: np.ndarray, radius: float) -> None:
-    """Scale ``arr`` in place onto the Frobenius ball of ``radius``; leave it when inside.
+def _project(flat: np.ndarray, radius: float) -> None:
+    """Scale the :func:`_flat` view ``flat`` in place onto the Frobenius ball of ``radius``; leave it when inside.
 
     Parseval makes this the same map on X and on its scaled spectrum.
     """
-    norm = _norm(arr)
+    norm = _norm(flat)
     if norm > radius:
-        arr *= radius / norm
+        flat *= radius / norm
 
 
 def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
@@ -336,7 +365,7 @@ def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
     if radius is None:
         return x
     data = x.data.copy()
-    _project(data, radius)
+    _project(_flat(data), radius)
     return Tensor3(data)
 
 
@@ -495,8 +524,10 @@ def run_batch(
     iterates live in the scaled tube-Fourier domain (module docstring).
     Every run's rows of A and B, from its permutation or its redraws, are
     masked and transformed by :func:`row_spectra` one
-    :func:`~msgdt.tensor.row_chunks` slice at a time, so no whole-tensor
-    spectrum is kept.
+    :func:`~msgdt.tensor.row_chunks` slice at a time, and the kernel's row
+    terms are built for the whole slice; a slice's spectra and terms are
+    freed before the next slice's are built, so no whole-tensor spectrum is
+    kept and no two slices are held at once.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -513,7 +544,7 @@ def run_batch(
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
-    y_runs = list(y)  # per-run views, updated in place with y
+    y_flat = [_flat(y_run) for y_run in y]  # per-run views, updated in place with y
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
 
     record_at = {0, T} | set(cfg0.also_record)
@@ -521,23 +552,26 @@ def run_batch(
 
     def record(t: int, g: Optional[np.ndarray]) -> None:
         for r, (prob, trace) in enumerate(zip(problems, traces)):
-            alpha, update = (None, None) if g is None else (float(alphas[t - 1, r]), _norm(g[r]))
-            err = None if y_star is None else _norm(y[r] - y_star)
+            alpha, update = (None, None) if g is None else (float(alphas[t - 1, r]), _norm(_flat(g[r])))
+            err = None if y_star is None else _norm(_flat(y[r] - y_star))
             obj = None if full_a is None else objective(full_a, prob.b, Tensor3(spec.inverse(y[r], scaled=True)))
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
     record(0, None)
     for rows in tn.row_chunks(T):
         a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
-        for t, ahat, pbhat in zip(range(rows.start + 1, rows.stop + 1), a_chunk, pb_chunk):
-            g = _row_gradient(ahat, pbhat, y, coeffs, spec)
+        chunk = _row_terms(a_chunk, coeffs)
+        for t, terms, pbhat in zip(range(rows.start + 1, rows.stop + 1), zip(*chunk), pb_chunk):
+            g = _row_gradient(terms, pbhat, y, coeffs, spec)
             y -= steps[t - 1] * g
             if radius is not None:
-                for y_run in y_runs:
-                    _project(y_run, radius)
+                for flat in y_flat:
+                    _project(flat, radius)
 
             if t in record_at or t % cfg0.trace_every == 0:
                 record(t, g)
+        # free this chunk's spectra and terms before the next chunk's are built
+        del a_chunk, pb_chunk, chunk, terms, pbhat
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

@@ -30,6 +30,27 @@ class TestSecondMomentBounds:
         assert mg.gradient_second_moment_bound(a, b, radius=1.0, p=1.0) == 4.0
         assert mg.solution_second_moment_bound(a, radius=1.0, p=1.0) == 4.0
 
+    @pytest.mark.parametrize(
+        "radius,b_scale,want",
+        [
+            # n = 4, m = 2, p = 1/2; row norms ||A_i|| = 1, 2 and ||B_i|| = 3 b_scale, b_scale.  At R = 3:
+            #   4 n^2 R^2 / (p^3 m) sum ||A_i||^4             = 2304 * (1 + 16)    = 39168,
+            #   4 n^{3/2} R / (p^2 m) sum ||A_i||^3 ||B_i||   = 192 * (3 + 8)      = 2112 per b_scale,
+            #   2 n / (p^2 m) sum ||A_i||^2 ||B_i||^2         = 16 * (9 + 4)       = 208 per b_scale^2;
+            # the terms scale as R^2, R b_scale and b_scale^2, so each row pins another mix of the three
+            (3.0, 1.0, 39168.0 + 2112.0 + 208.0),
+            (3.0, 2.0, 39168.0 + 2 * 2112.0 + 4 * 208.0),
+            (6.0, 1.0, 4 * 39168.0 + 2 * 2112.0 + 208.0),
+        ],
+    )
+    def test_each_term_by_hand(self, radius, b_scale, want):
+        a = np.zeros((4, 2, 1))
+        a[0, 0, 0], a[0, 1, 0] = 1.0, 2.0
+        b = np.zeros((4, 2, 1))
+        b[0, 0, 0], b[1, 1, 0] = 3.0 * b_scale, b_scale
+        assert mg.gradient_second_moment_bound(mg.Tensor3(a), mg.Tensor3(b), radius, 0.5) == want
+        assert mg.solution_second_moment_bound(mg.Tensor3(a), radius, 0.5) == 39168.0 * (radius / 3.0) ** 2
+
     def test_zero_tensor(self):
         a = mg.zeros(3, 2, 2)
         b = mg.zeros(3, 1, 2)

@@ -522,11 +522,10 @@ class TestBlockSizeFlag:
     @pytest.mark.parametrize("model", ["uniform", "frontal"])
     def test_rejected_on_models_without_blocks(self, gen, tmp_path, capsys, command, model):
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(self.commands(gen, out, model, ["--block-size", "3"])[command])
-        assert exc.value.code != 0
-        err = capsys.readouterr().err
-        assert "--block-size" in err and f"--model {model}" in err
+        assert main(self.commands(gen, out, model, ["--block-size", "3"])[command]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"msgdt {command}: error: --block-size applies only to --model colblock, not to --model {model}"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mask", "solve", "experiment"])

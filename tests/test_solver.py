@@ -1,5 +1,6 @@
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from msgdt.checks import (
     unbiasedness_relative_error,
 )
 from msgdt.masking import draw_masked_row, draw_units, model_for, row_mask_batch
-from msgdt.solver import _row_gradient, run_batch, step_table
+from msgdt.solver import _coefficients, _flat, _project, _row_gradient, _row_terms, run_batch, step_table
 from msgdt.tensor import tube_spectrum
 
 
@@ -453,6 +454,38 @@ class TestRunBatch:
                                units=np.ones((20, 5), dtype=bool))
 
 
+class TestRowTermsOfAChunk:
+    """The row-only terms built once for a chunk give every row the kernel's bits."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_chunk_terms_match_the_row_spectrum(self, kind, runs, n):
+        rows, l, q = 257, 4, 3
+        rng = np.random.default_rng(100 * n + runs)
+        spec = tube_spectrum(n)
+        models = tuple(model_for(kind, p, 2) for p in (0.3, 0.6, 0.9)[:runs])
+        # the coefficients as run_batch builds them: 0-d per run for one run, a run axis for more
+        coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
+        keep = rng.random((rows, runs, n, l)) < 0.6
+        chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
+        pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
+        y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
+        for k, terms in enumerate(zip(*_row_terms(chunk, coeffs))):
+            got = _row_gradient(terms, pb[k], y, coeffs, spec)
+            assert np.array_equal(got, _row_gradient(chunk[k], pb[k], y, coeffs, spec)), k
+        assert k == rows - 1
+
+    def test_contiguous_h0_product_matches_the_strided_view(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            runs, f, l, q = (int(v) for v in rng.integers(1, (5, 14, 25, 11)))
+            h = rng.standard_normal((runs, l, l)) + 1j * rng.standard_normal((runs, l, l))
+            y = rng.standard_normal((runs, f, l, q)) + 1j * rng.standard_normal((runs, f, l, q))
+            strided = h.real[:, None] @ y.view(np.float64)
+            assert np.array_equal(np.ascontiguousarray(h.real)[:, None] @ y.view(np.float64), strided)
+
+
 class TestLinearPart:
     @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
     def test_self_adjoint(self, kind):
@@ -513,6 +546,22 @@ class TestProjectBall:
     def test_unbounded_is_identity(self):
         x = mg.ones(2, 2, 2)
         assert mg.project_ball(x, None) is x
+
+    @pytest.mark.parametrize("radius", [0.5, 100.0])
+    def test_one_projection_for_tensors_and_spectra(self, radius):
+        # the loop projects each run in place through its flat float64 view; on a real tensor that is
+        # project_ball's bits, and on a complex spectrum the bits of scaling the complex array itself
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((4, 3, 2))
+        flat = x.copy()
+        _project(_flat(flat), radius)
+        assert mg.project_ball(mg.Tensor3(x), radius).data.tobytes() == flat.tobytes()
+        yhat = tube_spectrum(4).forward(x, scaled=True)  # real-valued at DC and Nyquist, as rfft gives
+        norm = math.sqrt(float(np.dot(yhat.view(np.float64).ravel(), yhat.view(np.float64).ravel())))
+        want = yhat * (radius / norm) if norm > radius else yhat
+        _project(_flat(yhat), radius)
+        assert yhat.tobytes() == want.tobytes()
+        assert (norm > radius) == (radius == 0.5)
 
     def test_idempotent(self):
         # up to one rounding of the norm comparison
