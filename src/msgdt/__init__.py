@@ -20,6 +20,7 @@ from .bounds import (
     compute_bound_report,
     contraction_ratio,
     decay_bound,
+    fixed_step_envelope,
     gradient_second_moment_bound,
     horizon_bound,
     lipschitz_constant,
@@ -111,6 +112,7 @@ __all__ = [
     "strong_convexity",
     "contraction_ratio",
     "horizon_bound",
+    "fixed_step_envelope",
     "decay_bound",
     "max_row_norm",
     # synthetic

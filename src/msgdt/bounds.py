@@ -8,8 +8,9 @@ All quantities are worst-case bounds tied to one problem instance:
 * strong convexity        mu = sigma_min^2 / m of the objective, where
   sigma_min is the smallest singular value over the frontal slices of the
   tube-DFT of A (equivalently, of the block-circulant matrix),
-* fixed-step contraction  r = 1 - 2 alpha mu (1 - alpha L_g), and the error
-  floor ("horizon") alpha G* / (mu (1 - alpha L_g)),
+* fixed-step contraction  r = 1 - 2 alpha mu (1 - alpha L_g), the error
+  floor ("horizon") alpha G* / (mu (1 - alpha L_g)), and the envelope
+  r^t e0 + horizon on the mean squared error at iteration t,
 * decaying-step objective bound (K^2/c + c G)(2 + log t)/sqrt(t).
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "strong_convexity",
     "contraction_ratio",
     "horizon_bound",
+    "fixed_step_envelope",
     "decay_bound",
     "BoundReport",
     "compute_bound_report",
@@ -55,15 +57,14 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
 
     G = (4 n^2 R^2 / p^3 m) sum_i ||A_i||^4
       + (4 n^{3/2} R / p^2 m) sum_i ||A_i||^3 ||B_i||
-      + (2 n / p^2 m) sum_i ||A_i||^2 ||B_i||^2.
+      + (2 n / p^2 m) sum_i ||A_i||^2 ||B_i||^2;
+
+    the first term is G* (:func:`solution_second_moment_bound`).
     """
-    check_p(p)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    term1 = solution_second_moment_bound(a, radius, p)
     m, _, n = a.dims
     an = row_norms(a)
     bn = row_norms(b)
-    term1 = 4.0 * n**2 * radius**2 / (p**3 * m) * float(np.sum(an**4))
     term2 = 4.0 * n**1.5 * radius / (p**2 * m) * float(np.sum(an**3 * bn))
     term3 = 2.0 * n / (p**2 * m) * float(np.sum(an**2 * bn**2))
     return term1 + term2 + term3
@@ -136,6 +137,20 @@ def horizon_bound(alpha: float, mu: float, lipschitz: float, solution_second_mom
     if mu <= 0:
         raise ValueError(f"strong convexity constant must be positive, got {mu}")
     return alpha * solution_second_moment / (mu * (1.0 - alpha * lipschitz))
+
+
+def fixed_step_envelope(t: int, contraction: float, e0: float, horizon: float) -> float:
+    """r^t e0 + horizon: the fixed-step bound on E ||X_t - X*||^2 at iteration t.
+
+    The paper's fixed-step result: under a constant step alpha < 1/L_g the
+    mean squared error contracts by r = 1 - 2 alpha mu (1 - alpha L_g) per
+    step, down to the horizon alpha G* / (mu (1 - alpha L_g)), so
+    E ||X_t - X*||^2 <= r^t e0 + horizon with e0 = ||X_0 - X*||^2.  r and
+    the horizon are :func:`contraction_ratio` and :func:`horizon_bound`.
+    """
+    if t < 0:
+        raise ValueError(f"iteration must be >= 0, got {t}")
+    return contraction**t * e0 + horizon
 
 
 def decay_bound(t: int, diameter: float, step_const: float, second_moment: float) -> float:

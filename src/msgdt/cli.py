@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import compute_bound_report, solution_second_moment_bound
+from .bounds import compute_bound_report, gradient_second_moment_bound, solution_second_moment_bound
 from .checks import lipschitz_ratio_max, second_moment_sample, unbiasedness_relative_error
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
@@ -244,11 +244,11 @@ def _verify_bounds(args, lines: list[str]) -> bool:
     rng = np.random.default_rng(args.seed + 3)
     x = Tensor3(rng.standard_normal(system.x_star.data.shape))
     x = Tensor3(x.data * (0.9 * radius / frob_norm(x)))
+    g_bound = gradient_second_moment_bound(system.a, system.b, radius, args.p)
+    gstar_bound = solution_second_moment_bound(system.a, radius, args.p)
     ok = True
     for kind in MODEL_KINDS:
         model = model_for(kind, args.p, 3)  # column blocks span all l = 3 columns
-        g_bound = compute_bound_report(system.a, system.b, radius, args.p).gradient_second_moment
-        gstar_bound = solution_second_moment_bound(system.a, radius, args.p)
         sample_x = second_moment_sample(system.a, system.b, x, model, args.trials, rng)
         sample_star = second_moment_sample(system.a, system.b, system.x_star, model, args.trials, rng)
         good = sample_x.mean_sq_norm <= g_bound and sample_star.mean_sq_norm <= gstar_bound

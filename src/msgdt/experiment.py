@@ -12,6 +12,10 @@ holds iterate errors at iteration 0, the swap, and the end of each run, in
 (p, trial) order.  Every run derives its own seeds from (seed, trial,
 p-index), and a batched run gives the same bits as the run alone, so
 outputs do not depend on how the runs are grouped or ordered.
+
+:func:`fixed_step_trials` and :func:`decaying_step_trials` run the paper's
+two simulation protocols on one problem: one "redraw" run per seed,
+projected onto a ball, all seeds as one batch.
 """
 
 from __future__ import annotations
@@ -24,11 +28,26 @@ import numpy as np
 
 from . import __version__
 from .masking import draw_units, model_for
-from .solver import HybridStep, ProblemInstance, SamplingMode, SolverConfig, run_batch
+from .solver import (
+    ConstantStep,
+    HybridStep,
+    InverseSqrtStep,
+    ProblemInstance,
+    SamplingMode,
+    SolverConfig,
+    run_batch,
+)
 from .synthetic import Dims, SyntheticSystem, gen_synthetic
 from .tensor import Tensor3
 
-__all__ = ["ExperimentSpec", "SummaryRow", "run_experiment", "write_manifest"]
+__all__ = [
+    "ExperimentSpec",
+    "SummaryRow",
+    "run_experiment",
+    "fixed_step_trials",
+    "decaying_step_trials",
+    "write_manifest",
+]
 
 SUMMARY_HEADER = "model,p,trial,iters,swap_iter,error_initial,error_swap,error_final"
 
@@ -199,6 +218,89 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
         },
     )
     return rows
+
+
+def _seed_batch(problem, schedule, radius, seeds, total_iters, trace_every, also_record, x_star, full_a):
+    """One "redraw" run of ``problem`` per seed, projected onto the ball of ``radius``, as one batch."""
+    configs = [
+        SolverConfig(
+            schedule=schedule,
+            total_iters=total_iters,
+            projection_radius=radius,
+            sampling="redraw",
+            seed=seed,
+            trace_every=trace_every,
+            also_record=also_record,
+        )
+        for seed in seeds
+    ]
+    return run_batch([problem] * len(configs), configs, x_star=x_star, full_a=full_a)
+
+
+def fixed_step_trials(
+    problem: ProblemInstance,
+    alpha: float,
+    radius: float,
+    seeds,
+    total_iters: int,
+    trace_every: int,
+    x_star: Tensor3,
+) -> dict[int, list[float]]:
+    """The paper's fixed-step protocol: one run of ``problem`` per seed at the constant step ``alpha``.
+
+    Every run samples in "redraw" mode and projects onto the ball of
+    ``radius``; all of them advance as one :func:`~msgdt.solver.run_batch`,
+    each with the bits of its solo run.  Returns {t: [||X_t - X*||^2 per
+    seed, in seed order]} for every traced iteration t (0, the multiples
+    of ``trace_every`` and ``total_iters``), the quantity that
+    :func:`~msgdt.bounds.fixed_step_envelope` bounds in the mean.
+    """
+    results = _seed_batch(
+        problem, ConstantStep(alpha), radius, seeds, total_iters, trace_every, (), x_star, None
+    )
+    sq_errors: dict[int, list[float]] = {}
+    for result in results:
+        for rec in result.trace.records:
+            sq_errors.setdefault(rec.iteration, []).append(rec.iterate_error**2)
+    return sq_errors
+
+
+def decaying_step_trials(
+    problem: ProblemInstance,
+    step_const: float,
+    radius: float,
+    seeds,
+    total_iters: int,
+    checkpoints: tuple[int, ...],
+    x_star: Tensor3,
+    full_a: Tensor3,
+) -> dict[int, list[float]]:
+    """The paper's decaying-step protocol: one run of ``problem`` per seed at the steps c / sqrt(t).
+
+    Every run samples in "redraw" mode and projects onto the ball of
+    ``radius``; all of them advance as one :func:`~msgdt.solver.run_batch`,
+    each with the bits of its solo run.  The runs trace only iteration 0,
+    ``total_iters`` and the ``checkpoints``, since the objective needs a
+    t-product with ``full_a`` per record.  Returns {t: [F(X_t) per seed, in
+    seed order]} for every checkpoint t, the quantity that
+    :func:`~msgdt.bounds.decay_bound` bounds in the mean when F(X*) = 0.
+    """
+    for t in checkpoints:
+        if not 0 <= t <= total_iters:
+            raise ValueError(f"checkpoint {t} lies outside the iterations 0..{total_iters}")
+    results = _seed_batch(
+        problem,
+        InverseSqrtStep(step_const),
+        radius,
+        seeds,
+        total_iters,
+        total_iters + 1,  # no multiple of it within the budget
+        tuple(checkpoints),
+        x_star,
+        full_a,
+    )
+    by_iter = [result.trace.by_iteration() for result in results]
+    return {t: [records[t].objective for records in by_iter] for t in checkpoints}
 
 
 def write_manifest(out_dir, command: str, params: dict, name: str = "manifest.json") -> None:

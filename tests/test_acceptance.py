@@ -3,6 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v``.  The long-running criteria
 (9-11) simulate the solver at the documented scales; the whole module stays
 within its per-criterion runtime budgets on a single desktop core.
+Criteria 9 and 10 run all of their trials as one batch, through the
+library's protocols :func:`~msgdt.experiment.fixed_step_trials` and
+:func:`~msgdt.experiment.decaying_step_trials`.
 """
 
 import math
@@ -19,7 +22,12 @@ from msgdt.checks import (
     unbiasedness_relative_error,
 )
 from msgdt.cli import main as cli_main
-from msgdt.experiment import ExperimentSpec, run_experiment
+from msgdt.experiment import (
+    ExperimentSpec,
+    decaying_step_trials,
+    fixed_step_trials,
+    run_experiment,
+)
 from msgdt.oracle import bcirc, exact_row_gram_expectation, fold, unfold
 
 
@@ -200,24 +208,13 @@ def test_criterion_09_fixed_step_horizon(capsys, tall_instance):
     e0 = mg.frob_norm(system.x_star) ** 2
 
     trials, T = 20, 5000
-    sq_errors: dict[int, list[float]] = {}
-    for trial in range(trials):
-        cfg = mg.SolverConfig(
-            schedule=mg.ConstantStep(alpha),
-            total_iters=T,
-            projection_radius=radius,
-            sampling="redraw",
-            seed=1000 + trial,
-            trace_every=250,
-        )
-        res = mg.run_msgdt(problem, cfg, x_star=system.x_star)
-        for rec in res.trace.records:
-            sq_errors.setdefault(rec.iteration, []).append(rec.iterate_error**2)
+    seeds = range(1000, 1000 + trials)  # seed 1000 + trial
+    sq_errors = fixed_step_trials(problem, alpha, radius, seeds, T, 250, system.x_star)
 
     final_mean = float(np.mean(sq_errors[T]))
     final_ok = final_mean <= horizon
     seq_ok = all(
-        float(np.mean(vals)) <= 2.0 * (ratio**t * e0 + horizon)
+        float(np.mean(vals)) <= 2.0 * mg.fixed_step_envelope(t, ratio, e0, horizon)
         for t, vals in sq_errors.items()
     )
     _report(
@@ -237,21 +234,10 @@ def test_criterion_10_decaying_step_bound(capsys, tall_instance):
 
     trials, T = 40, 10_000
     checkpoints = (100, 1000, 10_000)
-    objectives: dict[int, list[float]] = {t: [] for t in checkpoints}
-    for trial in range(trials):
-        cfg = mg.SolverConfig(
-            schedule=mg.InverseSqrtStep(step_const),
-            total_iters=T,
-            projection_radius=radius,
-            sampling="redraw",
-            seed=2000 + trial,
-            trace_every=10**9,
-            also_record=(100, 1000),
-        )
-        res = mg.run_msgdt(problem, cfg, x_star=system.x_star, full_a=system.a)
-        by_iter = res.trace.by_iteration()
-        for t in checkpoints:
-            objectives[t].append(by_iter[t].objective)
+    seeds = range(2000, 2000 + trials)  # seed 2000 + trial
+    objectives = decaying_step_trials(
+        problem, step_const, radius, seeds, T, checkpoints, system.x_star, system.a
+    )
 
     ok = True
     details = []

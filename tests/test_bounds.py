@@ -192,6 +192,17 @@ class TestDecayBound:
             mg.decay_bound(10, 1.0, 0.0, 1.0)
 
 
+class TestFixedStepEnvelope:
+    @pytest.mark.parametrize("t", [0, 1, 7, 250, 5000])
+    def test_is_the_inline_expression(self, t):
+        r, e0, h = 0.9993, 12.34, 0.0567
+        assert mg.fixed_step_envelope(t, r, e0, h) == r**t * e0 + h  # float ==: bit for bit
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="iteration must be >= 0, got -1"):
+            mg.fixed_step_envelope(-1, 0.5, 1.0, 1.0)
+
+
 class TestBoundReport:
     def test_report_fields_and_serialization(self):
         system = mg.gen_synthetic(mg.Dims(6, 3, 2, 2), 7)
