@@ -24,7 +24,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import tensor as tn
-from .masking import check_p
+from .masking import check_p, check_positive
 from .tensor import Tensor3
 
 __all__ = [
@@ -73,8 +73,7 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
 def solution_second_moment_bound(a: Tensor3, radius: float, p: float) -> float:
     """G*: bound on E ||g(X*)||^2; only the fourth-power term survives."""
     check_p(p)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    check_positive("radius", radius)
     m, _, n = a.dims
     an = row_norms(a)
     return 4.0 * n**2 * radius**2 / (p**3 * m) * float(np.sum(an**4))
@@ -110,8 +109,7 @@ def contraction_ratio(alpha: float, mu: float, lipschitz: float) -> float:
     a warning: the per-step bound is vacuous there but simulation may still
     be wanted.
     """
-    if alpha <= 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
+    check_positive("step size", alpha)
     if alpha >= 1.0 / lipschitz:
         raise ValueError(
             f"step size too large: alpha={alpha} but the contraction needs alpha < {1.0 / lipschitz}"
@@ -128,14 +126,12 @@ def contraction_ratio(alpha: float, mu: float, lipschitz: float) -> float:
 
 def horizon_bound(alpha: float, mu: float, lipschitz: float, solution_second_moment: float) -> float:
     """Fixed-step error floor alpha G* / (mu (1 - alpha L_g))."""
-    if alpha <= 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
+    check_positive("step size", alpha)
     if alpha >= 1.0 / lipschitz:
         raise ValueError(
             f"step size too large: alpha={alpha} but the horizon needs alpha < {1.0 / lipschitz}"
         )
-    if mu <= 0:
-        raise ValueError(f"strong convexity constant must be positive, got {mu}")
+    check_positive("strong convexity constant", mu)
     return alpha * solution_second_moment / (mu * (1.0 - alpha * lipschitz))
 
 
@@ -157,8 +153,7 @@ def decay_bound(t: int, diameter: float, step_const: float, second_moment: float
     """(K^2/c + c G)(2 + log t)/sqrt(t) for step sizes c/sqrt(t); natural log."""
     if t < 1:
         raise ValueError(f"iteration must be >= 1, got {t}")
-    if step_const <= 0:
-        raise ValueError(f"step constant must be positive, got {step_const}")
+    check_positive("step constant", step_const)
     return (diameter**2 / step_const + step_const * second_moment) * (2.0 + math.log(t)) / math.sqrt(t)
 
 

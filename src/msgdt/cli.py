@@ -19,7 +19,15 @@ from .bounds import compute_bound_report, gradient_second_moment_bound, solution
 from .checks import lipschitz_ratio_max, second_moment_sample, unbiasedness_relative_error
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
-from .masking import MODEL_KINDS, draw_mask, format_model, kind_fields, model_for, verify_expectation_identity
+from .masking import (
+    MODEL_KINDS,
+    check_positive,
+    draw_mask,
+    format_model,
+    kind_fields,
+    model_for,
+    verify_expectation_identity,
+)
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -32,12 +40,8 @@ from .tensor import Tensor3, frob_norm, hadamard, read_t3f1, tprod, write_t3f1
 
 
 def _parse_radius(text: str):
-    if text == "unbounded":
-        return None
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"radius must be positive or 'unbounded', got {text}")
-    return value
+    """A radius, or None for 'unbounded'; :class:`~msgdt.solver.SolverConfig` checks the value."""
+    return None if text == "unbounded" else float(text)
 
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
@@ -97,7 +101,11 @@ def cmd_solve(args) -> int:
     a = read_t3f1(args.a)
     b = read_t3f1(args.b)
     model = model_for(args.model, args.p, args.block_size)
-    alpha = args.alpha if args.alpha is not None else args.p**2 / args.step_divisor
+    if args.alpha is None:
+        check_positive("step divisor", args.step_divisor)  # before it divides
+        alpha = args.p**2 / args.step_divisor
+    else:
+        alpha = args.alpha
     if args.swap_iter > 0:
         schedule = HybridStep.matched(alpha, args.swap_iter)
     else:
@@ -193,6 +201,7 @@ def cmd_bounds(args) -> int:
 
 
 def _verify_identities(args, lines: list[str]) -> bool:
+    check_positive("--tol", args.tol)  # an infinite tolerance would pass any deviation
     rng = np.random.default_rng(args.seed)
     model = model_for(args.model, args.p, args.block_size)
     row = Tensor3(rng.standard_normal((args.n, 1, args.l)))  # a fresh Gaussian 1 x l x n row slice

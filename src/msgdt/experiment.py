@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .masking import draw_units, model_for
+from .masking import check_positive, draw_units, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -86,8 +86,7 @@ class ExperimentSpec:
                 raise ValueError(f"{field} must be >= 1, got {value}")
         if self.iters is not None and self.iters < 0:
             raise ValueError(f"iters must be >= 0, got {self.iters}")
-        if self.step_divisor <= 0:
-            raise ValueError(f"step divisor must be positive, got {self.step_divisor}")
+        check_positive("step divisor", self.step_divisor)
         if self.sampling not in ("once", "redraw"):
             raise ValueError(f"sampling mode must be 'once' or 'redraw', got {self.sampling!r}")
         if self.sampling == "once" and self.total_iters > self.dims.m:

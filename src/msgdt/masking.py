@@ -18,15 +18,22 @@ The dense C is a test oracle: the solver applies each model's correction in
 closed form.  ``check_p``, ``MODEL_KINDS`` and ``model_for`` are the one p
 validator, table of model names and model constructor; ``unit_map`` is the
 one definition of each model's independent units; ``check_trials`` is the
-one validator of a sampling check's draw count.
+one validator of a sampling check's draw count, and ``check_positive`` of a
+finite positive parameter.
 
 Masks are drawn from a seeded NumPy PCG64 generator; with a fixed seed the
 draw is bit-reproducible.  Per-row draws consume generator state in
-row-major order, one variate per unit.
+row-major order, one variate per unit.  ``draw_rows`` takes a chunk's
+(row, mask) draws from PCG64 in one ``random_raw`` call and decodes the
+words as numpy's per-draw ``integers`` and ``random`` calls would: the
+stream, and the generator state after it, are those of the per-draw calls,
+which still run for other bit generators, for m outside [2, 2**32) and for
+a chunk that holds a rejected index draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
@@ -42,6 +49,7 @@ __all__ = [
     "FrontalSliceMissing",
     "MissingModel",
     "check_p",
+    "check_positive",
     "check_trials",
     "check_block",
     "MODEL_KINDS",
@@ -65,6 +73,16 @@ def check_p(p: float) -> None:
     """Reject observation probabilities outside (0, 1]."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"observation probability must be in (0, 1], got {p}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a finite positive number; ``name`` names it in the message.
+
+    NaN passes a ``value <= 0`` check, so every step size, step constant,
+    radius and divisor is checked here instead.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def check_trials(trials: int) -> None:
@@ -227,6 +245,9 @@ def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows)
     return mask * a_data[:, rows, :].transpose(1, 0, 2)
 
 
+_HALF_WORD = 1 << 32  # PCG64 hands integers(m) 32-bit halves when m < 2**32
+
+
 def draw_rows(
     model: MissingModel, m: int, l: int, n: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,13 +255,61 @@ def draw_rows(
 
     Draw k takes ``rng.integers(m)``, then one variate per unit, so the
     stream is the same however ``count`` splits it; ``keep[k]`` masks ``idx[k]``.
+
+    On a PCG64 generator with ``2 <= m < 2**32`` the draws come from one
+    ``random_raw`` call, decoded by :func:`_pcg64_rows` into the same
+    indices, masks and generator state as the per-draw calls.  Any other bit
+    generator or m, or a chunk whose index draw numpy would reject and
+    redraw, takes the per-draw calls themselves.
     """
+    units = unit_map(model, l, n)[1]
+    bitgen = rng.bit_generator
+    if type(bitgen) is np.random.PCG64 and 2 <= m < _HALF_WORD:
+        drawn = _pcg64_rows(bitgen, m, units, count, model.p)
+        if drawn is not None:
+            return drawn
     idx = np.empty(count, dtype=np.intp)
-    variates = np.empty((count, unit_map(model, l, n)[1]))
+    variates = np.empty((count, units))
     for k in range(count):  # one integers(m, size=count) call would give another stream
         idx[k] = rng.integers(m)
         rng.random(out=variates[k])
     return idx, variates < model.p
+
+
+def _pcg64_rows(bitgen: np.random.PCG64, m: int, units: int, count: int, p: float):
+    """:func:`draw_rows` on a PCG64 ``bitgen`` from one ``random_raw`` call, or None (state untouched).
+
+    It decodes the 64-bit words the way numpy's per-draw calls consume them:
+    ``integers(m)`` takes a 32-bit half through PCG64's buffer (``has_uint32``
+    and ``uinteger`` of the state), a fresh word's low half first and its
+    high half at the next index draw, and maps the half u to ``(u m) >> 32``
+    (Lemire, ACM TOMACS 29(1), 2019); each ``random()`` variate is
+    ``(word >> 11) 2**-53``.  Lemire rejects u when ``(u m) mod 2**32`` is
+    below ``(2**32 - m) mod m`` (about m / 2**32 per draw) and numpy then
+    draws again; such a chunk restores the state and returns None.
+    """
+    saved = bitgen.state
+    buffered = saved["has_uint32"]
+    fresh = (count + 1 - buffered) // 2  # index draws that open a word: every other one
+    words = bitgen.random_raw(count * units + fresh)
+    # A fresh index word opens each pair of draws, after draw 0's variates when a half was buffered.
+    is_index = np.zeros(words.size, dtype=np.bool_)
+    is_index[buffered * units :: 2 * units + 1] = True
+    # The halves in the order the index draws take them: the buffered one, then low, high of each fresh word.
+    fresh_halves = words[is_index].astype("<u8", copy=False).view("<u4")
+    halves = np.concatenate((np.full(buffered, saved["uinteger"], dtype="<u4"), fresh_halves))
+    scaled = halves[:count].astype(np.uint64) * np.uint64(m)
+    if ((scaled & np.uint64(_HALF_WORD - 1)) < (_HALF_WORD - m) % m).any():
+        bitgen.state = saved
+        return None
+    state = bitgen.state
+    state["has_uint32"] = (buffered + count) % 2
+    if halves.size:  # the last fresh word's high half, or the half buffered before
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    # x 2**-53 < p for the integer x = word >> 11 < 2**53 is, exactly, x < ceil(p 2**53).
+    keep = (words >> np.uint64(11)) < np.uint64(math.ceil(float(p) * 2.0**53))
+    return (scaled >> np.uint64(32)).astype(np.intp), keep[~is_index].reshape(count, units)
 
 
 def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:

@@ -60,6 +60,7 @@ from .masking import (
     MissingModel,
     UniformMissing,
     check_block,
+    check_positive,
     correction_tensor,
     draw_rows,
     format_model,
@@ -95,8 +96,7 @@ class ConstantStep:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"step size must be positive, got {self.alpha}")
+        check_positive("step size", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ class InverseSqrtStep:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"step constant must be positive, got {self.c}")
+        check_positive("step constant", self.c)
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ class HybridStep:
     c: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.c <= 0:
-            raise ValueError("step sizes must be positive")
+        check_positive("step size", self.alpha)
+        check_positive("step constant", self.c)
         if self.swap_iter < 1:
             raise ValueError(f"swap iteration must be >= 1, got {self.swap_iter}")
 
@@ -178,8 +177,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.total_iters < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.total_iters}")
-        if self.projection_radius is not None and self.projection_radius <= 0:
-            raise ValueError(f"projection radius must be positive, got {self.projection_radius}")
+        if self.projection_radius is not None:
+            check_positive("projection radius", self.projection_radius)
         if self.sampling not in ("once", "redraw"):
             raise ValueError(f"sampling mode must be 'once' or 'redraw', got {self.sampling!r}")
         if self.trace_every < 1:
@@ -213,6 +212,8 @@ class ProblemInstance:
             raise ValueError(f"B dims {self.b.dims} inconsistent with A dims {self.a_tilde.dims}")
         if self.x0.dims != (l, self.b.l, n):
             raise ValueError(f"X0 dims {self.x0.dims} inconsistent with system {(l, self.b.l, n)}")
+        if not np.isfinite(self.x0.data).all():
+            raise ValueError("X0 has non-finite entries")
         check_block(self.model, l)
         if self.units is not None:
             shape = (m, unit_map(self.model, l, n)[1])

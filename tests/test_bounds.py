@@ -192,6 +192,28 @@ class TestDecayBound:
             mg.decay_bound(10, 1.0, 0.0, 1.0)
 
 
+class TestNonFiniteInputs:
+    """NaN slips past a ``<= 0`` check: every radius, step size and constant must be finite and positive."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_each_input_rejected(self, value):
+        system = mg.gen_synthetic(mg.Dims(8, 2, 2, 2), 3)
+        a, b = system.a, system.b
+        calls = [
+            ("radius", lambda: mg.solution_second_moment_bound(a, value, 0.5)),
+            ("radius", lambda: mg.gradient_second_moment_bound(a, b, value, 0.5)),
+            ("radius", lambda: mg.compute_bound_report(a, b, value, 0.5)),
+            ("step size", lambda: mg.compute_bound_report(a, b, 1.0, 0.5, alpha=value)),
+            ("step size", lambda: mg.contraction_ratio(value, 1.0, 2.0)),
+            ("step size", lambda: mg.horizon_bound(value, 1.0, 2.0, 1.0)),
+            ("strong convexity constant", lambda: mg.horizon_bound(0.1, value, 2.0, 1.0)),
+            ("step constant", lambda: mg.decay_bound(10, 1.0, value, 1.0)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+                call()
+
+
 class TestFixedStepEnvelope:
     @pytest.mark.parametrize("t", [0, 1, 7, 250, 5000])
     def test_is_the_inline_expression(self, t):

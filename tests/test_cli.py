@@ -539,6 +539,43 @@ class TestBlockSizeFlag:
             assert params["model"] == "colblock p=0.5 b=1"
 
 
+class TestNonFiniteParameters:
+    """NaN passes a ``<= 0`` check; each such flag gets the one-line error before any output exists."""
+
+    @pytest.mark.parametrize(
+        "command,extra,message",
+        [
+            ("experiment", ["--step-divisor", "nan"], "step divisor must be finite and positive, got nan"),
+            ("bounds", ["--radius", "nan"], "radius must be finite and positive, got nan"),
+            ("bounds", ["--radius", "10", "--alpha", "nan"], "step size must be finite and positive, got nan"),
+            ("solve", ["--radius", "nan"], "projection radius must be finite and positive, got nan"),
+            ("solve", ["--radius", "-1"], "projection radius must be finite and positive, got -1.0"),
+            ("solve", ["--alpha", "nan"], "step size must be finite and positive, got nan"),
+            ("solve", ["--step-divisor", "nan"], "step divisor must be finite and positive, got nan"),
+            ("solve", ["--step-divisor", "0"], "step divisor must be finite and positive, got 0.0"),
+            ("solve", ["--x0-fill", "nan"], "X0 has non-finite entries"),
+            ("verify", ["--tol", "nan"], "--tol must be finite and positive, got nan"),
+            ("verify", ["--tol", "inf"], "--tol must be finite and positive, got inf"),
+        ],
+        ids=["experiment-divisor", "bounds-radius", "bounds-alpha", "solve-radius", "solve-negative-radius",
+             "solve-alpha", "solve-divisor", "solve-zero-divisor", "solve-x0", "verify-tol-nan", "verify-tol-inf"],
+    )
+    def test_one_line_error_and_no_output(self, tmp_path, capsys, command, extra, message):
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "12,4,2,3", "--seed", "3", "--out", str(gen)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "experiment": ["experiment", "--dims", "12,4,2,3", "--p", "0.5", "--iters", "5", "--swap-iter", "3"],
+            "bounds": ["bounds", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--p", "0.5"],
+            "solve": ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "5"],
+            "verify": ["verify", "identities", "--trials", "10"],
+        }[command]
+        code = main(argv + extra + ["--out", str(out)])
+        assert_one_line_error(capsys, code, command, re.escape(message))
+        assert not out.exists()
+
+
 class TestMissingInputFile:
     """A missing input file gets the one-line error, naming the path, before any output exists."""
 

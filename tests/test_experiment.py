@@ -3,7 +3,7 @@
 import pytest
 
 import msgdt as mg
-from msgdt.experiment import decaying_step_trials, fixed_step_trials
+from msgdt.experiment import ExperimentSpec, decaying_step_trials, fixed_step_trials
 
 SEEDS = (5, 17, 3)
 ITERS = 300
@@ -67,3 +67,9 @@ def test_decaying_step_refuses_checkpoint_past_budget(instance):
     system, problem, lg, radius = instance
     with pytest.raises(ValueError, match="checkpoint 301 lies outside the iterations 0..300"):
         decaying_step_trials(problem, 1.0 / lg, radius, SEEDS, ITERS, (100, 301), system.x_star, system.a)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_spec_rejects_a_step_divisor_that_is_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match=f"step divisor must be finite and positive, got {value}"):
+        ExperimentSpec(dims=mg.Dims(40, 3, 2, 2), p_values=(0.5,), step_divisor=value)

@@ -4,10 +4,21 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msgdt as mg
 from msgdt import oracle
-from msgdt.masking import draw_rows, draw_units, masked_rows, row_mask_batch, unit_map
+from msgdt.masking import (
+    _pcg64_rows,
+    check_positive,
+    draw_rows,
+    draw_units,
+    masked_rows,
+    model_for,
+    row_mask_batch,
+    unit_map,
+)
 
 ALL_KINDS = [
     mg.UniformMissing(0.5),
@@ -24,6 +35,15 @@ class TestModelValidation:
 
     def test_p_one_allowed(self):
         assert mg.UniformMissing(1.0).p == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_check_positive_rejects(self, value):
+        with pytest.raises(ValueError, match=f"^step size must be finite and positive, got {value}$"):
+            check_positive("step size", value)
+
+    @pytest.mark.parametrize("value", [5e-324, 0.5, 3, 1e300])
+    def test_check_positive_accepts(self, value):
+        check_positive("step size", value)
 
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
@@ -167,6 +187,16 @@ def _contract_unit_mask(model, l, n, bits):
     return np.tile(bits[:, None], (1, l))
 
 
+def _per_draw_rows(model, m, l, n, count, rng):
+    """The draw_rows stream as per-draw calls: ``integers(m)``, then one variate per unit."""
+    idx = np.empty(count, dtype=np.intp)
+    variates = np.empty((count, unit_map(model, l, n)[1]))
+    for k in range(count):
+        idx[k] = rng.integers(m)
+        variates[k] = rng.random(variates.shape[1])
+    return idx, variates < model.p
+
+
 CONTRACT_CASES = [
     (mg.UniformMissing(0.4), 5, 3, 1),
     (mg.UniformMissing(0.7), 20, 10, 500),
@@ -235,6 +265,53 @@ class TestRngContract:
         assert idx.tolist() == [i for i, _ in want]
         assert np.array_equal(keep, np.concatenate([k for _, k in want]))
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([2, 3, 13, 500, 10_000, 2**31 + 7, 2**32 - 5]),
+        kind=st.sampled_from(["uniform", "colblock", "frontal"]),
+        l=st.integers(1, 10),
+        n=st.integers(1, 20),
+        p=st.floats(0.0, 1.0, exclude_min=True),
+        count=st.sampled_from([0, 1, 2, 255, 256, 257]),
+        buffered=st.booleans(),
+    )
+    def test_draw_rows_equals_the_per_draw_calls(self, seed, m, kind, l, n, p, count, buffered):
+        # 1-200 units; a buffered half left by an earlier integers(m) shifts every index word
+        model = model_for(kind, p)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert rng.integers(m) == twin.integers(m)
+        idx, keep = draw_rows(model, m, l, n, count, rng)
+        want_idx, want_keep = _per_draw_rows(model, m, l, n, count, twin)
+        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+        assert keep.dtype == np.bool_ and keep.shape == want_keep.shape and np.array_equal(keep, want_keep)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.integers(m) == twin.integers(m) and rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "make,m",
+        [(lambda seed: np.random.Generator(np.random.Philox(seed)), 500), (np.random.default_rng, 1)],
+        ids=["philox", "m=1"],
+    )
+    def test_draw_rows_loops_where_it_cannot_decode(self, make, m):
+        model, l, n = mg.UniformMissing(0.4), 4, 3
+        rng, twin = make(27), make(27)
+        rng.integers(7), twin.integers(7)  # a buffered half, if the bit generator keeps one
+        for count in (0, 1, 257):
+            idx, keep = draw_rows(model, m, l, n, count, rng)
+            want_idx, want_keep = _per_draw_rows(model, m, l, n, count, twin)
+            assert np.array_equal(idx, want_idx) and np.array_equal(keep, want_keep)
+            npt.assert_equal(rng.bit_generator.state, twin.bit_generator.state)  # Philox's holds arrays
+        assert rng.random() == twin.random()
+
+    def test_a_rejected_index_draw_leaves_the_state_for_the_loop(self):
+        # at m = 2**31 + 7 Lemire rejects about half the halves: the decoder gives the chunk back
+        m, bitgen = 2**31 + 7, np.random.PCG64(28)
+        before = bitgen.state
+        assert _pcg64_rows(bitgen, m, 3, 8, 0.5) is None
+        assert bitgen.state == before
 
     @pytest.mark.parametrize("model,l,n,count", CONTRACT_CASES)
     def test_row_mask_batch_matches_contract(self, model, l, n, count):

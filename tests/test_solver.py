@@ -103,6 +103,24 @@ class TestStepSchedules:
         with pytest.raises(ValueError):
             mg.HybridStep(alpha=0.1, swap_iter=0, c=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda v: mg.ConstantStep(v), "step size"),
+            (lambda v: mg.InverseSqrtStep(v), "step constant"),
+            (lambda v: mg.HybridStep(alpha=v, swap_iter=5, c=1.0), "step size"),
+            (lambda v: mg.HybridStep(alpha=0.1, swap_iter=5, c=v), "step constant"),
+            (lambda v: mg.HybridStep.matched(v, 5), "step size"),
+            (lambda v: mg.SolverConfig(mg.ConstantStep(0.1), 10, projection_radius=v), "projection radius"),
+        ],
+        ids=["constant", "inverse-sqrt", "hybrid-alpha", "hybrid-c", "matched", "radius"],
+    )
+    def test_non_finite_rejected(self, build, name, value):
+        # NaN slips past a ``<= 0`` check and would run every iteration on NaN
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+            build(value)
+
 
 class TestGradientEstimate:
     def test_p_one_is_plain_row_gradient(self):
@@ -770,6 +788,14 @@ class TestProblemValidation:
                 model=mg.ColumnBlockMissing(0.5, 2),
                 x0=problem.x0,
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x0(self, value):
+        _, problem = make_problem()
+        x0 = problem.x0.data.copy()
+        x0.flat[-1] = value
+        with pytest.raises(ValueError, match="X0 has non-finite entries"):
+            mg.ProblemInstance(a_tilde=problem.a_tilde, b=problem.b, model=problem.model, x0=mg.Tensor3(x0))
 
     def test_rejects_shape_mismatch(self):
         system, problem = make_problem()
