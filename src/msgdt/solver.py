@@ -19,7 +19,7 @@ Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 spectra come from :func:`row_spectra`, one rfft per
 :func:`~msgdt.tensor.row_chunks` slice of up to 256 rows; the Monte Carlo
 checks in :mod:`msgdt.checks` take their draws' spectra from it too.  Compared with
-iterating on X directly the results differ by rounding only: about 1e-15
+iterating on X directly the results differ by rounding only: a few 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
 
@@ -29,7 +29,22 @@ dense formula with an explicit C as the reference the kernel is tested
 against.  The kernel's factors that depend on the row only (conj(ahat), the
 uniform d, the frontal H_0, the column blocks) are built by ``_row_terms``
 once per :func:`~msgdt.tensor.row_chunks` slice, for all of the slice's rows
-at once; each iteration then runs only the part that depends on the iterate.
+at once.  For a fixed row the step Y - alpha_t g(Y) is affine in Y, and row
+k of a slice is iteration start + k, so ``_step_terms`` folds every row's
+step size into its terms for the whole slice as well: 1 + alpha d (uniform),
+S = I + alpha H_0 written over H_0 (frontal slice), and alpha/p^2 and
+alpha (1-p)/p^2 (all models).
+
+Each iteration then runs only the part that depends on the iterate, in one
+``_step``: r = alpha/p^2 (a Y - p b), then Y <- (1 + alpha d) o Y -
+conj(a)^T r (uniform), or S Y - conj(a)^T r (frontal slice; S Y goes to a
+spare buffer that then swaps with Y, because numpy would copy Y first to
+write a product over its own input), or Y - conj(a_b)^T (r - alpha
+(1-p)/p^2 a_b Y_b) for each block b of columns.  g itself is not formed on
+the way: ``_row_gradient`` runs only at traced iterations, on the iterate
+before the step, for ``update_norm``.  The fused step equals Y - alpha g(Y)
+up to rounding; a test holds one step to the kernel's within 1e-13
+relative.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -39,7 +54,7 @@ chunk's rows and masks come from (``_row_source``).
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
-them all through one kernel call per iteration, which spreads numpy's
+them all through one ``_step`` call per iteration, which spreads numpy's
 per-call cost over the runs.  Each run keeps its own p, X0, step sizes,
 row order or generator, and gets the bits it gets alone;
 :func:`run_msgdt` is the batch of one.
@@ -256,7 +271,8 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     p = np.array([mod.p for mod in models], dtype=np.float64).reshape(lead)
     inv = 1.0 / (p * p)
     corr = (1.0 - p) * inv
-    tail = (1,) * (3 if block is None else 4)
+    # one run's 1/p^2 and (1-p)/p^2 are 0-d, which numpy applies as scalars, at scalar speed
+    tail = (1,) * (3 if block is None else 4) if lead else ()
     # complex 1/p^2 and (1-p)/p^2 scale complex arrays without a per-call cast, with the same bits
     arrays = (
         inv.reshape(lead + tail).astype(np.complex128),
@@ -286,8 +302,10 @@ def _row_terms(ahat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
     if c.uniform:
         corr = (c.corr_w[..., None, :] @ (ahat * conj).real)[..., None]  # d, (..., 1, l, 1)
     else:
-        h0 = ((c.corr_w[..., None, :] * conj.swapaxes(-1, -2)) @ ahat).real
-        corr = np.ascontiguousarray(h0)[..., None, :, :]  # H_0, (..., 1, l, l)
+        # H_0 = Re(conj(a)^T diag(corr_w) a), one real product over the real and imaginary parts
+        parts = np.stack((ahat.real, ahat.imag), axis=-2)  # (..., f, 2, l)
+        weighted = (c.corr_w[..., :, None, None] * parts).reshape(*lead, 2 * freqs, l)
+        corr = (weighted.swapaxes(-1, -2) @ parts.reshape(*lead, 2 * freqs, l))[..., None, :, :]  # (..., 1, l, l)
     return ahat[..., None, :], conj[..., None], corr
 
 
@@ -304,11 +322,10 @@ def _row_gradient(
     tubes, or its :func:`_row_terms`; ``pbhat`` (..., f, q) and ``yhat``
     (..., f, l, q) are the Parseval-scaled spectra of p B_i and of X;
     ``spec`` is the tubes' transform.  Leading axes are runs: a batch passes
-    the :class:`_Coefficients` of its per-run models and the row terms of a
-    whole chunk, both built once, and a single run may pass its model and
-    its row spectrum.  Each run's result depends on that run's inputs only,
-    with the same bits whatever the batch.  With a = ahat[f] as a 1 x l
-    row, frequency f of the result is (lead - (1-p) corr) / p^2, where
+    the :class:`_Coefficients` of its per-run models, built once, and a
+    single run may pass its model.  Each run's result depends on that run's
+    inputs only, with the same bits whatever the batch.  With a = ahat[f] as
+    a 1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2, where
 
     * lead = conj(a)^T (a Y_f - (p b)_f),
     * uniform: corr = d o Y_f with d_j = sum_k arow[k, j]^2,
@@ -339,6 +356,65 @@ def _row_gradient(
     else:
         g -= (corr @ yhat.view(np.float64)).view(np.complex128)
     return g
+
+
+def _step_terms(ahat: np.ndarray, alpha: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
+    """The factors of :func:`_step` for a chunk of rows ``ahat`` (rows, R, f, l) at step sizes ``alpha`` (rows, R).
+
+    For a fixed row, Y - alpha g(Y) is affine in Y, so each row's step size
+    is folded into its :func:`_row_terms` once per chunk: uniform gives
+    (a, conj(a)^T, alpha/p^2, 1 + alpha d); frontal slice gives
+    (a, conj(a)^T, alpha/p^2, S) with the real S = I + alpha H_0, written
+    over H_0; column block gives (a_b, conj(a_b)^T, alpha/p^2,
+    alpha (1-p)/p^2).  Indexing every factor at row k gives row k's factors.
+    """
+    rows, l = len(alpha), ahat.shape[-1]
+    alpha_inv = alpha.reshape((rows,) + c.inv.shape) * c.inv
+    terms = _row_terms(ahat, c)
+    if c.block is not None:
+        return terms + (alpha_inv, alpha.reshape((rows,) + c.corr.shape) * c.corr)
+    a, conj, scale = terms
+    scale *= alpha[:, :, None, None, None]  # alpha d or alpha H_0, per row and run
+    if c.uniform:
+        scale += 1.0
+    else:
+        scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each H_0
+    return a, conj, alpha_inv, scale
+
+
+def _step(terms: tuple[np.ndarray, ...], pbhat: np.ndarray, yhat: np.ndarray, out: np.ndarray,
+          c: _Coefficients) -> np.ndarray:
+    """One step Y - alpha g(Y) of every run, from one row's :func:`_step_terms`; returns the new Y.
+
+    uniform and column block overwrite ``yhat``; frontal slice writes S Y
+    into ``out`` and returns it (numpy would copy ``yhat`` first to write
+    the product over its own input).  With r = alpha/p^2 (a Y_f - (p b)_f),
+    frequency f of the new Y is (1 + alpha d) o Y_f - conj(a)^T r
+    (uniform, on the real view of Y), S Y_f - conj(a)^T r (frontal slice, S
+    acting on the real view), or Y_f - conj(a_b)^T (r - alpha (1-p)/p^2 a_b
+    Y_fb) for each block b of columns.  Equal to :func:`_row_gradient`'s
+    step up to rounding.
+    """
+    *lead, freqs, l, q = yhat.shape
+    if c.block is not None:
+        ab, ab_conj, alpha_inv, alpha_corr = terms
+        axb = ab @ yhat.reshape(*lead, freqs, l // c.block, c.block, q)  # a_b Y_fb, (..., f, nb, 1, q)
+        resid = np.add.reduce(axb, axis=-3, keepdims=True)
+        resid -= pbhat[..., None, None, :]
+        z = alpha_inv * resid - alpha_corr * axb
+        yhat -= (ab_conj * z).reshape(yhat.shape)
+        return yhat
+    a, conj, alpha_inv, scale = terms
+    resid = a @ yhat  # (..., f, 1, q)
+    resid -= pbhat[..., None, :]
+    resid *= alpha_inv
+    if c.uniform:
+        out = yhat
+        np.multiply(out.view(np.float64), scale, out=out.view(np.float64))
+    else:
+        np.matmul(scale, yhat.view(np.float64), out=out.view(np.float64))
+    out -= conj * resid
+    return out
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -515,37 +591,37 @@ def run_batch(
     sampling mode, the iteration budget, the trace iterations and the
     projection radius; a mismatch raises a ValueError naming the field.
     The iterates' scaled spectra are stacked as (R, f, l, q) and every
-    iteration steps them all through one kernel call.  Each run's result is
-    the same, bit for bit, as when it runs alone: the kernel works run by
-    run inside its products, and norms, projection and trace records are
-    taken on each run's slice.
+    iteration steps them all through one :func:`_step` call.  Each run's
+    result is the same, bit for bit, as when it runs alone: the step works
+    run by run inside its products, and norms, projection and trace records
+    are taken on each run's slice.  A traced iteration also calls
+    :func:`_row_gradient` on the iterate before the step, for the
+    ``update_norm`` of g.
 
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``a_tilde``.  The
     iterates live in the scaled tube-Fourier domain (module docstring).
     Every run's rows of A and B, from its permutation or its redraws, are
     masked and transformed by :func:`row_spectra` one
-    :func:`~msgdt.tensor.row_chunks` slice at a time, and the kernel's row
-    terms are built for the whole slice; a slice's spectra and terms are
-    freed before the next slice's are built, so no whole-tensor spectrum is
-    kept and no two slices are held at once.
+    :func:`~msgdt.tensor.row_chunks` slice at a time, and the step's terms
+    are built for the whole slice by :func:`_step_terms`; a slice's spectra
+    and terms are freed before the next slice's are built, so no
+    whole-tensor spectrum is kept and no two slices are held at once.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
     R, cfg0 = len(problems), configs[0]
     T, radius = cfg0.total_iters, cfg0.projection_radius
     spec = tn.tube_spectrum(problems[0].a_tilde.n)
-    # One run's coefficients and steps are 0-d, which numpy applies as scalars, at scalar speed.
-    # The steps are complex, so they scale the complex spectra without a per-iteration cast.
     run_axes = (R,) if R > 1 else ()
     models = tuple(prob.model for prob in problems)
     coeffs = _coefficients(models, spec, run_axes)
     alphas = np.stack([step_table(cfg.schedule, T) for cfg in configs], axis=1)  # (T, R)
-    steps = alphas.astype(np.complex128).reshape((T,) + run_axes + (1,) * len(run_axes) * 3)
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
-    y_flat = [_flat(y_run) for y_run in y]  # per-run views, updated in place with y
+    spare = np.empty_like(y)  # the frontal step's S Y goes here, then the two swap
+    y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))  # per-run views for the projection
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
 
     record_at = {0, T} | set(cfg0.also_record)
@@ -561,15 +637,19 @@ def run_batch(
     record(0, None)
     for rows in tn.row_chunks(T):
         a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
-        chunk = _row_terms(a_chunk, coeffs)
-        for t, terms, pbhat in zip(range(rows.start + 1, rows.stop + 1), zip(*chunk), pb_chunk):
-            g = _row_gradient(terms, pbhat, y, coeffs, spec)
-            y -= steps[t - 1] * g
+        chunk = _step_terms(a_chunk, alphas[rows], coeffs)
+        for k, (terms, pbhat) in enumerate(zip(zip(*chunk), pb_chunk)):
+            t = rows.start + k + 1
+            traced = t in record_at or t % cfg0.trace_every == 0
+            # the trace's g is the kernel's, on the iterate before the step
+            g = _row_gradient(a_chunk[k], pbhat, y, coeffs, spec) if traced else None
+            if _step(terms, pbhat, y, spare, coeffs) is spare:
+                y, spare, y_flat, spare_flat = spare, y, spare_flat, y_flat
             if radius is not None:
                 for flat in y_flat:
                     _project(flat, radius)
 
-            if t in record_at or t % cfg0.trace_every == 0:
+            if traced:
                 record(t, g)
         # free this chunk's spectra and terms before the next chunk's are built
         del a_chunk, pb_chunk, chunk, terms, pbhat

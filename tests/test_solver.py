@@ -14,15 +14,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
-from msgdt import oracle
+from msgdt import oracle, solver
 from msgdt.checks import (
     lipschitz_ratio_max,
     self_adjointness_max_dev,
     unbiasedness_relative_error,
 )
 from msgdt.masking import draw_masked_row, draw_units, model_for, row_mask_batch
-from msgdt.solver import _coefficients, _flat, _project, _row_gradient, _row_terms, run_batch, step_table
-from msgdt.tensor import tube_spectrum
+from msgdt.solver import (
+    _coefficients,
+    _flat,
+    _norm,
+    _project,
+    _row_gradient,
+    _row_source,
+    _row_terms,
+    _step,
+    _step_terms,
+    row_spectra,
+    run_batch,
+    step_table,
+)
+from msgdt.tensor import row_chunks, tube_spectrum
 
 
 def spatial_row_gradient(arow, brow, x, model):
@@ -335,9 +348,9 @@ def result_bits(result):
     return result.x_final.data.tobytes(), [r.iteration for r in result.trace.records], b"".join(fields)
 
 
-def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True):
-    """``size`` runs on one system with distinct p, seeds, X0 and schedules, plus the trace inputs."""
-    m, l, q = 40, 4, 2
+def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True, m=40):
+    """``size`` runs on one system of m rows with distinct p, seeds, X0 and schedules, plus the trace inputs."""
+    l, q = 4, 2
     system = mg.gen_synthetic(mg.Dims(m, l, q, n), seed)
     rng = np.random.default_rng(seed)
     block = 2 if kind == "colblock" else 1
@@ -494,14 +507,107 @@ class TestRowTermsOfAChunk:
             assert np.array_equal(got, _row_gradient(chunk[k], pb[k], y, coeffs, spec)), k
         assert k == rows - 1
 
-    def test_contiguous_h0_product_matches_the_strided_view(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            runs, f, l, q = (int(v) for v in rng.integers(1, (5, 14, 25, 11)))
-            h = rng.standard_normal((runs, l, l)) + 1j * rng.standard_normal((runs, l, l))
-            y = rng.standard_normal((runs, f, l, q)) + 1j * rng.standard_normal((runs, f, l, q))
-            strided = h.real[:, None] @ y.view(np.float64)
-            assert np.array_equal(np.ascontiguousarray(h.real)[:, None] @ y.view(np.float64), strided)
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_one_run_has_0d_coefficients(self, kind):
+        # 0-d 1/p^2 and (1-p)/p^2 scale a spectrum as a scalar does, at a scalar's cost
+        spec = tube_spectrum(3)
+        solo = _coefficients((model_for(kind, 0.4, 2),), spec, ())
+        assert solo.inv.shape == () and solo.corr.shape == ()
+        batch = _coefficients(tuple(model_for(kind, p, 2) for p in (0.4, 0.7)), spec, (2,))
+        assert batch.inv.shape == batch.corr.shape == (2,) + (1,) * (4 if kind == "colblock" else 3)
+        assert solo.inv == batch.inv[0] and solo.corr == batch.corr[0]
+
+
+def kernel_step_runs(problems, configs):
+    """run_batch's iteration run by run, with the step taken as Y - alpha g(Y) and g from the kernel.
+
+    Returns each run's final iterate and its update norm at every iteration.
+    """
+    spec = tube_spectrum(problems[0].a_tilde.n)
+    runs = []
+    for prob, cfg in zip(problems, configs):
+        coeffs, source = _coefficients((prob.model,), spec, ()), _row_source(prob, cfg)
+        alphas = step_table(cfg.schedule, cfg.total_iters)
+        y = spec.forward(prob.x0.data[None], axis=1, scaled=True)
+        norms = {}
+        for rows in row_chunks(cfg.total_iters):
+            a_chunk, pb_chunk = row_spectra([(prob.a_tilde, prob.b, prob.model)], [source(rows)], spec)
+            for t, ahat, pbhat in zip(range(rows.start + 1, rows.stop + 1), a_chunk, pb_chunk):
+                g = _row_gradient(ahat, pbhat, y, coeffs, spec)
+                y = y - alphas[t - 1] * g
+                if cfg.projection_radius is not None:
+                    _project(_flat(y), cfg.projection_radius)
+                norms[t] = _norm(_flat(g))
+        runs.append((spec.inverse(y[0], scaled=True), norms))
+    return runs
+
+
+class TestFusedStep:
+    """The step with each row's step size folded into its chunk's terms is the kernel's step, up to rounding."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_one_step_is_the_kernel_step(self, kind, runs, n):
+        rows, l, q = 257, 4, 3
+        rng = np.random.default_rng(200 * n + runs)
+        spec = tube_spectrum(n)
+        models = tuple(model_for(kind, p, 2) for p in (0.3, 0.6, 0.9)[:runs])
+        coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
+        keep = rng.random((rows, runs, n, l)) < 0.6
+        chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
+        pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
+        # step sizes near 1/L_g for each row, so that a step moves Y about as far as Y's own size
+        p_sq = np.array([model.p for model in models]) ** 2
+        alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
+        for k, terms in enumerate(zip(*_step_terms(chunk, alphas, coeffs))):
+            y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
+            want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
+            y_in, out = y.copy(), np.empty_like(y)
+            got = _step(terms, pb[k], y, out, coeffs)
+            if kind == "frontal":  # S Y goes to the spare buffer; Y is left for the matrix product to read
+                assert got is out and np.array_equal(y, y_in)
+            else:
+                assert got is y
+            for r in range(runs):
+                assert np.linalg.norm(got[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
+        assert k == rows - 1
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("sampling", ["once", "redraw"])
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_runs_follow_the_kernel_step(self, kind, sampling, size, n, project):
+        # 300 iterations cross a chunk boundary; with projection, frontal runs swap buffers under it
+        problems, configs, system = batch_runs(kind, sampling, project, n, size, 50 + n, m=300)
+        configs = [dataclasses.replace(cfg, total_iters=300, trace_every=37) for cfg in configs]
+        for res, (x_ref, norms) in zip(run_batch(problems, configs), kernel_step_runs(problems, configs)):
+            assert np.linalg.norm(res.x_final.data - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+            for rec in res.trace.records[1:]:
+                assert abs(rec.update_norm - norms[rec.iteration]) <= 1e-13 * norms[rec.iteration]
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_update_norm_is_the_kernel_on_the_iterate_before_the_step(self, kind, monkeypatch):
+        problems, configs, system = batch_runs(kind, "redraw", True, 3, 3, 60)
+        kernel, seen = solver._row_gradient, []
+
+        def spy(ahat, pbhat, yhat, model, spec):
+            seen.append((ahat, pbhat, yhat.copy(), model, spec))
+            return kernel(ahat, pbhat, yhat, model, spec)
+
+        monkeypatch.setattr(solver, "_row_gradient", spy)
+        results = run_batch(problems, configs, system.x_star)
+        traced = [rec.iteration for rec in results[0].trace.records[1:]]
+        assert len(seen) == len(traced) == 6  # the kernel runs at the traced iterations only
+        y_star = tube_spectrum(3).forward(system.x_star.data, scaled=True)
+        for t, (ahat, pbhat, y, model, spec) in zip(traced, seen):
+            g = kernel(ahat, pbhat, y, model, spec)
+            for r, res in enumerate(results):
+                records = res.trace.by_iteration()
+                assert records[t].update_norm == _norm(_flat(g[r]))
+                if t - 1 in records:  # the kernel saw the iterate that step t - 1 and its projection left
+                    assert records[t - 1].iterate_error == _norm(_flat(y[r] - y_star))
 
 
 class TestLinearPart:
