@@ -279,8 +279,8 @@ def decaying_step_trials(
     Every run samples in "redraw" mode and projects onto the ball of
     ``radius``; all of them advance as one :func:`~msgdt.solver.run_batch`,
     each with the bits of its solo run.  The runs trace only iteration 0,
-    ``total_iters`` and the ``checkpoints``, since the objective needs a
-    t-product with ``full_a`` per record.  Returns {t: [F(X_t) per seed, in
+    ``total_iters`` and the ``checkpoints``; their objective records come
+    from Gram terms of ``full_a`` that the batch builds once.  Returns {t: [F(X_t) per seed, in
     seed order]} for every checkpoint t, the quantity that
     :func:`~msgdt.bounds.decay_bound` bounds in the mean when F(X*) = 0.
     """

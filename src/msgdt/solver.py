@@ -15,10 +15,13 @@ is one small matrix product per frequency f = 0..n//2.  It steps the scaled
 spectrum Y = s o rfft(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
 Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 ``update_norm`` and ``iterate_error`` are plain norms of spectra, and
-``irfft`` runs only for ``objective`` records and the final iterate.  Row
-spectra come from :func:`row_spectra`, one rfft per
-:func:`~msgdt.tensor.row_chunks` slice of up to 256 rows; the Monte Carlo
-checks in :mod:`msgdt.checks` take their draws' spectra from it too.  Compared with
+``irfft`` runs only for the final iterate.  ``objective`` records are a
+quadratic form in Y with one l x l Gram matrix per frequency
+(``_ObjectiveForm``), built from one pass over the full A per batch, so a
+record needs neither ``irfft`` nor A.  Row spectra come from
+:func:`row_spectra`, one rfft per :func:`~msgdt.tensor.row_chunks` slice of
+up to 256 rows; the Monte Carlo checks in :mod:`msgdt.checks` take their
+draws' spectra from it too.  Compared with
 iterating on X directly the results differ by rounding only: a few 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
@@ -310,7 +313,7 @@ def _row_terms(ahat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
 
 
 def _row_gradient(
-    ahat: Union[np.ndarray, tuple[np.ndarray, ...]],
+    ahat: np.ndarray,
     pbhat: np.ndarray,
     yhat: np.ndarray,
     model: Union[MissingModel, _Coefficients],
@@ -319,11 +322,11 @@ def _row_gradient(
     """Scaled spectrum of the update direction g(X) for one masked row slice per run.
 
     ``ahat`` (..., f, l) is the rfft of the masked row Atilde_i along its
-    tubes, or its :func:`_row_terms`; ``pbhat`` (..., f, q) and ``yhat``
-    (..., f, l, q) are the Parseval-scaled spectra of p B_i and of X;
-    ``spec`` is the tubes' transform.  Leading axes are runs: a batch passes
-    the :class:`_Coefficients` of its per-run models, built once, and a
-    single run may pass its model.  Each run's result depends on that run's
+    tubes; ``pbhat`` (..., f, q) and ``yhat`` (..., f, l, q) are the
+    Parseval-scaled spectra of p B_i and of X; ``spec`` is the tubes'
+    transform.  Leading axes are runs: a batch passes the
+    :class:`_Coefficients` of its per-run models, built once, and a single
+    run may pass its model.  Each run's result depends on that run's
     inputs only, with the same bits whatever the batch.  With a = ahat[f] as
     a 1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2, where
 
@@ -337,7 +340,7 @@ def _row_gradient(
     the real H_0 acts on the real view of Y.
     """
     c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
-    terms = ahat if isinstance(ahat, tuple) else _row_terms(ahat, c)
+    terms = _row_terms(ahat, c)
     *lead, freqs, l, q = yhat.shape
     if c.block is not None:
         ab, ab_conj = terms
@@ -496,6 +499,47 @@ def objective(full_a: Tensor3, b: Tensor3, x: Tensor3) -> float:
     return tn.inner(residual, residual) / (2.0 * full_a.m)
 
 
+@dataclass(frozen=True, eq=False)
+class _ObjectiveForm:
+    """F(X) for one B as a quadratic form in the scaled spectrum Y of X.
+
+    Under the tube DFT, ||A * X - B||^2 = sum_f ||Ahat_f Y_f - Btilde_f||^2
+    (Parseval, with Ahat unscaled and Btilde scaled as Y is).  With the Gram
+    matrices G_f = conj(Ahat_f)^T Ahat_f, C_f = conj(Ahat_f)^T Btilde_f, a
+    centre Z and D = Y - Z, that is
+
+        2m F(X) = D^H G D + 2 Re<D, G Z - C> + 2m F(Z),
+
+    exact algebra for any Z.  Z = G^+ C, the least-squares point at each
+    frequency, keeps every term as small as F(X) - F(Z), so the sum does
+    not cancel the large ||A X||^2 and ||B||^2 against each other.
+    """
+
+    gram: np.ndarray  # G, (f, l, l)
+    centre: np.ndarray  # Z, (f, l, q)
+    twice_slope: np.ndarray  # 2 (G Z - C), (f, l, q)
+    at_centre: float  # F(Z)
+    m: int
+
+    def __call__(self, yhat: np.ndarray) -> float:
+        d = yhat - self.centre
+        return float(np.vdot(d, self.gram @ d + self.twice_slope).real) / (2.0 * self.m) + self.at_centre
+
+
+def _objective_forms(full_a: Tensor3, bs: list[Tensor3], spec: tn.TubeSpectrum) -> list[_ObjectiveForm]:
+    """An :class:`_ObjectiveForm` per B in ``bs``, from one chunked pass over ``full_a`` and one
+    :func:`objective` call per B (at its centre)."""
+    gram, cross = tn.tube_gram(full_a.data, np.stack([b.data for b in bs]))
+    cross *= spec.scale[:, None, None]  # C_f, against the scaled spectrum of B
+    # the pseudo-inverse gives a least-squares point also where G is singular (m < l, a zero column)
+    centres = np.linalg.pinv(gram, hermitian=True) @ cross
+    slopes = 2.0 * (gram @ centres - cross)
+    return [
+        _ObjectiveForm(gram, z, slope, objective(full_a, b, Tensor3(spec.inverse(z, scaled=True))), full_a.m)
+        for b, z, slope in zip(bs, centres, slopes)
+    ]
+
+
 def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -> None:
     """Reject a batch whose runs do not share what the one loop needs shared."""
     if not problems or len(problems) != len(configs):
@@ -600,7 +644,12 @@ def run_batch(
 
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``a_tilde``.  The
-    iterates live in the scaled tube-Fourier domain (module docstring).
+    iterates live in the scaled tube-Fourier domain (module docstring), and
+    ``irfft`` runs only for the final iterates.  With ``full_a``, the batch
+    builds the Gram terms of :class:`_ObjectiveForm` once: G and C in one
+    chunked pass over ``full_a`` (C for each distinct ``b`` object), then a
+    centre and one :func:`objective` call per ``b``; each objective record
+    is then that form at the run's spectrum, with no pass over A.
     Every run's rows of A and B, from its permutation or its redraws, are
     masked and transformed by :func:`row_spectra` one
     :func:`~msgdt.tensor.row_chunks` slice at a time, and the step's terms
@@ -623,6 +672,12 @@ def run_batch(
     spare = np.empty_like(y)  # the frontal step's S Y goes here, then the two swap
     y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))  # per-run views for the projection
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
+    forms = None
+    if full_a is not None:
+        if full_a.dims != problems[0].a_tilde.dims:
+            raise ValueError(f"full A dims {full_a.dims} inconsistent with A dims {problems[0].a_tilde.dims}")
+        distinct = list({id(prob.b): prob.b for prob in problems}.values())
+        forms = dict(zip(map(id, distinct), _objective_forms(full_a, distinct, spec)))
 
     record_at = {0, T} | set(cfg0.also_record)
     traces = [RunTrace() for _ in problems]
@@ -631,7 +686,7 @@ def run_batch(
         for r, (prob, trace) in enumerate(zip(problems, traces)):
             alpha, update = (None, None) if g is None else (float(alphas[t - 1, r]), _norm(_flat(g[r])))
             err = None if y_star is None else _norm(_flat(y[r] - y_star))
-            obj = None if full_a is None else objective(full_a, prob.b, Tensor3(spec.inverse(y[r], scaled=True)))
+            obj = None if forms is None else forms[id(prob.b)](y[r])
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
     record(0, None)

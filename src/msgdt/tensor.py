@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -214,19 +215,26 @@ def tube_spectrum(n: int) -> TubeSpectrum:
     return TubeSpectrum(n, scale, weights)
 
 
-def tube_gram(data: np.ndarray) -> np.ndarray:
+def tube_gram(data: np.ndarray, b: Optional[np.ndarray] = None):
     """Gram matrices conj(Ahat_f)^T Ahat_f of an (n, m, l) array at frequencies 0..n//2.
 
-    The (n//2+1, l, l) complex Hermitian result is the spectrum of A* * A;
-    the rows of A are transformed one :func:`row_chunks` slice at a time.
+    The (n//2+1, l, l) complex Hermitian result is the spectrum of A* * A.
+    Given ``b``, an (..., n, m, q) array whose leading axes stack several
+    B, the same pass also forms the cross terms conj(Ahat_f)^T Bhat_f, the
+    (..., n//2+1, l, q) spectrum of A* * B, and returns (gram, cross).  The
+    rows of A and B are transformed one :func:`row_chunks` slice at a time.
     """
     n, m, l = data.shape
     spec = tube_spectrum(n)
     gram = np.zeros((n // 2 + 1, l, l), dtype=np.complex128)
+    cross = None if b is None else np.zeros(b.shape[:-3] + gram.shape[:2] + b.shape[-1:], dtype=np.complex128)
     for rows in row_chunks(m):
         hat = spec.forward(data[:, rows])
-        gram += hat.conj().transpose(0, 2, 1) @ hat
-    return gram
+        adj = hat.conj().transpose(0, 2, 1)
+        gram += adj @ hat
+        if cross is not None:
+            cross += adj @ spec.forward(b[..., rows, :], axis=-3)
+    return gram if cross is None else (gram, cross)
 
 
 # --- T3F1 binary tensor format ------------------------------------------

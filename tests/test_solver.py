@@ -492,7 +492,7 @@ class TestRowTermsOfAChunk:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_chunk_terms_match_the_row_spectrum(self, kind, runs, n):
-        rows, l, q = 257, 4, 3
+        rows, l = 257, 4
         rng = np.random.default_rng(100 * n + runs)
         spec = tube_spectrum(n)
         models = tuple(model_for(kind, p, 2) for p in (0.3, 0.6, 0.9)[:runs])
@@ -500,11 +500,10 @@ class TestRowTermsOfAChunk:
         coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
         keep = rng.random((rows, runs, n, l)) < 0.6
         chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
-        pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
-        y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
         for k, terms in enumerate(zip(*_row_terms(chunk, coeffs))):
-            got = _row_gradient(terms, pb[k], y, coeffs, spec)
-            assert np.array_equal(got, _row_gradient(chunk[k], pb[k], y, coeffs, spec)), k
+            alone = _row_terms(chunk[k], coeffs)  # the terms _row_gradient builds for row k
+            assert len(terms) == len(alone)
+            assert all(np.array_equal(got, want) for got, want in zip(terms, alone)), k
         assert k == rows - 1
 
     @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
@@ -700,11 +699,13 @@ class TestRun:
     def test_zero_iterations(self):
         system, problem = make_problem()
         cfg = mg.SolverConfig(schedule=mg.ConstantStep(0.01), total_iters=0, seed=1)
-        res = mg.run_msgdt(problem, cfg, x_star=system.x_star)
+        res = mg.run_msgdt(problem, cfg, x_star=system.x_star, full_a=system.a)
         assert np.array_equal(res.x_final.data, problem.x0.data)
         assert len(res.trace.records) == 1
         assert res.trace.records[0].iteration == 0
         assert res.trace.records[0].step_size is None
+        want = mg.objective(system.a, system.b, problem.x0)
+        assert abs(res.trace.records[0].objective - want) <= 1e-12 * want
 
     def test_budget_exceeds_rows(self):
         _, problem = make_problem(m=10)
@@ -845,6 +846,82 @@ class TestObjective:
         ) / (2 * eps)
         analytic = mg.inner(oracle.full_gradient(system.a, system.b, x), z)
         assert fd == pytest.approx(analytic, rel=1e-6)
+
+
+class TestSpectralObjective:
+    """Objective records come from per-frequency Gram terms; they agree with ``objective`` on the iterate."""
+
+    @staticmethod
+    def redraw_run(a, b, x0, model, iters, seed):
+        problem = mg.ProblemInstance(a_tilde=a, b=b, model=model, x0=x0)
+        config = mg.SolverConfig(schedule=mg.ConstantStep(0.2 * model.p**2 / mg.lipschitz_constant(a, 1.0)),
+                                 total_iters=iters, sampling="redraw", seed=seed, trace_every=10)
+        return mg.run_msgdt(problem, config, full_a=a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @pytest.mark.parametrize("shape", ["wide", "zero-column"])
+    def test_rank_deficient_full_a(self, shape, kind, n):
+        # m < l, or a column of A that is zero: G_f is singular and the centre is a pseudo-inverse point
+        m, l, q = (3, 6, 2) if shape == "wide" else (40, 4, 3)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, m, l))
+        if shape == "zero-column":
+            data[:, :, 1] = 0.0
+        a, b = mg.Tensor3(data), mg.Tensor3(rng.standard_normal((n, m, q)))
+        x0 = mg.Tensor3(rng.standard_normal((n, l, q)))
+        res = self.redraw_run(a, b, x0, model_for(kind, 0.7, 2), 30, n)
+        records = res.trace.by_iteration()
+        for x, rec in ((x0, records[0]), (res.x_final, records[30])):
+            want = mg.objective(a, b, x)
+            assert abs(rec.objective - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_zero_at_the_solution_of_a_consistent_system(self, n):
+        system = mg.gen_synthetic(mg.Dims(60, 4, 3, n), 40 + n)
+        res = self.redraw_run(system.a, system.b, system.x_star, mg.UniformMissing(0.6), 0, n)
+        scale = mg.frob_norm(system.b) ** 2 / (2 * system.a.m)
+        assert abs(res.trace.records[0].objective) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_near_the_solution_of_a_consistent_system(self, n):
+        # F is below 1e-12 ||B||^2/(2m) here; the uncentred sum of ||A X||^2 and ||B||^2 misses by 3e-5 to 8e-4 relative
+        system = mg.gen_synthetic(mg.Dims(60, 4, 3, n), 50 + n)
+        nudge = 1e-6 * np.random.default_rng(n).standard_normal(system.x_star.data.shape)
+        x0 = mg.Tensor3(system.x_star.data + nudge)
+        res = self.redraw_run(system.a, system.b, x0, mg.UniformMissing(0.6), 0, n)
+        want = mg.objective(system.a, system.b, x0)  # itself within about 1e-10 relative, from B's rounding
+        assert abs(res.trace.records[0].objective - want) <= 1e-8 * want
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @pytest.mark.parametrize("sampling", ["once", "redraw"])
+    def test_runs_with_their_own_b_match_their_solo_runs(self, kind, sampling):
+        # runs 0 and 3 share one B object, runs 1, 2 and 4 each hold their own
+        problems, configs, system = batch_runs(kind, sampling, True, 3, 5, 42)
+        rng = np.random.default_rng(42)
+        noisy = [mg.Tensor3(system.b.data + 0.1 * rng.standard_normal(system.b.data.shape)) for _ in range(3)]
+        for r, b in zip((1, 2, 4), noisy):
+            problems[r] = dataclasses.replace(problems[r], b=b)
+        problems[3] = dataclasses.replace(problems[3], b=problems[0].b)
+        TestRunBatch().check(problems, configs, system, [4, 1, 3, 0, 2])
+        for prob, res in zip(problems, run_batch(problems, configs, system.x_star, system.a)):
+            want = mg.objective(system.a, prob.b, res.x_final)
+            assert abs(res.trace.records[-1].objective - want) <= 1e-12 * want
+
+    def test_full_a_of_other_dims_refused(self):
+        system, problem = make_problem(m=20, l=3, n=2)
+        cfg = mg.SolverConfig(schedule=mg.ConstantStep(0.01), total_iters=5)
+        with pytest.raises(ValueError, match=r"full A dims \(21, 3, 2\) inconsistent with A dims \(20, 3, 2\)"):
+            mg.run_msgdt(problem, cfg, full_a=mg.ones(21, 3, 2))
+
+    def test_one_objective_call_per_b(self, monkeypatch):
+        # the records read the Gram terms; objective() runs once per distinct B, at its centre
+        problems, configs, system = batch_runs("uniform", "redraw", False, 3, 3, 43)
+        problems[2] = dataclasses.replace(problems[2], b=mg.Tensor3(system.b.data + 1.0))
+        calls = []
+        monkeypatch.setattr(solver, "objective", lambda *args: calls.append(args) or 0.0)
+        results = run_batch(problems, configs, system.x_star, system.a)
+        assert len(results[0].trace.records) == 7 and len(calls) == 2
 
 
 class TestProblemValidation:

@@ -173,6 +173,27 @@ class TestTubeSpectrum:
             spec.scale[0] = 1.0
 
 
+class TestTubeGram:
+    """tube_gram's Gram matrices and cross terms are the spectra of A* * A and A* * B, across row chunks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, tn._ROW_CHUNK + 1, 2 * tn._ROW_CHUNK + 187])
+    def test_spectra_of_the_t_products(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        a = random_tensor(m, 3, n, rng)
+        bs = rng.standard_normal((2, n, m, 2))
+        gram, cross = tn.tube_gram(a.data, bs)
+        assert gram.shape == (n // 2 + 1, 3, 3) and cross.shape == (2, n // 2 + 1, 3, 2)
+        spec = tn.tube_spectrum(n)
+        at = mg.transpose(a)
+        for got, want in [(gram, mg.tprod(at, a))] + [(c, mg.tprod(at, mg.Tensor3(b))) for c, b in zip(cross, bs)]:
+            assert np.linalg.norm(spec.inverse(got) - want.data) <= 1e-12 * np.linalg.norm(want.data)
+        # the cross terms of one B, alone or stacked with another, and the Gram matrices with or without B
+        alone_gram, alone_cross = tn.tube_gram(a.data, bs[1])
+        assert np.array_equal(alone_cross, cross[1]) and np.array_equal(alone_gram, gram)
+        assert np.array_equal(tn.tube_gram(a.data), gram)
+
+
 class TestTranspose:
     def test_involution(self):
         rng = np.random.default_rng(5)
