@@ -101,11 +101,14 @@ def lipschitz_ratio_max(
         ahat, pbhat = row_spectra([(a, b, model)], [(idx, variates < model.p)], spec)
         xyhat = spec.forward(xy, axis=2, scaled=True)
         g = _row_gradient(np.broadcast_to(ahat, xyhat.shape[:-1]), pbhat, xyhat, model, spec)
-        for (x, y), (gx, gy) in zip(xy, g):
-            denom = float(np.linalg.norm(x - y))
-            if denom == 0.0:
-                continue
-            worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
+        # the norms linalg.norm takes, one call per chunk: the dot of the real X - Y, and the dots of the
+        # real and the imaginary parts of the complex g(X) - g(Y)
+        dx = (xy[:, 0] - xy[:, 1]).reshape(count, -1)
+        dg = (g[:, 0] - g[:, 1]).reshape(count, -1)
+        denom = np.sqrt(np.vecdot(dx, dx))
+        numer = np.sqrt(np.vecdot(dg.real, dg.real) + np.vecdot(dg.imag, dg.imag))
+        kept = denom != 0.0
+        worst = max([worst] + (numer[kept] / denom[kept]).tolist())  # in trial order, as a running max
     return worst, lipschitz_constant(a, model.p)
 
 
@@ -128,8 +131,9 @@ def second_moment_sample(
         count = draws.stop - draws.start
         ahat, pbhat = row_spectra([(a, b, model)], [draw_rows(model, m, l, n, count, rng)], spec)
         g = _row_gradient(ahat[:, 0], pbhat[:, 0], np.broadcast_to(yhat, (count,) + yhat.shape), model, spec)
-        for g_draw in g:  # summed in draw order
-            total += float(np.vdot(g_draw, g_draw).real)
+        flat = g.reshape(count, -1)
+        for sq_norm in np.vecdot(flat, flat).real.tolist():  # summed in draw order
+            total += sq_norm
     return SecondMomentSample(total / trials, trials)
 
 

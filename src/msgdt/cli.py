@@ -15,7 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import compute_bound_report, gradient_second_moment_bound, solution_second_moment_bound
+from .bounds import (
+    compute_bound_report,
+    gradient_second_moment_bound,
+    lipschitz_constant,
+    solution_second_moment_bound,
+)
 from .checks import lipschitz_ratio_max, second_moment_sample, unbiasedness_relative_error
 from .experiment import ExperimentSpec, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
@@ -129,7 +134,13 @@ def cmd_solve(args) -> int:
     )
     x_star = read_t3f1(args.xstar) if args.xstar else None
     full_a = read_t3f1(args.full_a) if args.full_a else None
-    result = run_msgdt(problem, config, x_star=x_star, full_a=full_a)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent run is reported below, in one line
+        result = run_msgdt(problem, config, x_star=x_star, full_a=full_a)
+    if not np.isfinite(result.x_final.data).all():
+        raise ValueError(
+            f"the iterate went non-finite in {args.iters} iterations: step size alpha={alpha:.6g} against "
+            f"1/L_g={1.0 / lipschitz_constant(a, args.p):.6g}; lower --alpha or raise --step-divisor"
+        )
 
     out = _out_dir(args)
     write_t3f1(result.x_final, out / "xfinal.t3f")

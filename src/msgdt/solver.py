@@ -35,19 +35,23 @@ once per :func:`~msgdt.tensor.row_chunks` slice, for all of the slice's rows
 at once.  For a fixed row the step Y - alpha_t g(Y) is affine in Y, and row
 k of a slice is iteration start + k, so ``_step_terms`` folds every row's
 step size into its terms for the whole slice as well: 1 + alpha d (uniform),
-S = I + alpha H_0 written over H_0 (frontal slice), and alpha/p^2 and
-alpha (1-p)/p^2 (all models).
+S = I + alpha H_0 written over H_0 (frontal slice), and alpha/p^2
+multiplied into conj(a)^T (all models), in the copy ``_row_terms`` makes.
+The column block's (1-p) a_b Y_b keeps alpha/p^2 out: it sits inside the
+product with the folded conj(a_b)^T, so (1-p) is a per-run coefficient.
 
 Each iteration then runs only the part that depends on the iterate, in one
-``_step``: r = alpha/p^2 (a Y - p b), then Y <- (1 + alpha d) o Y -
-conj(a)^T r (uniform), or S Y - conj(a)^T r (frontal slice; S Y goes to a
-spare buffer that then swaps with Y, because numpy would copy Y first to
-write a product over its own input), or Y - conj(a_b)^T (r - alpha
-(1-p)/p^2 a_b Y_b) for each block b of columns.  g itself is not formed on
-the way: ``_row_gradient`` runs only at traced iterations, on the iterate
-before the step, for ``update_norm``.  The fused step equals Y - alpha g(Y)
-up to rounding; a test holds one step to the kernel's within 1e-13
-relative.
+``_step`` of five numpy calls (seven for column blocks): with r = a Y - p b
+and u = alpha/p^2 conj(a)^T, Y <- (1 + alpha d) o Y - u r (uniform), or
+S Y - u r (frontal slice; S Y goes to a spare buffer that then swaps with
+Y, because numpy would copy Y first to write a product over its own input),
+or Y - u_b (r - (1-p) a_b Y_b) for each block b of columns.  The loop makes
+no array view per iteration: each buffer's real or block view is made once,
+and p b is indexed to its broadcast shape once per slice.  g itself is not
+formed on the way: ``_row_gradient`` runs only at traced iterations, on the
+iterate before the step, for ``update_norm``.  The fused step equals
+Y - alpha g(Y) up to rounding; a test holds one step to the kernel's within
+1e-13 relative.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -251,18 +255,20 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """The p-dependent factors of :func:`_row_gradient` for a batch of runs of one model kind.
+    """The p-dependent factors of :func:`_row_gradient` and :func:`_step` for a batch of runs of one model kind.
 
-    ``inv`` = 1/p^2 and ``corr`` = (1-p)/p^2 per run, shaped to broadcast
-    against the kernel's residuals; ``corr_w`` = corr * weights, with the
-    frequency axis last.  ``block`` is the column block size (None for the
-    other models) and ``uniform`` marks the uniform model.
+    ``inv`` = 1/p^2, ``corr`` = (1-p)/p^2 and ``p_less_1`` = p - 1 per run,
+    shaped to broadcast against the kernel's and the step's residuals;
+    ``corr_w`` = corr * weights, with the frequency axis last.  ``block`` is
+    the column block size (None for the other models) and ``uniform`` marks
+    the uniform model.
     """
 
     uniform: bool
     block: Optional[int]
     inv: np.ndarray
     corr: np.ndarray
+    p_less_1: np.ndarray
     corr_w: np.ndarray
 
 
@@ -271,16 +277,17 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     """Read-only kernel coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
     model = models[0]
     block = model.b if isinstance(model, ColumnBlockMissing) else None
-    p = np.array([mod.p for mod in models], dtype=np.float64).reshape(lead)
+    p = np.array([mod.p for mod in models], dtype=np.float64)
     inv = 1.0 / (p * p)
     corr = (1.0 - p) * inv
-    # one run's 1/p^2 and (1-p)/p^2 are 0-d, which numpy applies as scalars, at scalar speed
-    tail = (1,) * (3 if block is None else 4) if lead else ()
-    # complex 1/p^2 and (1-p)/p^2 scale complex arrays without a per-call cast, with the same bits
+    # one run's 1/p^2, (1-p)/p^2 and p - 1 are 0-d, which numpy applies as scalars, at scalar speed
+    shape = lead + ((1,) * (3 if block is None else 4) if lead else ())
+    # complex factors scale complex arrays without a per-call cast, with the same bits
     arrays = (
-        inv.reshape(lead + tail).astype(np.complex128),
-        corr.reshape(lead + tail).astype(np.complex128),
-        np.multiply.outer(corr, spec.weights),
+        inv.reshape(shape).astype(np.complex128),
+        corr.reshape(shape).astype(np.complex128),
+        (p - 1.0).reshape(shape).astype(np.complex128),
+        np.multiply.outer(corr.reshape(lead), spec.weights),
     )
     for arr in arrays:
         arr.setflags(write=False)
@@ -361,62 +368,83 @@ def _row_gradient(
     return g
 
 
-def _step_terms(ahat: np.ndarray, alpha: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
-    """The factors of :func:`_step` for a chunk of rows ``ahat`` (rows, R, f, l) at step sizes ``alpha`` (rows, R).
+def _step_terms(ahat: np.ndarray, pbhat: np.ndarray, alpha: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
+    """The factors of :func:`_step` for a chunk of rows ``ahat`` (rows, R, f, l) and ``pbhat`` (rows, R, f, q) at
+    step sizes ``alpha`` (rows, R).
 
     For a fixed row, Y - alpha g(Y) is affine in Y, so each row's step size
-    is folded into its :func:`_row_terms` once per chunk: uniform gives
-    (a, conj(a)^T, alpha/p^2, 1 + alpha d); frontal slice gives
-    (a, conj(a)^T, alpha/p^2, S) with the real S = I + alpha H_0, written
-    over H_0; column block gives (a_b, conj(a_b)^T, alpha/p^2,
-    alpha (1-p)/p^2).  Indexing every factor at row k gives row k's factors.
+    is folded into its :func:`_row_terms` once per chunk, and alpha/p^2 is
+    multiplied into conj(a)^T in place (the copy :func:`_row_terms` makes):
+    uniform gives (a, alpha/p^2 conj(a)^T, p b, 1 + alpha d); frontal slice
+    gives (a, alpha/p^2 conj(a)^T, p b, S) with the real S = I + alpha H_0,
+    written over H_0; column block gives (a_b, alpha/p^2 conj(a_b)^T, p b).
+    p b is indexed to broadcast against the residual a Y.  Indexing every
+    factor at row k gives row k's factors; each is a view of the chunk's
+    arrays, which it keeps alive.
     """
-    rows, l = len(alpha), ahat.shape[-1]
-    alpha_inv = alpha.reshape((rows,) + c.inv.shape) * c.inv
+    l = ahat.shape[-1]
     terms = _row_terms(ahat, c)
+    conj = terms[1]
+    alpha_inv = alpha * c.inv.real.reshape(-1)  # alpha/p^2, per row and run
+    conj *= alpha_inv.reshape(alpha.shape + (1,) * (conj.ndim - 2))
     if c.block is not None:
-        return terms + (alpha_inv, alpha.reshape((rows,) + c.corr.shape) * c.corr)
+        return terms + (pbhat[..., None, None, :],)
     a, conj, scale = terms
-    scale *= alpha[:, :, None, None, None]  # alpha d or alpha H_0, per row and run
+    scale *= alpha.reshape(alpha.shape + (1,) * (scale.ndim - 2))  # alpha d or alpha H_0, per row and run
     if c.uniform:
         scale += 1.0
     else:
         scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each H_0
-    return a, conj, alpha_inv, scale
+    return a, conj, pbhat[..., None, :], scale
 
 
-def _step(terms: tuple[np.ndarray, ...], pbhat: np.ndarray, yhat: np.ndarray, out: np.ndarray,
-          c: _Coefficients) -> np.ndarray:
-    """One step Y - alpha g(Y) of every run, from one row's :func:`_step_terms`; returns the new Y.
+def _step_views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, the view of Y that :func:`_step` updates) for an iterate buffer ``yhat`` (R, f, l, q).
 
-    uniform and column block overwrite ``yhat``; frontal slice writes S Y
-    into ``out`` and returns it (numpy would copy ``yhat`` first to write
-    the product over its own input).  With r = alpha/p^2 (a Y_f - (p b)_f),
-    frequency f of the new Y is (1 + alpha d) o Y_f - conj(a)^T r
-    (uniform, on the real view of Y), S Y_f - conj(a)^T r (frontal slice, S
-    acting on the real view), or Y_f - conj(a_b)^T (r - alpha (1-p)/p^2 a_b
-    Y_fb) for each block b of columns.  Equal to :func:`_row_gradient`'s
-    step up to rounding.
+    The view is the real (R, f, l, 2q) view for the uniform d and the frontal
+    S, and the (R, f, nb, b, q) view of the column blocks.  Built once per
+    buffer, so the step makes no view per iteration.
     """
-    *lead, freqs, l, q = yhat.shape
     if c.block is not None:
-        ab, ab_conj, alpha_inv, alpha_corr = terms
-        axb = ab @ yhat.reshape(*lead, freqs, l // c.block, c.block, q)  # a_b Y_fb, (..., f, nb, 1, q)
+        *lead, l, q = yhat.shape
+        return yhat, yhat.reshape(*lead, l // c.block, c.block, q)
+    return yhat, yhat.view(np.float64)
+
+
+def _step(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray], out: tuple[np.ndarray, np.ndarray],
+          c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """One step Y - alpha g(Y) of every run, from one row's :func:`_step_terms`; returns the new Y's views.
+
+    ``y`` and ``out`` are :func:`_step_views` of the iterate and of a spare
+    buffer.  uniform and column block overwrite ``y``; frontal slice writes
+    S Y into ``out`` and returns it (numpy would copy Y first to write the
+    product over its own input).  With r = a Y_f - (p b)_f and u =
+    alpha/p^2 conj(a)^T, frequency f of the new Y is (1 + alpha d) o Y_f -
+    u r (uniform, on the real view of Y), S Y_f - u r (frontal slice, S
+    acting on the real view), or Y_fb - u_b (r - (1-p) a_b Y_fb) for each
+    block b of columns, with r summed over the blocks' a_b Y_fb.  Equal to
+    :func:`_row_gradient`'s step up to rounding.
+    """
+    yhat, view = y
+    if c.block is not None:
+        ab, conj, pb = terms
+        axb = ab @ view  # a_b Y_fb, (..., f, nb, 1, q)
         resid = np.add.reduce(axb, axis=-3, keepdims=True)
-        resid -= pbhat[..., None, None, :]
-        z = alpha_inv * resid - alpha_corr * axb
-        yhat -= (ab_conj * z).reshape(yhat.shape)
-        return yhat
-    a, conj, alpha_inv, scale = terms
+        resid -= pb
+        axb *= c.p_less_1
+        axb += resid  # r - (1-p) a_b Y_fb
+        view -= conj * axb
+        return y
+    a, conj, pb, scale = terms
     resid = a @ yhat  # (..., f, 1, q)
-    resid -= pbhat[..., None, :]
-    resid *= alpha_inv
+    resid -= pb
     if c.uniform:
-        out = yhat
-        np.multiply(out.view(np.float64), scale, out=out.view(np.float64))
-    else:
-        np.matmul(scale, yhat.view(np.float64), out=out.view(np.float64))
-    out -= conj * resid
+        view *= scale
+        yhat -= conj * resid
+        return y
+    spare, spare_view = out
+    np.matmul(scale, view, out=spare_view)
+    spare -= conj * resid
     return out
 
 
@@ -670,7 +698,9 @@ def run_batch(
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
     spare = np.empty_like(y)  # the frontal step's S Y goes here, then the two swap
-    y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))  # per-run views for the projection
+    # each buffer's views, made once: the step's, and one flat view per run for the projection
+    y_views, spare_views = (_step_views(arr, coeffs) for arr in (y, spare))
+    y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     forms = None
     if full_a is not None:
@@ -692,22 +722,22 @@ def run_batch(
     record(0, None)
     for rows in tn.row_chunks(T):
         a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
-        chunk = _step_terms(a_chunk, alphas[rows], coeffs)
-        for k, (terms, pbhat) in enumerate(zip(zip(*chunk), pb_chunk)):
+        chunk = _step_terms(a_chunk, pb_chunk, alphas[rows], coeffs)
+        for k, terms in enumerate(zip(*chunk)):
             t = rows.start + k + 1
             traced = t in record_at or t % cfg0.trace_every == 0
             # the trace's g is the kernel's, on the iterate before the step
-            g = _row_gradient(a_chunk[k], pbhat, y, coeffs, spec) if traced else None
-            if _step(terms, pbhat, y, spare, coeffs) is spare:
-                y, spare, y_flat, spare_flat = spare, y, spare_flat, y_flat
+            g = _row_gradient(a_chunk[k], pb_chunk[k], y, coeffs, spec) if traced else None
+            if _step(terms, y_views, spare_views, coeffs) is spare_views:
+                y, spare, y_views, spare_views, y_flat, spare_flat = spare, y, spare_views, y_views, spare_flat, y_flat
             if radius is not None:
                 for flat in y_flat:
                     _project(flat, radius)
 
             if traced:
                 record(t, g)
-        # free this chunk's spectra and terms before the next chunk's are built
-        del a_chunk, pb_chunk, chunk, terms, pbhat
+        # free this chunk's spectra and terms (and the row views of them) before the next chunk's are built
+        del a_chunk, pb_chunk, chunk, terms
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -225,10 +226,13 @@ class TestSolve:
         argv = ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "200",
                 "--step-divisor", "0.0001", "--out", str(out)]
         capsys.readouterr()
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
-        assert_one_line_error(capsys, code, "solve", "xfinal.t3f.*non-finite")
-        assert not (out / "xfinal.t3f").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert_one_line_error(capsys, code, "solve", r"non-finite in 200 iterations: step size alpha=2500 against "
+                                                     r"1/L_g=[0-9.e+-]+; lower --alpha or raise --step-divisor$")
+        assert not out.exists()
 
 
 class TestExperiment:

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from msgdt.solver import (
     _row_terms,
     _step,
     _step_terms,
+    _step_views,
     row_spectra,
     run_batch,
     step_table,
@@ -348,12 +350,14 @@ def result_bits(result):
     return result.x_final.data.tobytes(), [r.iteration for r in result.trace.records], b"".join(fields)
 
 
-def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True, m=40):
-    """``size`` runs on one system of m rows with distinct p, seeds, X0 and schedules, plus the trace inputs."""
+def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True, m=40, block=2):
+    """``size`` runs on one system of m rows with distinct p, seeds, X0 and schedules, plus the trace inputs.
+
+    ``block`` is the column block size of "colblock" runs (l = 4); the other models ignore it.
+    """
     l, q = 4, 2
     system = mg.gen_synthetic(mg.Dims(m, l, q, n), seed)
     rng = np.random.default_rng(seed)
-    block = 2 if kind == "colblock" else 1
     lg = mg.lipschitz_constant(system.a, 1.0)
     problems, configs = [], []
     for r in range(size):
@@ -541,17 +545,25 @@ def kernel_step_runs(problems, configs):
     return runs
 
 
+# column blocks of 2 of l = 4 columns, and of 1 and of l: every column its own block, and one block
+FUSED_KINDS = pytest.mark.parametrize(
+    "kind,block",
+    [("uniform", None), ("colblock", 2), ("frontal", None), ("colblock", 1), ("colblock", 4)],
+    ids=["uniform", "colblock", "frontal", "colblock-b1", "colblock-b4"],
+)
+
+
 class TestFusedStep:
     """The step with each row's step size folded into its chunk's terms is the kernel's step, up to rounding."""
 
-    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    @FUSED_KINDS
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_one_step_is_the_kernel_step(self, kind, runs, n):
+    def test_one_step_is_the_kernel_step(self, kind, block, runs, n):
         rows, l, q = 257, 4, 3
         rng = np.random.default_rng(200 * n + runs)
         spec = tube_spectrum(n)
-        models = tuple(model_for(kind, p, 2) for p in (0.3, 0.6, 0.9)[:runs])
+        models = tuple(model_for(kind, p, block) for p in (0.3, 0.6, 0.9)[:runs])
         coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
         keep = rng.random((rows, runs, n, l)) < 0.6
         chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
@@ -559,11 +571,12 @@ class TestFusedStep:
         # step sizes near 1/L_g for each row, so that a step moves Y about as far as Y's own size
         p_sq = np.array([model.p for model in models]) ** 2
         alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
-        for k, terms in enumerate(zip(*_step_terms(chunk, alphas, coeffs))):
+        for k, terms in enumerate(zip(*_step_terms(chunk, pb, alphas, coeffs))):
             y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
             want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
             y_in, out = y.copy(), np.empty_like(y)
-            got = _step(terms, pb[k], y, out, coeffs)
+            views = _step_views(y, coeffs), _step_views(out, coeffs)
+            got = _step(terms, *views, coeffs)[0]
             if kind == "frontal":  # S Y goes to the spare buffer; Y is left for the matrix product to read
                 assert got is out and np.array_equal(y, y_in)
             else:
@@ -576,10 +589,10 @@ class TestFusedStep:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("sampling", ["once", "redraw"])
-    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
-    def test_runs_follow_the_kernel_step(self, kind, sampling, size, n, project):
+    @FUSED_KINDS
+    def test_runs_follow_the_kernel_step(self, kind, block, sampling, size, n, project):
         # 300 iterations cross a chunk boundary; with projection, frontal runs swap buffers under it
-        problems, configs, system = batch_runs(kind, sampling, project, n, size, 50 + n, m=300)
+        problems, configs, system = batch_runs(kind, sampling, project, n, size, 50 + n, m=300, block=block)
         configs = [dataclasses.replace(cfg, total_iters=300, trace_every=37) for cfg in configs]
         for res, (x_ref, norms) in zip(run_batch(problems, configs), kernel_step_runs(problems, configs)):
             assert np.linalg.norm(res.x_final.data - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
@@ -607,6 +620,49 @@ class TestFusedStep:
                 assert records[t].update_norm == _norm(_flat(g[r]))
                 if t - 1 in records:  # the kernel saw the iterate that step t - 1 and its projection left
                     assert records[t - 1].iterate_error == _norm(_flat(y[r] - y_star))
+
+
+class TestMeanPathFollowsGradientDescent:
+    """The mean over seeds of unprojected "redraw" runs follows full-gradient descent.
+
+    grad F is affine and E[g(X)] = grad F(X) for the row and mask drawn at
+    each step, so E[X_t] = E[X_{t-1}] - alpha_t grad F(E[X_{t-1}]) exactly,
+    for any schedule.  The mean final iterate over S seeds must therefore
+    match gradient descent, run through ``tn.tprod``, within its standard
+    error.  Two p values in one batch, neither 1/2 (where 1-p = p), catch a
+    run stepped with another run's p and a p in place of 1-p; the decaying and
+    hybrid schedules catch a step size taken at the wrong iteration.
+    """
+
+    SEEDS, ITERS, P_VALUES = 400, 40, (0.4, 0.8)
+    # familywise level 1e-4, two-sided normal tail, Bonferroni over every entry, schedule, p and model
+    ENTRIES = (3 * 2 * 3) * 3 * len(P_VALUES) * 3  # entries of X, schedules, p values, models
+    THRESHOLD = statistics.NormalDist().inv_cdf(1.0 - 1e-4 / (2 * ENTRIES))
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_mean_final_iterate_is_gradient_descent(self, kind):
+        system = mg.gen_synthetic(mg.Dims(60, 3, 2, 3), 1234)
+        # far from X*, so that a step of the wrong size moves the mean by more than the noise it adds
+        x0 = mg.Tensor3(20.0 * np.random.default_rng(5).standard_normal((3, 3, 2)))
+        problems, configs, groups = [], [], []
+        for p in self.P_VALUES:
+            problem = mg.ProblemInstance(a_tilde=system.a, b=system.b, model=model_for(kind, p, 1), x0=x0)
+            alpha = 0.5 / mg.lipschitz_constant(system.a, p)
+            for schedule in (mg.ConstantStep(alpha), mg.InverseSqrtStep(alpha), mg.HybridStep.matched(alpha, 20)):
+                groups.append((schedule, slice(len(problems), len(problems) + self.SEEDS)))
+                for _ in range(self.SEEDS):
+                    problems.append(problem)
+                    configs.append(mg.SolverConfig(schedule=schedule, total_iters=self.ITERS, sampling="redraw",
+                                                   seed=len(configs), trace_every=self.ITERS))
+        finals = np.stack([res.x_final.data for res in run_batch(problems, configs)])
+        worst = 0.0
+        for schedule, runs in groups:
+            x = x0
+            for alpha in step_table(schedule, self.ITERS):
+                x = x - alpha * oracle.full_gradient(system.a, system.b, x)
+            mean, sd = finals[runs].mean(axis=0), finals[runs].std(axis=0, ddof=1)
+            worst = max(worst, float(np.max(np.abs(mean - x.data) / (sd / math.sqrt(self.SEEDS)))))
+        assert worst <= self.THRESHOLD, (worst, self.THRESHOLD)
 
 
 class TestLinearPart:
