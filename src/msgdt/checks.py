@@ -10,13 +10,15 @@ routine returns plain numbers so callers decide what tolerance to enforce:
 * self-adjointness of the linear part of g,
 * the strong convexity inequality for the objective.
 
-The gradient checks call the solver's kernel on tube spectra: each fixed
-iterate is transformed once, squared norms of g are taken on its scaled
-spectrum (Parseval), and a result is transformed back once, not per draw.
-Their (row, mask) pairs, enumerated or drawn, go through the solver's row
-path: one :func:`~msgdt.tensor.row_chunks` slice at a time, each chunk's
-rows of A and B are masked and transformed by :func:`msgdt.solver.row_spectra`
-and sent through one kernel call with a leading draw axis.  The generator
+The gradient checks evaluate g on tube spectra with the solver's
+``_row_gradient``: the row operator the iteration steps with, built and
+applied without step sizes.  Each fixed iterate is transformed once, squared
+norms of g are taken on its scaled spectrum (Parseval), and a result is
+transformed back once, not per draw.  Their (row, mask) pairs, enumerated or
+drawn, go through the solver's row path: one
+:func:`~msgdt.tensor.row_chunks` slice at a time, each chunk's rows of A and
+B are masked and transformed by :func:`msgdt.solver.row_spectra` and sent
+through one ``_row_gradient`` call with a leading draw axis.  The generator
 is consumed draw by draw as one draw at a time would consume it, and the
 per-draw terms are summed or compared in draw order, so results and the
 generator state afterwards do not depend on the chunking, and memory per

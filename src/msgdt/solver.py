@@ -26,32 +26,34 @@ iterating on X directly the results differ by rounding only: a few 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
 
-The iteration never builds C: ``_row_gradient`` applies (C o H) * X in a
-closed form per model, and :func:`msgdt.oracle.gradient_estimate` keeps the
-dense formula with an explicit C as the reference the kernel is tested
-against.  The kernel's factors that depend on the row only (conj(ahat), the
-uniform d, the frontal H_0, the column blocks) are built by ``_row_terms``
-once per :func:`~msgdt.tensor.row_chunks` slice, for all of the slice's rows
-at once.  For a fixed row the step Y - alpha_t g(Y) is affine in Y, and row
-k of a slice is iteration start + k, so ``_step_terms`` folds every row's
-step size into its terms for the whole slice as well: 1 + alpha d (uniform),
-S = I + alpha H_0 written over H_0 (frontal slice), and alpha/p^2
-multiplied into conj(a)^T (all models), in the copy ``_row_terms`` makes.
-The column block's (1-p) a_b Y_b keeps alpha/p^2 out: it sits inside the
-product with the folded conj(a_b)^T, so (1-p) is a per-run coefficient.
+The iteration never builds C: for a fixed row, each frequency f of g is
+one affine map of Y_f, g(Y) = -D Y_f + (1/p^2) conj(a)^T (a Y_f - (p b)_f),
+with D the model's closed form of (1-p)/p^2 (C o H) (uniform: a diagonal
+d; frontal slice: the real H_0; column block: a rank-one term per block of
+columns), and :func:`msgdt.oracle.gradient_estimate` keeps the dense
+formula with an explicit C as the reference it is tested against.  The
+step Y - alpha_t g(Y) is the same map with alpha folded in.  So one row
+operator serves both: ``_row_terms`` builds the terms (S, u) of
+Y -> S Y + u (a Y - p b), once per :func:`~msgdt.tensor.row_chunks` slice
+for all of its rows at once, and ``_apply`` applies one row's terms.
+Without step sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T);
+with them they give the step (S = I + alpha D, u = -(alpha/p^2)
+conj(a)^T, the factor multiplied in place into the copy of conj(a)^T the
+builder makes).  Row k of a slice is iteration start + k, so every row's
+step size is known when its slice's terms are built.
 
 Each iteration then runs only the part that depends on the iterate, in one
-``_step`` of five numpy calls (seven for column blocks): with r = a Y - p b
-and u = alpha/p^2 conj(a)^T, Y <- (1 + alpha d) o Y - u r (uniform), or
-S Y - u r (frontal slice; S Y goes to a spare buffer that then swaps with
-Y, because numpy would copy Y first to write a product over its own input),
-or Y - u_b (r - (1-p) a_b Y_b) for each block b of columns.  The loop makes
-no array view per iteration: each buffer's real or block view is made once,
-and p b is indexed to its broadcast shape once per slice.  g itself is not
-formed on the way: ``_row_gradient`` runs only at traced iterations, on the
-iterate before the step, for ``update_norm``.  The fused step equals
-Y - alpha g(Y) up to rounding; a test holds one step to the kernel's within
-1e-13 relative.
+``_apply`` of five numpy calls (seven for column blocks): with r = a Y - p b,
+Y <- S o Y + u r (uniform), S Y + u r (frontal slice, S acting on the
+real view of Y; S Y goes to a spare buffer that then swaps with Y, because
+numpy would copy Y first to write a product over its own input), or
+Y + u_b (r + (p-1) a_b Y_b) for each block b of columns.  The loop makes
+no array view per iteration: each buffer's real or block view is made
+once, and p b is indexed to its broadcast shape once per slice.  g itself
+is not formed on the way: ``_row_gradient``, the same builder and apply
+without step sizes, runs only at traced iterations, on the iterate before
+the step, for ``update_norm``.  The step equals Y - alpha g(Y) up to
+rounding; a test holds one step to it within 1e-13 relative.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -61,7 +63,7 @@ chunk's rows and masks come from (``_row_source``).
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
-them all through one ``_step`` call per iteration, which spreads numpy's
+them all through one ``_apply`` call per iteration, which spreads numpy's
 per-call cost over the runs.  Each run keeps its own p, X0, step sizes,
 row order or generator, and gets the bits it gets alone;
 :func:`run_msgdt` is the batch of one.
@@ -255,68 +257,152 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """The p-dependent factors of :func:`_row_gradient` and :func:`_step` for a batch of runs of one model kind.
+    """The p-dependent factors of the row map (:func:`_row_terms`, :func:`_apply`) for a batch of runs of one model kind.
 
-    ``inv`` = 1/p^2, ``corr`` = (1-p)/p^2 and ``p_less_1`` = p - 1 per run,
-    shaped to broadcast against the kernel's and the step's residuals;
-    ``corr_w`` = corr * weights, with the frequency axis last.  ``block`` is
-    the column block size (None for the other models) and ``uniform`` marks
-    the uniform model.
+    ``inv`` = 1/p^2 and ``p_less_1`` = p - 1 per run, shaped to broadcast
+    against a chunk's conj(a)^T and the column block's residuals;
+    ``neg_corr_w`` = -(1-p)/p^2 * weights per run and frequency, so that it
+    weighs the tube sums of -D, shaped (..., 1, f) for the uniform d and
+    (..., f, 1, 1) for the frontal H_0.  ``block`` is the column block size
+    (None for the other models) and ``uniform`` marks the uniform model.
     """
 
     uniform: bool
     block: Optional[int]
     inv: np.ndarray
-    corr: np.ndarray
     p_less_1: np.ndarray
-    corr_w: np.ndarray
+    neg_corr_w: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -> _Coefficients:
-    """Read-only kernel coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
+    """Read-only row map coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
     model = models[0]
     block = model.b if isinstance(model, ColumnBlockMissing) else None
     p = np.array([mod.p for mod in models], dtype=np.float64)
     inv = 1.0 / (p * p)
-    corr = (1.0 - p) * inv
-    # one run's 1/p^2, (1-p)/p^2 and p - 1 are 0-d, which numpy applies as scalars, at scalar speed
+    uniform = isinstance(model, UniformMissing)
+    neg_corr_w = np.multiply.outer(((p - 1.0) * inv).reshape(lead), spec.weights)
+    # one run's 1/p^2 and p - 1 are 0-d, which numpy applies as scalars, at scalar speed
     shape = lead + ((1,) * (3 if block is None else 4) if lead else ())
     # complex factors scale complex arrays without a per-call cast, with the same bits
     arrays = (
         inv.reshape(shape).astype(np.complex128),
-        corr.reshape(shape).astype(np.complex128),
         (p - 1.0).reshape(shape).astype(np.complex128),
-        np.multiply.outer(corr.reshape(lead), spec.weights),
+        neg_corr_w[..., None, :] if uniform else neg_corr_w[..., :, None, None],
     )
     for arr in arrays:
         arr.setflags(write=False)
-    return _Coefficients(isinstance(model, UniformMissing), block, *arrays)
+    return _Coefficients(uniform, block, *arrays)
 
 
-def _row_terms(ahat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
-    """The factors of :func:`_row_gradient` that depend on the rows ``ahat`` (..., f, l) only.
+def _row_terms(
+    ahat: np.ndarray, pbhat: np.ndarray, alpha: Optional[np.ndarray], c: _Coefficients
+) -> tuple[np.ndarray, ...]:
+    """The terms of the row map Y -> S Y + u r for rows ``ahat`` (..., f, l) and ``pbhat`` (..., f, q).
 
-    uniform: (a, conj(a)^T, d) and frontal slice: (a, conj(a)^T, H_0), each
-    shaped to act on (..., f, l, q) spectra, with H_0 a contiguous real
-    array; column block: (a_b, conj(a_b)^T) per block of columns.  Leading
-    axes are kept, so one call covers a whole chunk of rows and indexing
-    every factor at row k gives row k's factors, with the same bits.
+    r = a Y_f - (p b)_f.  Without step sizes the terms give g(Y), with
+    S = -D and u = (1/p^2) conj(a)^T; with step sizes ``alpha`` (the leading
+    axes of ``ahat``) they give the step Y - alpha g(Y), with S = I + alpha D
+    and u = -(alpha/p^2) conj(a)^T, the factor multiplied in place into the
+    copy of conj(a)^T that ``conj()`` makes.  The terms are (a, u, p b, S):
+
+    * uniform: D = diag(d) with d_j = (1-p)/p^2 sum_k arow[k, j]^2, S a
+      complex (..., 1, l, 1) array with zero imaginary parts;
+    * frontal slice: D = (1-p)/p^2 H_0 with the real H_0 = arow^T arow, S a
+      contiguous real (..., 1, l, l) array that acts on the real view;
+    * column block: (a_b, u_b, p b) per block b of columns, without S.  D
+      lives in r, extended by (p-1) a_b Y_fb per block, so S is I for the
+      step and 0 for g: :func:`_apply` adds u_b r_b onto Y, or gives it alone.
+
+    d and H_0 are sums over the tube, read off the spectrum by Parseval.
+    p b is indexed to broadcast against the residual a Y.  Leading axes are
+    kept, so one call covers a whole chunk of rows, and indexing every term
+    at row k gives row k's terms, with the same bits.
     """
     *lead, freqs, l = ahat.shape
-    if c.block is not None:
-        nb, bs = l // c.block, c.block
-        ab = ahat.reshape(*lead, freqs, nb, 1, bs)
-        return ab, ab.conj().reshape(*lead, freqs, nb, bs, 1)
     conj = ahat.conj()
-    if c.uniform:
-        corr = (c.corr_w[..., None, :] @ (ahat * conj).real)[..., None]  # d, (..., 1, l, 1)
+    if c.block is None:
+        a, pb = ahat[..., None, :], pbhat[..., None, :]
+        if c.uniform:
+            # -d, (..., 1, l, 1), complex with zero imaginary parts: it scales the complex Y as a real d scales
+            # Y's real view, at the same speed, and neither the step nor g then makes a view of Y or of its result
+            scale = (c.neg_corr_w @ (ahat * conj).real)[..., None].astype(np.complex128)
+        else:
+            # -H_0, one real product over the real and imaginary parts (filled in place: np.stack costs more)
+            parts = np.empty((*lead, freqs, 2, l))
+            parts[..., 0, :], parts[..., 1, :] = ahat.real, ahat.imag
+            weighted = (c.neg_corr_w * parts).reshape(*lead, 2 * freqs, l)
+            scale = (weighted.swapaxes(-1, -2) @ parts.reshape(*lead, 2 * freqs, l))[..., None, :, :]
+        conj = conj[..., None]
     else:
-        # H_0 = Re(conj(a)^T diag(corr_w) a), one real product over the real and imaginary parts
-        parts = np.stack((ahat.real, ahat.imag), axis=-2)  # (..., f, 2, l)
-        weighted = (c.corr_w[..., :, None, None] * parts).reshape(*lead, 2 * freqs, l)
-        corr = (weighted.swapaxes(-1, -2) @ parts.reshape(*lead, 2 * freqs, l))[..., None, :, :]  # (..., 1, l, l)
-    return ahat[..., None, :], conj[..., None], corr
+        nb, bs = l // c.block, c.block
+        a, pb = ahat.reshape(*lead, freqs, nb, 1, bs), pbhat[..., None, None, :]
+        conj = conj.reshape(*lead, freqs, nb, bs, 1)
+    if alpha is None:
+        conj *= c.inv
+    else:
+        neg_alpha = -alpha
+        conj *= (neg_alpha * c.inv.real.reshape(-1)).reshape(alpha.shape + (1,) * (conj.ndim - alpha.ndim))
+        if c.block is None:
+            scale *= neg_alpha.reshape(alpha.shape + (1,) * (scale.ndim - alpha.ndim))  # alpha d or alpha H_0
+            if c.uniform:
+                scale += 1.0
+            else:
+                scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each alpha H_0
+    return (a, conj, pb) if c.block is not None else (a, conj, pb, scale)
+
+
+def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, the view of Y that :func:`_apply` reads and writes) for a spectrum buffer ``yhat`` (..., f, l, q).
+
+    The view is Y itself for the uniform d, the real (..., f, l, 2q) view
+    for the frontal S, and the (..., f, nb, b, q) view of the column
+    blocks.  The loop makes it once per buffer, so a step makes no view.
+    """
+    if c.block is not None:
+        *lead, l, q = yhat.shape
+        return yhat, yhat.reshape(*lead, l // c.block, c.block, q)
+    return yhat, yhat if c.uniform else yhat.view(np.float64)
+
+
+def _apply(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray],
+           out: Optional[tuple[np.ndarray, np.ndarray]], c: _Coefficients) -> np.ndarray:
+    """S Y + u r of every run, from one row's :func:`_row_terms`, written into the buffer of ``out`` and returned.
+
+    ``y`` and ``out`` are :func:`_views` of the iterate and of the result's
+    buffer (None: a new array), and r = a Y_f - (p b)_f.  uniform and
+    frontal slice write S Y (the frontal S acting on the real view of Y),
+    then add u r; ``out`` may be ``y`` for the uniform d, not for the
+    frontal S (numpy would copy Y first to write a product over its own
+    input).  A column block adds u_b (r + (p-1) a_b Y_fb) to block b of
+    ``out``, with r summed over the blocks' a_b Y_fb: ``out`` is ``y`` for
+    the step (S = I), and None gives the new term alone (S = 0, for g).
+    """
+    yhat, view = y
+    dest, dest_view = (None, None) if out is None else out
+    if c.block is not None:
+        ab, u, pb = terms
+        axb = ab @ view  # a_b Y_fb, (..., f, nb, 1, q)
+        resid = np.add.reduce(axb, axis=-3, keepdims=True)
+        resid -= pb
+        axb *= c.p_less_1
+        axb += resid  # r + (p-1) a_b Y_fb
+        if out is None:
+            return (u * axb).reshape(yhat.shape)
+        dest_view += u * axb
+        return dest
+    a, u, pb, scale = terms
+    resid = a @ yhat  # (..., f, 1, q)
+    resid -= pb
+    if c.uniform:
+        dest_view = np.multiply(view, scale, out=dest_view)
+    else:
+        dest_view = np.matmul(scale, view, out=dest_view)
+    if out is None:
+        dest = dest_view if c.uniform else dest_view.view(np.complex128)
+    dest += u * resid
+    return dest
 
 
 def _row_gradient(
@@ -334,118 +420,11 @@ def _row_gradient(
     transform.  Leading axes are runs: a batch passes the
     :class:`_Coefficients` of its per-run models, built once, and a single
     run may pass its model.  Each run's result depends on that run's
-    inputs only, with the same bits whatever the batch.  With a = ahat[f] as
-    a 1 x l row, frequency f of the result is (lead - (1-p) corr) / p^2, where
-
-    * lead = conj(a)^T (a Y_f - (p b)_f),
-    * uniform: corr = d o Y_f with d_j = sum_k arow[k, j]^2,
-    * frontal slice: corr = H_0 Y_f with the real H_0 = arow^T arow,
-    * column block: corr = conj(a_b)^T (a_b Y_fb) for each block b of columns,
-      merged with the lead term into one outer product per block.
-
-    d and H_0 are sums over the tube, read off the spectrum by Parseval;
-    the real H_0 acts on the real view of Y.
+    inputs only, with the same bits whatever the batch.  g is the row map
+    of :func:`_row_terms` without step sizes, applied by :func:`_apply`.
     """
     c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
-    terms = _row_terms(ahat, c)
-    *lead, freqs, l, q = yhat.shape
-    if c.block is not None:
-        ab, ab_conj = terms
-        axb = ab @ yhat.reshape(*lead, freqs, l // c.block, c.block, q)  # a_b Y_fb, (..., f, nb, 1, q)
-        resid = np.add.reduce(axb, axis=-3, keepdims=True)
-        resid -= pbhat[..., None, None, :]
-        z = c.inv * resid - c.corr * axb
-        return (ab_conj * z).reshape(yhat.shape)
-    a, conj, corr = terms
-    resid = a @ yhat  # (..., f, 1, q)
-    resid -= pbhat[..., None, :]
-    resid *= c.inv
-    g = conj * resid
-    if c.uniform:
-        g -= corr * yhat
-    else:
-        g -= (corr @ yhat.view(np.float64)).view(np.complex128)
-    return g
-
-
-def _step_terms(ahat: np.ndarray, pbhat: np.ndarray, alpha: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, ...]:
-    """The factors of :func:`_step` for a chunk of rows ``ahat`` (rows, R, f, l) and ``pbhat`` (rows, R, f, q) at
-    step sizes ``alpha`` (rows, R).
-
-    For a fixed row, Y - alpha g(Y) is affine in Y, so each row's step size
-    is folded into its :func:`_row_terms` once per chunk, and alpha/p^2 is
-    multiplied into conj(a)^T in place (the copy :func:`_row_terms` makes):
-    uniform gives (a, alpha/p^2 conj(a)^T, p b, 1 + alpha d); frontal slice
-    gives (a, alpha/p^2 conj(a)^T, p b, S) with the real S = I + alpha H_0,
-    written over H_0; column block gives (a_b, alpha/p^2 conj(a_b)^T, p b).
-    p b is indexed to broadcast against the residual a Y.  Indexing every
-    factor at row k gives row k's factors; each is a view of the chunk's
-    arrays, which it keeps alive.
-    """
-    l = ahat.shape[-1]
-    terms = _row_terms(ahat, c)
-    conj = terms[1]
-    alpha_inv = alpha * c.inv.real.reshape(-1)  # alpha/p^2, per row and run
-    conj *= alpha_inv.reshape(alpha.shape + (1,) * (conj.ndim - 2))
-    if c.block is not None:
-        return terms + (pbhat[..., None, None, :],)
-    a, conj, scale = terms
-    scale *= alpha.reshape(alpha.shape + (1,) * (scale.ndim - 2))  # alpha d or alpha H_0, per row and run
-    if c.uniform:
-        scale += 1.0
-    else:
-        scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each H_0
-    return a, conj, pbhat[..., None, :], scale
-
-
-def _step_views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, the view of Y that :func:`_step` updates) for an iterate buffer ``yhat`` (R, f, l, q).
-
-    The view is the real (R, f, l, 2q) view for the uniform d and the frontal
-    S, and the (R, f, nb, b, q) view of the column blocks.  Built once per
-    buffer, so the step makes no view per iteration.
-    """
-    if c.block is not None:
-        *lead, l, q = yhat.shape
-        return yhat, yhat.reshape(*lead, l // c.block, c.block, q)
-    return yhat, yhat.view(np.float64)
-
-
-def _step(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray], out: tuple[np.ndarray, np.ndarray],
-          c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """One step Y - alpha g(Y) of every run, from one row's :func:`_step_terms`; returns the new Y's views.
-
-    ``y`` and ``out`` are :func:`_step_views` of the iterate and of a spare
-    buffer.  uniform and column block overwrite ``y``; frontal slice writes
-    S Y into ``out`` and returns it (numpy would copy Y first to write the
-    product over its own input).  With r = a Y_f - (p b)_f and u =
-    alpha/p^2 conj(a)^T, frequency f of the new Y is (1 + alpha d) o Y_f -
-    u r (uniform, on the real view of Y), S Y_f - u r (frontal slice, S
-    acting on the real view), or Y_fb - u_b (r - (1-p) a_b Y_fb) for each
-    block b of columns, with r summed over the blocks' a_b Y_fb.  Equal to
-    :func:`_row_gradient`'s step up to rounding.
-    """
-    yhat, view = y
-    if c.block is not None:
-        ab, conj, pb = terms
-        axb = ab @ view  # a_b Y_fb, (..., f, nb, 1, q)
-        resid = np.add.reduce(axb, axis=-3, keepdims=True)
-        resid -= pb
-        axb *= c.p_less_1
-        axb += resid  # r - (1-p) a_b Y_fb
-        view -= conj * axb
-        return y
-    a, conj, pb, scale = terms
-    resid = a @ yhat  # (..., f, 1, q)
-    resid -= pb
-    if c.uniform:
-        view *= scale
-        yhat -= conj * resid
-        return y
-    spare, spare_view = out
-    np.matmul(scale, view, out=spare_view)
-    spare -= conj * resid
-    return out
+    return _apply(_row_terms(ahat, pbhat, None, c), _views(yhat, c), None, c)
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -663,7 +642,7 @@ def run_batch(
     sampling mode, the iteration budget, the trace iterations and the
     projection radius; a mismatch raises a ValueError naming the field.
     The iterates' scaled spectra are stacked as (R, f, l, q) and every
-    iteration steps them all through one :func:`_step` call.  Each run's
+    iteration steps them all through one :func:`_apply` call.  Each run's
     result is the same, bit for bit, as when it runs alone: the step works
     run by run inside its products, and norms, projection and trace records
     are taken on each run's slice.  A traced iteration also calls
@@ -681,9 +660,10 @@ def run_batch(
     Every run's rows of A and B, from its permutation or its redraws, are
     masked and transformed by :func:`row_spectra` one
     :func:`~msgdt.tensor.row_chunks` slice at a time, and the step's terms
-    are built for the whole slice by :func:`_step_terms`; a slice's spectra
-    and terms are freed before the next slice's are built, so no
-    whole-tensor spectrum is kept and no two slices are held at once.
+    are built for the whole slice by :func:`_row_terms` at the slice's step
+    sizes; a slice's spectra and terms are freed before the next slice's
+    are built, so no whole-tensor spectrum is kept and no two slices are
+    held at once.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -697,9 +677,11 @@ def run_batch(
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
-    spare = np.empty_like(y)  # the frontal step's S Y goes here, then the two swap
+    # the frontal step writes S Y here, then the two swap; the other models step Y in place
+    spare = np.empty_like(y)
+    in_place = coeffs.uniform or coeffs.block is not None
     # each buffer's views, made once: the step's, and one flat view per run for the projection
-    y_views, spare_views = (_step_views(arr, coeffs) for arr in (y, spare))
+    y_views, spare_views = (_views(arr, coeffs) for arr in (y, spare))
     y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     forms = None
@@ -722,13 +704,13 @@ def run_batch(
     record(0, None)
     for rows in tn.row_chunks(T):
         a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
-        chunk = _step_terms(a_chunk, pb_chunk, alphas[rows], coeffs)
+        chunk = _row_terms(a_chunk, pb_chunk, alphas[rows], coeffs)
         for k, terms in enumerate(zip(*chunk)):
             t = rows.start + k + 1
             traced = t in record_at or t % cfg0.trace_every == 0
             # the trace's g is the kernel's, on the iterate before the step
             g = _row_gradient(a_chunk[k], pb_chunk[k], y, coeffs, spec) if traced else None
-            if _step(terms, y_views, spare_views, coeffs) is spare_views:
+            if _apply(terms, y_views, y_views if in_place else spare_views, coeffs) is spare:
                 y, spare, y_views, spare_views, y_flat, spare_flat = spare, y, spare_views, y_views, spare_flat, y_flat
             if radius is not None:
                 for flat in y_flat:

@@ -23,6 +23,7 @@ from msgdt.checks import (
 )
 from msgdt.masking import draw_masked_row, draw_units, model_for, row_mask_batch
 from msgdt.solver import (
+    _apply,
     _coefficients,
     _flat,
     _norm,
@@ -30,9 +31,7 @@ from msgdt.solver import (
     _row_gradient,
     _row_source,
     _row_terms,
-    _step,
-    _step_terms,
-    _step_views,
+    _views,
     row_spectra,
     run_batch,
     step_table,
@@ -496,7 +495,7 @@ class TestRowTermsOfAChunk:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_chunk_terms_match_the_row_spectrum(self, kind, runs, n):
-        rows, l = 257, 4
+        rows, l, q = 257, 4, 3
         rng = np.random.default_rng(100 * n + runs)
         spec = tube_spectrum(n)
         models = tuple(model_for(kind, p, 2) for p in (0.3, 0.6, 0.9)[:runs])
@@ -504,21 +503,24 @@ class TestRowTermsOfAChunk:
         coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
         keep = rng.random((rows, runs, n, l)) < 0.6
         chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
-        for k, terms in enumerate(zip(*_row_terms(chunk, coeffs))):
-            alone = _row_terms(chunk[k], coeffs)  # the terms _row_gradient builds for row k
-            assert len(terms) == len(alone)
-            assert all(np.array_equal(got, want) for got, want in zip(terms, alone)), k
-        assert k == rows - 1
+        pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
+        # g's terms, which _row_gradient builds, and the step's at each row's step sizes
+        for alphas in (None, rng.uniform(0.01, 0.1, (rows, runs))):
+            for k, terms in enumerate(zip(*_row_terms(chunk, pb, alphas, coeffs))):
+                alone = _row_terms(chunk[k], pb[k], None if alphas is None else alphas[k], coeffs)
+                assert len(terms) == len(alone) == (3 if kind == "colblock" else 4)
+                assert all(np.array_equal(got, want) for got, want in zip(terms, alone)), k
+            assert k == rows - 1
 
     @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
     def test_one_run_has_0d_coefficients(self, kind):
-        # 0-d 1/p^2 and (1-p)/p^2 scale a spectrum as a scalar does, at a scalar's cost
+        # 0-d 1/p^2 and p - 1 scale a spectrum as a scalar does, at a scalar's cost
         spec = tube_spectrum(3)
         solo = _coefficients((model_for(kind, 0.4, 2),), spec, ())
-        assert solo.inv.shape == () and solo.corr.shape == ()
+        assert solo.inv.shape == () and solo.p_less_1.shape == ()
         batch = _coefficients(tuple(model_for(kind, p, 2) for p in (0.4, 0.7)), spec, (2,))
-        assert batch.inv.shape == batch.corr.shape == (2,) + (1,) * (4 if kind == "colblock" else 3)
-        assert solo.inv == batch.inv[0] and solo.corr == batch.corr[0]
+        assert batch.inv.shape == batch.p_less_1.shape == (2,) + (1,) * (4 if kind == "colblock" else 3)
+        assert solo.inv == batch.inv[0] and solo.p_less_1 == batch.p_less_1[0]
 
 
 def kernel_step_runs(problems, configs):
@@ -571,15 +573,15 @@ class TestFusedStep:
         # step sizes near 1/L_g for each row, so that a step moves Y about as far as Y's own size
         p_sq = np.array([model.p for model in models]) ** 2
         alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
-        for k, terms in enumerate(zip(*_step_terms(chunk, pb, alphas, coeffs))):
+        for k, terms in enumerate(zip(*_row_terms(chunk, pb, alphas, coeffs))):
             y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
             want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
             y_in, out = y.copy(), np.empty_like(y)
-            views = _step_views(y, coeffs), _step_views(out, coeffs)
-            got = _step(terms, *views, coeffs)[0]
             if kind == "frontal":  # S Y goes to the spare buffer; Y is left for the matrix product to read
+                got = _apply(terms, _views(y, coeffs), _views(out, coeffs), coeffs)
                 assert got is out and np.array_equal(y, y_in)
             else:
+                got = _apply(terms, _views(y, coeffs), _views(y, coeffs), coeffs)
                 assert got is y
             for r in range(runs):
                 assert np.linalg.norm(got[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
