@@ -10,19 +10,19 @@ routine returns plain numbers so callers decide what tolerance to enforce:
 * self-adjointness of the linear part of g,
 * the strong convexity inequality for the objective.
 
-The gradient checks evaluate g on tube spectra with the solver's
-``_row_gradient``: the row operator the iteration steps with, built and
-applied without step sizes.  Each fixed iterate is transformed once, squared
-norms of g are taken on its scaled spectrum (Parseval), and a result is
-transformed back once, not per draw.  Their (row, mask) pairs, enumerated or
-drawn, go through the solver's row path: one
-:func:`~msgdt.tensor.row_chunks` slice at a time, each chunk's rows of A and
-B are masked and transformed by :func:`msgdt.solver.row_spectra` and sent
-through one ``_row_gradient`` call with a leading draw axis.  The generator
-is consumed draw by draw as one draw at a time would consume it, and the
-per-draw terms are summed or compared in draw order, so results and the
-generator state afterwards do not depend on the chunking, and memory per
-call does not grow with the number of trials.
+Every check of g runs on the solver's row path: ``_row_gradient``, the
+row operator the iteration steps with, built and applied without step
+sizes, on tube spectra.  Each fixed iterate is transformed once, norms and
+inner products are taken on scaled spectra (Parseval), and a result is
+transformed back once, not per draw; the linear part M of g is g at B = 0.
+The (row, mask) pairs, enumerated or drawn, go one
+:func:`~msgdt.tensor.row_chunks` slice at a time: each chunk's rows of A
+and B are masked and transformed by :func:`msgdt.solver.row_spectra` and
+sent through one ``_row_gradient`` call with a leading draw axis.  The
+generator is consumed draw by draw as one draw at a time would consume it,
+and the per-draw terms are summed or compared in draw order, so results and
+the generator state afterwards do not depend on the chunking, and memory
+per call does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import tensor as tn
 from .bounds import lipschitz_constant
-from .masking import MissingModel, check_trials, correction_tensor, draw_masked_row, draw_rows, unit_map
-from .oracle import enumerate_row_masks, full_gradient, update_linear_part
+from .masking import MissingModel, check_trials, draw_rows, unit_map
+from .oracle import enumerate_row_masks, full_gradient
 from .solver import _row_gradient, objective, row_spectra
 from .tensor import Tensor3
 
@@ -80,29 +80,40 @@ def unbiasedness_relative_error(a: Tensor3, b: Tensor3, x: Tensor3, model: Missi
     return gap / scale
 
 
-def lipschitz_ratio_max(
-    a: Tensor3, b: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
-    random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
+def _drawn_pairs(a: Tensor3, b: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator):
+    """Per :func:`~msgdt.tensor.row_chunks` slice of ``trials``: (xy, xyhat, g), one trial per leading index.
+
+    Trial by trial the generator gives a row index, its row's unit draw,
+    then X and Y of B's shape; ``xy`` stacks them (count, 2, n, l, q),
+    ``xyhat`` holds their scaled spectra and ``g`` those of g(X) and g(Y),
+    from one ``_row_gradient`` call per slice.
+    """
     check_trials(trials)
     m, l, n = a.dims
-    q = b.l
     spec = tn.tube_spectrum(n)
     units = unit_map(model, l, n)[1]
-    worst = 0.0
     for draws in tn.row_chunks(trials):
         count = draws.stop - draws.start
         idx = np.empty(count, dtype=np.intp)
         variates = np.empty((count, units))
-        xy = np.empty((count, 2, n, l, q))
+        xy = np.empty((count, 2, n, l, b.l))
         for k in range(count):  # trial by trial: the row, its mask, then X and Y
             idx[k] = rng.integers(m)
             rng.random(out=variates[k])
             rng.standard_normal(out=xy[k])
         ahat, pbhat = row_spectra([(a, b, model)], [(idx, variates < model.p)], spec)
         xyhat = spec.forward(xy, axis=2, scaled=True)
-        g = _row_gradient(np.broadcast_to(ahat, xyhat.shape[:-1]), pbhat, xyhat, model, spec)
+        yield xy, xyhat, _row_gradient(np.broadcast_to(ahat, xyhat.shape[:-1]), pbhat, xyhat, model, spec)
+
+
+def lipschitz_ratio_max(
+    a: Tensor3, b: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
+    random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
+    worst = 0.0
+    for xy, _, g in _drawn_pairs(a, b, model, trials, rng):
+        count = len(xy)
         # the norms linalg.norm takes, one call per chunk: the dot of the real X - Y, and the dots of the
         # real and the imaginary parts of the complex g(X) - g(Y)
         dx = (xy[:, 0] - xy[:, 1]).reshape(count, -1)
@@ -142,20 +153,17 @@ def second_moment_sample(
 def self_adjointness_max_dev(
     a: Tensor3, b_cols: int, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> float:
-    """Max relative gap |<M*X, Y> - <X, M*Y>| for the linear part M of g."""
-    check_trials(trials)
-    _, l, n = a.dims
-    c = correction_tensor(model, l, n)
+    """Max relative gap |<M*X, Y> - <X, M*Y>| for the linear part M of g.
+
+    M X is g(X) at B = 0; the inner products are taken on scaled spectra.
+    """
+    m, _, n = a.dims
     worst = 0.0
-    for _ in range(trials):
-        _, arow = draw_masked_row(model, a.data, rng)
-        lin = update_linear_part(Tensor3(arow[:, None, :]), c, model.p)
-        x = Tensor3(rng.standard_normal((n, l, b_cols)))
-        y = Tensor3(rng.standard_normal((n, l, b_cols)))
-        lhs = tn.inner(tn.tprod(lin, x), y)
-        rhs = tn.inner(x, tn.tprod(lin, y))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for _, xyhat, g in _drawn_pairs(a, tn.zeros(m, b_cols, n), model, trials, rng):
+        xy, mxy = (v.reshape(len(v), 2, -1) for v in (xyhat, g))
+        lhs, rhs = np.vecdot(mxy[:, 0], xy[:, 1]).real, np.vecdot(xy[:, 0], mxy[:, 1]).real
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     return worst
 
 

@@ -27,9 +27,8 @@ row-major order, one variate per unit.  ``draw_rows`` takes a chunk's
 (row, mask) draws from PCG64 in one ``random_raw`` call and decodes the
 words as numpy's per-draw ``integers`` and ``random`` calls would: the
 stream, and the generator state after it, are those of the per-draw calls,
-which still run for chunks of fewer than 8 draws, for other bit
-generators, for m outside [2, 2**32) and for a chunk that holds a rejected
-index draw.
+which still run for other bit generators, for m outside [2, 2**32) and for
+a chunk that holds a rejected index draw.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
     "draw_units",
     "masked_rows",
     "draw_rows",
-    "draw_masked_row",
     "draw_mask",
     "correction_tensor",
     "ExpectationReport",
@@ -247,8 +245,6 @@ def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows)
 
 
 _HALF_WORD = 1 << 32  # PCG64 hands integers(m) 32-bit halves when m < 2**32
-# The decoder costs about 22 us a call, the per-draw calls 3-5 us a draw: they tie at about 8 draws.
-_DECODE_FROM = 8
 
 
 def draw_rows(
@@ -259,17 +255,15 @@ def draw_rows(
     Draw k takes ``rng.integers(m)``, then one variate per unit, so the
     stream is the same however ``count`` splits it; ``keep[k]`` masks ``idx[k]``.
 
-    On a PCG64 generator with ``2 <= m < 2**32`` a chunk of at least
-    ``_DECODE_FROM`` draws comes from one ``random_raw`` call, decoded by
-    :func:`_pcg64_rows` into the same indices, masks and generator state as
-    the per-draw calls.  Fewer draws (where the decoder's fixed cost is
-    more than the calls'), any other bit generator or m, or a chunk whose
-    index draw numpy would reject and redraw, take the per-draw calls
-    themselves.
+    On a PCG64 generator with ``2 <= m < 2**32`` the chunk comes from one
+    ``random_raw`` call, decoded by :func:`_pcg64_rows` into the same
+    indices, masks and generator state as the per-draw calls.  Any other
+    bit generator or m, or a chunk whose index draw numpy would reject and
+    redraw, takes the per-draw calls themselves.
     """
     units = unit_map(model, l, n)[1]
     bitgen = rng.bit_generator
-    if count >= _DECODE_FROM and type(bitgen) is np.random.PCG64 and 2 <= m < _HALF_WORD:
+    if type(bitgen) is np.random.PCG64 and 2 <= m < _HALF_WORD:
         drawn = _pcg64_rows(bitgen, m, units, count, model.p)
         if drawn is not None:
             return drawn
@@ -315,13 +309,6 @@ def _pcg64_rows(bitgen: np.random.PCG64, m: int, units: int, count: int, p: floa
     # x 2**-53 < p for the integer x = word >> 11 < 2**53 is, exactly, x < ceil(p 2**53).
     keep = (words >> np.uint64(11)) < np.uint64(math.ceil(float(p) * 2.0**53))
     return (scaled >> np.uint64(32)).astype(np.intp), keep[~is_index].reshape(count, units)
-
-
-def draw_masked_row(model: MissingModel, a_data: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """(i, Atilde_i): :func:`draw_rows` with count 1 on A's (n, m, l) array, row i masked."""
-    n, m, l = a_data.shape
-    idx, keep = draw_rows(model, m, l, n, 1, rng)
-    return int(idx[0]), masked_rows(model, a_data, keep, idx)[0]
 
 
 def draw_mask(model: MissingModel, m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -274,9 +273,8 @@ class _Coefficients:
     neg_corr_w: np.ndarray
 
 
-@lru_cache(maxsize=64)
 def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -> _Coefficients:
-    """Read-only row map coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
+    """Row map coefficients for ``models`` (one per run, one kind), with run axes ``lead``."""
     model = models[0]
     block = model.b if isinstance(model, ColumnBlockMissing) else None
     p = np.array([mod.p for mod in models], dtype=np.float64)
@@ -286,14 +284,13 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     # one run's 1/p^2 and p - 1 are 0-d, which numpy applies as scalars, at scalar speed
     shape = lead + ((1,) * (3 if block is None else 4) if lead else ())
     # complex factors scale complex arrays without a per-call cast, with the same bits
-    arrays = (
+    return _Coefficients(
+        uniform,
+        block,
         inv.reshape(shape).astype(np.complex128),
         (p - 1.0).reshape(shape).astype(np.complex128),
         neg_corr_w[..., None, :] if uniform else neg_corr_w[..., :, None, None],
     )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _Coefficients(uniform, block, *arrays)
 
 
 def _row_terms(

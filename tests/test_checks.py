@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import msgdt as mg
-from msgdt import oracle
+from msgdt import checks, oracle
 from msgdt.checks import (
     enumerated_gradient_mean,
     lipschitz_ratio_max,
@@ -16,7 +16,7 @@ from msgdt.checks import (
     strong_convexity_margin,
     unbiasedness_relative_error,
 )
-from msgdt.masking import draw_masked_row
+from msgdt.masking import draw_rows, masked_rows
 from msgdt.solver import _row_gradient
 from msgdt.tensor import _tprod_data, tube_spectrum
 
@@ -133,8 +133,9 @@ class TestBatchedDraws:
     def one_draw(a, b, model, rng):
         """(ahat, pbhat) of one (row, mask) draw, transformed as a single row."""
         spec = tube_spectrum(a.n)
-        i, arow = draw_masked_row(model, a.data, rng)
-        return spec.forward(arow), spec.forward(b.data[:, i, :], scaled=True) * model.p
+        idx, keep = draw_rows(model, a.m, a.l, a.n, 1, rng)
+        arow = masked_rows(model, a.data, keep, idx)[0]
+        return spec.forward(arow), spec.forward(b.data[:, idx[0], :], scaled=True) * model.p
 
     def reference_second_moment(self, a, b, x, model, trials, rng):
         spec = tube_spectrum(a.n)
@@ -159,6 +160,43 @@ class TestBatchedDraws:
             if denom != 0.0:
                 worst = max(worst, float(np.linalg.norm(gx - gy)) / denom)
         return worst
+
+    @staticmethod
+    def reference_self_adjointness(a, b_cols, model, trials, rng):
+        """The largest gap with the dense linear part M, built from C per draw and applied by tprod."""
+        m, l, n = a.dims
+        c = mg.correction_tensor(model, l, n)
+        worst = 0.0
+        for _ in range(trials):
+            idx, keep = draw_rows(model, m, l, n, 1, rng)
+            arow = masked_rows(model, a.data, keep, idx)[0]
+            lin = oracle.update_linear_part(mg.Tensor3(arow[:, None, :]), c, model.p)
+            x, y = (mg.Tensor3(rng.standard_normal((n, l, b_cols))) for _ in range(2))
+            lhs, rhs = mg.inner(mg.tprod(lin, x), y), mg.inner(x, mg.tprod(lin, y))
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+        return worst
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "colblock", "frontal"])
+    def test_self_adjointness_matches_the_dense_linear_part(self, model, trials):
+        system = mg.gen_synthetic(mg.Dims(7, 4, 3, 3), trials)
+        rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        assert self_adjointness_max_dev(system.a, 2, model, trials, rng) <= 1e-12
+        assert self.reference_self_adjointness(system.a, 2, model, trials, ref_rng) <= 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("model", MODELS, ids=["uniform", "colblock", "frontal"])
+    def test_self_adjointness_flags_a_non_symmetric_linear_part(self, model, monkeypatch):
+        system = mg.gen_synthetic(mg.Dims(7, 4, 3, 3), 5)
+        assert self_adjointness_max_dev(system.a, 2, model, 50, np.random.default_rng(6)) <= 1e-12
+        row_gradient = checks._row_gradient
+
+        def skewed(ahat, pbhat, yhat, model, spec):
+            # plus a cyclic shift of the columns: a permutation matrix that is not its own transpose
+            return row_gradient(ahat, pbhat, yhat, model, spec) + np.roll(yhat, 1, axis=-2)
+
+        monkeypatch.setattr(checks, "_row_gradient", skewed)
+        assert self_adjointness_max_dev(system.a, 2, model, 50, np.random.default_rng(6)) > 1e-3
 
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("model", MODELS, ids=["uniform", "colblock", "frontal"])

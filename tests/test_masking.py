@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import msgdt as mg
 from msgdt import oracle
 from msgdt.masking import (
-    _DECODE_FROM,
     _pcg64_rows,
     check_positive,
     draw_rows,
@@ -275,8 +274,8 @@ class TestRngContract:
         l=st.integers(1, 10),
         n=st.integers(1, 20),
         p=st.floats(0.0, 1.0, exclude_min=True),
-        # below, at and above the count from which the decoder runs instead of the per-draw calls
-        count=st.sampled_from([0, 1, 2, _DECODE_FROM - 1, _DECODE_FROM, _DECODE_FROM + 1, 255, 256, 257]),
+        # no draws, one, a few, and either side of a 256-draw chunk
+        count=st.sampled_from([0, 1, 2, 7, 8, 9, 255, 256, 257]),
         buffered=st.booleans(),
     )
     def test_draw_rows_equals_the_per_draw_calls(self, seed, m, kind, l, n, p, count, buffered):

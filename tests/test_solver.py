@@ -21,7 +21,7 @@ from msgdt.checks import (
     self_adjointness_max_dev,
     unbiasedness_relative_error,
 )
-from msgdt.masking import draw_masked_row, draw_units, model_for, row_mask_batch
+from msgdt.masking import draw_rows, draw_units, masked_rows, model_for, row_mask_batch
 from msgdt.solver import (
     _apply,
     _coefficients,
@@ -245,7 +245,8 @@ def spatial_reference_run(problem, config, x_star, full_a):
             i = int(order[t - 1])
             arow = a.data[:, i, :]
         else:
-            i, arow = draw_masked_row(model, a.data, rng)
+            idx, keep = draw_rows(model, m, l, n, 1, rng)
+            i, arow = int(idx[0]), masked_rows(model, a.data, keep, idx)[0]
         brow = mg.Tensor3(b.data[:, i : i + 1, :])
         g = oracle.gradient_estimate(mg.Tensor3(arow[:, None, :]), brow, x, c, model.p)
         x = mg.project_ball(x - mg.step_size(config.schedule, t) * g, config.projection_radius)
@@ -274,6 +275,7 @@ class TestRunMatchesSpatialReference:
     @example(n=5, l=2, q=3, p=0.4, kind="colblock", sampling="once", project=True, seed=3)
     @example(n=6, l=3, q=2, p=0.6, kind="frontal", sampling="once", project=False, seed=4)
     @example(n=3, l=4, q=1, p=0.3, kind="uniform", sampling="redraw", project=False, seed=5)
+    @example(n=1, l=1, q=1, p=1.0, kind="uniform", sampling="once", project=False, seed=13646)
     def test_trace_and_final_iterate(self, n, l, q, p, kind, sampling, project, seed):
         m, iters = 60, 55
         system = mg.gen_synthetic(mg.Dims(m, l, q, n), seed)
@@ -304,7 +306,8 @@ class TestRunMatchesSpatialReference:
         for rec, (_, update, err, obj) in zip(got.trace.records, records):
             assert (rec.update_norm is None) == (update is None)
             assert update is None or close(rec.update_norm, update)
-            assert close(rec.iterate_error, err)
+            # X_t - X* carries rounding at the scale of X_t, which cancels when X_t nears X*
+            assert abs(rec.iterate_error - err) <= 1e-12 * (err + mg.frob_norm(system.x_star))
             assert close(rec.objective, obj)
 
 
