@@ -43,6 +43,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/video_demo")
     args = parser.parse_args()
+    if args.iters > args.data_rows:  # the solve draws rows without replacement ("once" sampling)
+        parser.error(f"--iters {args.iters} needs as many distinct rows, but --data-rows is {args.data_rows}")
 
     out = Path(args.out)
     make_frames(out / "truth", args.rows, args.cols, args.frames)
@@ -66,7 +68,7 @@ def main() -> int:
         x0=mg.Tensor3(np.full((n, l, q), 128.0)),
     )
     config = mg.SolverConfig(
-        schedule=mg.HybridStep.matched(alpha, args.swap_iter),
+        schedule=mg.HybridStep(alpha, args.swap_iter),
         total_iters=args.iters,
         seed=args.seed,
         trace_every=max(1, args.iters // 20),

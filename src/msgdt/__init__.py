@@ -33,11 +33,9 @@ from .masking import (
     FrontalSliceMissing,
     MissingModel,
     UniformMissing,
-    correction_tensor,
     draw_mask,
     format_model,
     parse_model,
-    verify_expectation_identity,
 )
 from .solver import (
     ConstantStep,
@@ -88,8 +86,6 @@ __all__ = [
     "parse_model",
     "format_model",
     "draw_mask",
-    "correction_tensor",
-    "verify_expectation_identity",
     # solver
     "ConstantStep",
     "InverseSqrtStep",

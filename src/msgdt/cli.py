@@ -44,11 +44,6 @@ from .synthetic import Dims, gen_synthetic
 from .tensor import Tensor3, frob_norm, hadamard, read_t3f1, tprod, write_t3f1
 
 
-def _parse_radius(text: str):
-    """A radius, or None for 'unbounded'; :class:`~msgdt.solver.SolverConfig` checks the value."""
-    return None if text == "unbounded" else float(text)
-
-
 def _parse_p_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok)
@@ -112,7 +107,7 @@ def cmd_solve(args) -> int:
     else:
         alpha = args.alpha
     if args.swap_iter > 0:
-        schedule = HybridStep.matched(alpha, args.swap_iter)
+        schedule = HybridStep(alpha, args.swap_iter)
     else:
         schedule = ConstantStep(alpha)
 
@@ -130,7 +125,7 @@ def cmd_solve(args) -> int:
         sampling=args.sampling,
         seed=args.seed,
         trace_every=args.trace_every,
-        also_record=(args.swap_iter,) if 0 < args.swap_iter <= args.iters else (),
+        also_record=(args.swap_iter,),
     )
     x_star = read_t3f1(args.xstar) if args.xstar else None
     full_a = read_t3f1(args.full_a) if args.full_a else None
@@ -281,23 +276,23 @@ def _verify_bounds(args, lines: list[str]) -> bool:
     return ok
 
 
-_VERIFY_DEFAULT_TRIALS = {"identities": 100_000, "unbiasedness": 1, "lipschitz": 1000, "bounds": 10_000}
-# The flags each suite reads besides --p, --seed and --out (identities reads them all; ``all``
-# passes each on), and the defaults of those left unset.
-_VERIFY_FLAGS = {
-    "identities": ("model", "block_size", "tol", "l", "n", "trials"),
-    "unbiasedness": (),
-    "lipschitz": ("trials",),
-    "bounds": ("trials",),
+# Each suite's check, the flags it reads besides --p, --seed and --out (identities reads them all;
+# ``all`` passes each on), and its --trials when none is given (unbiasedness reads none).
+_VERIFY_SUITES = {
+    "identities": (_verify_identities, ("model", "block_size", "tol", "l", "n", "trials"), 100_000),
+    "unbiasedness": (_verify_unbiasedness, (), None),
+    "lipschitz": (_verify_lipschitz, ("trials",), 1000),
+    "bounds": (_verify_bounds, ("trials",), 10_000),
 }
+# the defaults of the flags above left unset
 _VERIFY_FLAG_DEFAULTS = {"model": "uniform", "tol": 0.05, "l": 3, "n": 2}
 
 
 def _resolve_verify_flags(args) -> None:
     """Reject a flag the chosen suite does not read; then fill in the defaults of the unset ones."""
     if args.suite != "all":
-        for dest in _VERIFY_FLAGS["identities"]:
-            if getattr(args, dest) is not None and dest not in _VERIFY_FLAGS[args.suite]:
+        for dest in _VERIFY_SUITES["identities"][1]:
+            if getattr(args, dest) is not None and dest not in _VERIFY_SUITES[args.suite][1]:
                 flag = "--" + dest.replace("_", "-")
                 raise ValueError(f"{flag} is not read by the {args.suite} suite")
     for dest, default in _VERIFY_FLAG_DEFAULTS.items():
@@ -307,18 +302,13 @@ def _resolve_verify_flags(args) -> None:
 
 def cmd_verify(args) -> int:
     lines: list[str] = []
-    checks = {
-        "identities": _verify_identities,
-        "unbiasedness": _verify_unbiasedness,
-        "lipschitz": _verify_lipschitz,
-        "bounds": _verify_bounds,
-    }
-    selected = list(checks) if args.suite == "all" else [args.suite]
+    selected = list(_VERIFY_SUITES) if args.suite == "all" else [args.suite]
     requested_trials = args.trials
     ok = True
     for name in selected:
-        args.trials = requested_trials if requested_trials is not None else _VERIFY_DEFAULT_TRIALS[name]
-        ok &= checks[name](args, lines)
+        check, _, default_trials = _VERIFY_SUITES[name]
+        args.trials = default_trials if requested_trials is None else requested_trials
+        ok &= check(args, lines)
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -397,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--swap-iter", type=int, default=5000, help="0 disables the decaying phase")
     sv.add_argument("--step-divisor", type=float, default=5000.0, help="alpha = p^2/divisor")
     sv.add_argument("--alpha", type=float, help="override the constant-phase step size")
-    sv.add_argument("--radius", type=_parse_radius, default=None, help="projection ball radius or 'unbounded'")
+    sv.add_argument("--radius", type=float, help="projection ball radius (default: no projection)")
     sv.add_argument("--sampling", choices=("once", "redraw"), default="once")
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--trace-every", type=int, default=100)
@@ -433,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="Monte Carlo / enumeration checks; nonzero exit on violation")
     vf.add_argument(
         "suite",
-        choices=("identities", "unbiasedness", "lipschitz", "bounds", "all"),
+        choices=(*_VERIFY_SUITES, "all"),
         help="which checks to run",
     )
     add_model_flags(vf)

@@ -151,12 +151,12 @@ def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> lis
         )
         configs.append(
             SolverConfig(
-                schedule=HybridStep.matched(p * p / spec.step_divisor, spec.swap_iter),
+                schedule=HybridStep(p * p / spec.step_divisor, spec.swap_iter),
                 total_iters=spec.total_iters,
                 sampling=spec.sampling,
                 seed=_seed_int(spec.seed, trial, pi, 2),
                 trace_every=spec.trace_every,
-                also_record=(spec.swap_iter,) if spec.swap_iter <= spec.total_iters else (),
+                also_record=(spec.swap_iter,),
             )
         )
     results = run_batch(problems, configs, x_star=system.x_star)

@@ -134,25 +134,20 @@ class InverseSqrtStep:
 
 @dataclass(frozen=True)
 class HybridStep:
-    """Constant alpha while t < swap_iter, then c / sqrt(t).
-
-    ``matched`` picks c = alpha * sqrt(swap_iter) so the two phases agree
-    at the swap iteration.
-    """
+    """Constant alpha while t < swap_iter, then c / sqrt(t) with c = alpha * sqrt(swap_iter),
+    so the two phases agree at the swap iteration."""
 
     alpha: float
     swap_iter: int
-    c: float
 
     def __post_init__(self):
         check_positive("step size", self.alpha)
-        check_positive("step constant", self.c)
         if self.swap_iter < 1:
             raise ValueError(f"swap iteration must be >= 1, got {self.swap_iter}")
 
-    @classmethod
-    def matched(cls, alpha: float, swap_iter: int) -> "HybridStep":
-        return cls(alpha=alpha, swap_iter=swap_iter, c=alpha * math.sqrt(swap_iter))
+    @property
+    def c(self) -> float:
+        return self.alpha * math.sqrt(self.swap_iter)
 
 
 StepSchedule = Union[ConstantStep, InverseSqrtStep, HybridStep]
@@ -186,7 +181,7 @@ class SolverConfig:
 
     ``projection_radius=None`` means no projection.  ``also_record`` lists
     extra iterations to trace besides 0, T, and multiples of
-    ``trace_every``.
+    ``trace_every``; entries outside 1..T are ignored.
     """
 
     schedule: StepSchedule

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import msgdt as mg
+from msgdt import masking
 from msgdt.checks import (
     lipschitz_ratio_max,
     second_moment_sample,
@@ -59,7 +60,6 @@ def tall_instance():
         a_tilde=system.a,  # redraw mode: full tensor, fresh mask each iteration
         b=system.b,
         model=model,
-        correction=mg.correction_tensor(model, 5, 3),
         x0=mg.zeros(5, 2, 3),
     )
     return system, problem, p, lg, mu, radius
@@ -116,7 +116,7 @@ def test_criterion_03_correction_identity_by_enumeration(capsys):
             mg.FrontalSliceMissing(p),
         ]
         for model in models:
-            c = mg.correction_tensor(model, l, n).data
+            c = masking.correction_tensor(model, l, n).data
             want = p * p * gram + (p - p * p) * c * gram
             got = exact_row_gram_expectation(a_row, model).data
             worst = max(worst, float(np.max(np.abs(got - want))) / scale)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import msgdt as mg
-from msgdt import checks, oracle
+from msgdt import checks, masking, oracle
 from msgdt.checks import (
     enumerated_gradient_mean,
     lipschitz_ratio_max,
@@ -71,7 +71,7 @@ def test_enumerated_mean_matches_public_gradient_average():
     system = mg.gen_synthetic(mg.Dims(3, 2, 2, 2), 4)
     x = mg.Tensor3(np.random.default_rng(5).standard_normal((2, 2, 2)))
     model = mg.UniformMissing(0.6)
-    c = mg.correction_tensor(model, 2, 2)
+    c = masking.correction_tensor(model, 2, 2)
     mean = enumerated_gradient_mean(system.a, system.b, x, model)
     acc = np.zeros_like(x.data)
     for i in range(3):
@@ -104,7 +104,6 @@ class TestDegenerateDims:
             a_tilde=mg.hadamard(mask, system.a),
             b=system.b,
             model=model,
-            correction=mg.correction_tensor(model, 2, 1),
             x0=mg.zeros(2, 1, 1),
         )
         cfg = mg.SolverConfig(schedule=mg.ConstantStep(1e-2), total_iters=50, seed=11)
@@ -165,7 +164,7 @@ class TestBatchedDraws:
     def reference_self_adjointness(a, b_cols, model, trials, rng):
         """The largest gap with the dense linear part M, built from C per draw and applied by tprod."""
         m, l, n = a.dims
-        c = mg.correction_tensor(model, l, n)
+        c = masking.correction_tensor(model, l, n)
         worst = 0.0
         for _ in range(trials):
             idx, keep = draw_rows(model, m, l, n, 1, rng)

@@ -234,6 +234,18 @@ class TestSolve:
                                                      r"1/L_g=[0-9.e+-]+; lower --alpha or raise --step-divisor$")
         assert not out.exists()
 
+    def test_radius_is_a_number(self, tmp_path, capsys):
+        # leaving --radius out is the one way to run without projection
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "20,3,2,2", "--seed", "1", "--out", str(gen)])
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "10",
+                  "--radius", "unbounded", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --radius: invalid float value: 'unbounded'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_small_sweep(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
-from msgdt import oracle
+from msgdt import masking, oracle
 from msgdt.masking import (
     _pcg64_rows,
     check_positive,
@@ -62,7 +62,7 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="divide"):
             mg.draw_mask(mg.ColumnBlockMissing(0.5, 3), 2, 4, 2, rng)
         with pytest.raises(ValueError, match="divide"):
-            mg.correction_tensor(mg.ColumnBlockMissing(0.5, 3), 4, 2)
+            masking.correction_tensor(mg.ColumnBlockMissing(0.5, 3), 4, 2)
 
 
 class TestParseFormat:
@@ -352,28 +352,28 @@ class TestRngContract:
 
 class TestCorrectionTensor:
     def test_uniform_l2_n2(self):
-        c = mg.correction_tensor(mg.UniformMissing(0.5), 2, 2)
+        c = masking.correction_tensor(mg.UniformMissing(0.5), 2, 2)
         npt.assert_array_equal(c.data[0], np.eye(2))
         npt.assert_array_equal(c.data[1], np.zeros((2, 2)))
 
     def test_frontal_l2_n2(self):
-        c = mg.correction_tensor(mg.FrontalSliceMissing(0.5), 2, 2)
+        c = masking.correction_tensor(mg.FrontalSliceMissing(0.5), 2, 2)
         npt.assert_array_equal(c.data[0], np.ones((2, 2)))
         npt.assert_array_equal(c.data[1], np.zeros((2, 2)))
 
     def test_colblock_full_block(self):
-        c = mg.correction_tensor(mg.ColumnBlockMissing(0.5, 3), 3, 4)
+        c = masking.correction_tensor(mg.ColumnBlockMissing(0.5, 3), 3, 4)
         assert np.all(c.data == 1.0)
 
     def test_colblock_structure(self):
-        c = mg.correction_tensor(mg.ColumnBlockMissing(0.5, 2), 4, 3)
+        c = masking.correction_tensor(mg.ColumnBlockMissing(0.5, 2), 4, 3)
         expected = np.kron(np.eye(2), np.ones((2, 2)))
         for k in range(3):
             npt.assert_array_equal(c.data[k], expected)
 
     @pytest.mark.parametrize("model", ALL_KINDS)
     def test_hermitian_and_binary(self, model):
-        c = mg.correction_tensor(model, 4, 3)
+        c = masking.correction_tensor(model, 4, 3)
         assert oracle.is_hermitian(c, tol=0.0)
         assert np.all((c.data == 0.0) | (c.data == 1.0))
 
@@ -396,7 +396,7 @@ class TestEnumeration:
                 mg.ColumnBlockMissing(p, 3),
                 mg.FrontalSliceMissing(p),
             ):
-                c = mg.correction_tensor(model, 3, 2)
+                c = masking.correction_tensor(model, 3, 2)
                 want = p * p * gram.data + (p - p * p) * c.data * gram.data
                 got = oracle.exact_row_gram_expectation(a_row, model).data
                 scale = np.max(np.abs(gram.data))
@@ -407,21 +407,21 @@ class TestMonteCarloIdentity:
     def test_p_one_zero_deviation(self):
         rng = np.random.default_rng(8)
         a_row = mg.Tensor3(rng.standard_normal((2, 1, 3)))
-        rep = mg.verify_expectation_identity(a_row, mg.UniformMissing(1.0), 500, rng)
+        rep = masking.verify_expectation_identity(a_row, mg.UniformMissing(1.0), 500, rng)
         assert rep.max_rel_err_c1 <= 1e-12
         assert rep.max_rel_err_c2 <= 1e-12
 
     def test_zero_row_zero_deviation(self):
         rng = np.random.default_rng(9)
         a_row = mg.Tensor3(np.zeros((2, 1, 3)))
-        rep = mg.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 100, rng)
+        rep = masking.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 100, rng)
         assert rep.max_rel_err_c1 == 0.0
         assert rep.max_rel_err_c2 == 0.0
 
     def test_uniform_concentrates(self):
         rng = np.random.default_rng(10)
         a_row = mg.Tensor3(rng.standard_normal((2, 1, 3)))
-        rep = mg.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 100_000, rng)
+        rep = masking.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 100_000, rng)
         assert rep.max_rel_err_c1 <= 0.05
         assert rep.max_rel_err_c2 <= 0.05
         assert rep.trials == 100_000
@@ -430,4 +430,4 @@ class TestMonteCarloIdentity:
         rng = np.random.default_rng(11)
         a_row = mg.Tensor3(np.zeros((2, 1, 3)))
         with pytest.raises(ValueError):
-            mg.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 0, rng)
+            masking.verify_expectation_identity(a_row, mg.UniformMissing(0.5), 0, rng)

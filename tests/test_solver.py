@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
-from msgdt import oracle, solver
+from msgdt import masking, oracle, solver
 from msgdt.checks import (
     lipschitz_ratio_max,
     self_adjointness_max_dev,
@@ -61,7 +61,6 @@ def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
         a_tilde=mg.hadamard(mask, system.a),
         b=system.b,
         model=model,
-        correction=mg.correction_tensor(model, l, n),
         x0=mg.zeros(l, q, n),
     )
     return system, problem
@@ -78,12 +77,24 @@ class TestStepSchedules:
         assert mg.step_size(sched, 4) == 1.0
 
     def test_hybrid_boundary_and_matching(self):
-        sched = mg.HybridStep.matched(alpha=0.2, swap_iter=25)
+        sched = mg.HybridStep(alpha=0.2, swap_iter=25)
         assert sched.c == pytest.approx(0.2 * 5)
         assert mg.step_size(sched, 1) == 0.2
         assert mg.step_size(sched, 24) == 0.2
         assert mg.step_size(sched, 25) == pytest.approx(0.2)  # matched at the swap
         assert mg.step_size(sched, 100) == pytest.approx(sched.c / 10)
+
+    @pytest.mark.parametrize("alpha,swap_iter", [(0.2, 25), (2e-3, 400), (0.3, 997), (1e-4, 5000)])
+    def test_hybrid_constant_is_derived(self, alpha, swap_iter):
+        sched = mg.HybridStep(alpha, swap_iter)
+        assert [f.name for f in dataclasses.fields(sched)] == ["alpha", "swap_iter"]
+        assert sched.c == alpha * math.sqrt(swap_iter)  # bit for bit
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 3.0])
+    def test_hybrid_covers_the_constant_and_decaying_steps(self, alpha):
+        T = 997
+        assert np.array_equal(step_table(mg.ConstantStep(alpha), T), step_table(mg.HybridStep(alpha, T + 1), T))
+        assert np.array_equal(step_table(mg.InverseSqrtStep(alpha), T), step_table(mg.HybridStep(alpha, 1), T))
 
     def test_one_based(self):
         with pytest.raises(ValueError):
@@ -95,12 +106,11 @@ class TestStepSchedules:
             mg.ConstantStep(0.1),
             mg.ConstantStep(3),
             mg.InverseSqrtStep(0.7),
-            mg.HybridStep.matched(0.3, 1),
-            mg.HybridStep.matched(0.3, 997),
-            mg.HybridStep.matched(0.3, 998),
-            mg.HybridStep(alpha=2e-3, swap_iter=400, c=0.13),
+            mg.HybridStep(0.3, 1),
+            mg.HybridStep(0.3, 997),
+            mg.HybridStep(0.3, 998),
         ],
-        ids=["constant", "constant-int", "inverse-sqrt", "swap-1", "swap-T", "swap-T+1", "unmatched"],
+        ids=["constant", "constant-int", "inverse-sqrt", "swap-1", "swap-T", "swap-T+1"],
     )
     def test_table_matches_step_size(self, schedule):
         T = 997
@@ -115,7 +125,7 @@ class TestStepSchedules:
         with pytest.raises(ValueError):
             mg.InverseSqrtStep(-1.0)
         with pytest.raises(ValueError):
-            mg.HybridStep(alpha=0.1, swap_iter=0, c=1.0)
+            mg.HybridStep(alpha=0.1, swap_iter=0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -123,12 +133,10 @@ class TestStepSchedules:
         [
             (lambda v: mg.ConstantStep(v), "step size"),
             (lambda v: mg.InverseSqrtStep(v), "step constant"),
-            (lambda v: mg.HybridStep(alpha=v, swap_iter=5, c=1.0), "step size"),
-            (lambda v: mg.HybridStep(alpha=0.1, swap_iter=5, c=v), "step constant"),
-            (lambda v: mg.HybridStep.matched(v, 5), "step size"),
+            (lambda v: mg.HybridStep(alpha=v, swap_iter=5), "step size"),
             (lambda v: mg.SolverConfig(mg.ConstantStep(0.1), 10, projection_radius=v), "projection radius"),
         ],
-        ids=["constant", "inverse-sqrt", "hybrid-alpha", "hybrid-c", "matched", "radius"],
+        ids=["constant", "inverse-sqrt", "hybrid-alpha", "radius"],
     )
     def test_non_finite_rejected(self, build, name, value):
         # NaN slips past a ``<= 0`` check and would run every iteration on NaN
@@ -142,7 +150,7 @@ class TestGradientEstimate:
         a_row = mg.Tensor3(rng.standard_normal((3, 1, 4)))
         b_row = mg.Tensor3(rng.standard_normal((3, 1, 2)))
         x = mg.Tensor3(rng.standard_normal((3, 4, 2)))
-        c = mg.correction_tensor(mg.UniformMissing(1.0), 4, 3)
+        c = masking.correction_tensor(mg.UniformMissing(1.0), 4, 3)
         g = oracle.gradient_estimate(a_row, b_row, x, c, p=1.0)
         want = mg.tprod(mg.transpose(a_row), mg.tprod(a_row, x) - b_row)
         npt.assert_allclose(g.data, want.data, atol=1e-12)
@@ -153,7 +161,7 @@ class TestGradientEstimate:
         a_row = mg.Tensor3(rng.standard_normal((2, 1, 3)))
         b_row = mg.Tensor3(rng.standard_normal((2, 1, 2)))
         x = mg.zeros(3, 2, 2)
-        c = mg.correction_tensor(mg.UniformMissing(p), 3, 2)
+        c = masking.correction_tensor(mg.UniformMissing(p), 3, 2)
         g = oracle.gradient_estimate(a_row, b_row, x, c, p)
         want = (-1.0 / p) * mg.tprod(mg.transpose(a_row), b_row)
         npt.assert_allclose(g.data, want.data, atol=1e-12)
@@ -162,7 +170,7 @@ class TestGradientEstimate:
         a_row = mg.ones(1, 2, 2)
         b_row = mg.ones(1, 2, 2)
         x = mg.ones(2, 2, 2)
-        c = mg.correction_tensor(mg.UniformMissing(0.5), 2, 2)
+        c = masking.correction_tensor(mg.UniformMissing(0.5), 2, 2)
         with pytest.raises(ValueError):
             oracle.gradient_estimate(a_row, b_row, x, c, p=0.0)
         with pytest.raises(ValueError):
@@ -174,7 +182,7 @@ class TestGradientEstimate:
                 mg.ones(1, 2, 2),
                 mg.ones(1, 3, 2),
                 mg.ones(3, 3, 2),  # x.m != a.l
-                mg.correction_tensor(mg.UniformMissing(0.5), 2, 2),
+                masking.correction_tensor(mg.UniformMissing(0.5), 2, 2),
                 0.5,
             )
 
@@ -220,7 +228,7 @@ class TestKernelMatchesDenseOracle:
                 mg.Tensor3(arow[:, None, :]),
                 mg.Tensor3(brow[:, None, :]),
                 mg.Tensor3(x),
-                mg.correction_tensor(model, l, n),
+                masking.correction_tensor(model, l, n),
                 p,
             ).data
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -234,7 +242,7 @@ def spatial_reference_run(problem, config, x_star, full_a):
     """
     a, b, model = problem.a_tilde, problem.b, problem.model
     m, l, n = a.dims
-    c = mg.correction_tensor(model, l, n)
+    c = masking.correction_tensor(model, l, n)
     rng = np.random.default_rng(config.seed)
     if config.sampling == "once":
         order = rng.permutation(m)[: config.total_iters]
@@ -326,7 +334,7 @@ class TestRunAcrossRowChunks:
         a = system.a if sampling == "redraw" else mg.hadamard(mg.draw_mask(model, m, l, n, rng), system.a)
         problem = mg.ProblemInstance(a_tilde=a, b=system.b, model=model, x0=mg.zeros(l, q, n))
         config = mg.SolverConfig(
-            schedule=mg.HybridStep.matched(0.2 / mg.lipschitz_constant(system.a, 0.6), 200),
+            schedule=mg.HybridStep(0.2 / mg.lipschitz_constant(system.a, 0.6), 200),
             total_iters=iters,
             sampling=sampling,
             seed=iters,
@@ -373,7 +381,7 @@ def batch_runs(kind, sampling, project, n, size, seed, masked_by_units=True, m=4
         problems.append(mg.ProblemInstance(a_tilde=a, b=system.b, model=model, units=units,
                                            x0=mg.Tensor3(rng.standard_normal((n, l, q)))))
         schedule = (mg.ConstantStep(0.4 * p * p / lg), mg.InverseSqrtStep(0.5 * p * p / lg),
-                    mg.HybridStep.matched(0.3 * p * p / lg, 17))[r % 3]
+                    mg.HybridStep(0.3 * p * p / lg, 17))[r % 3]
         configs.append(mg.SolverConfig(
             schedule=schedule,
             total_iters=35,
@@ -653,7 +661,7 @@ class TestMeanPathFollowsGradientDescent:
         for p in self.P_VALUES:
             problem = mg.ProblemInstance(a_tilde=system.a, b=system.b, model=model_for(kind, p, 1), x0=x0)
             alpha = 0.5 / mg.lipschitz_constant(system.a, p)
-            for schedule in (mg.ConstantStep(alpha), mg.InverseSqrtStep(alpha), mg.HybridStep.matched(alpha, 20)):
+            for schedule in (mg.ConstantStep(alpha), mg.InverseSqrtStep(alpha), mg.HybridStep(alpha, 20)):
                 groups.append((schedule, slice(len(problems), len(problems) + self.SEEDS)))
                 for _ in range(self.SEEDS):
                     problems.append(problem)
@@ -685,7 +693,7 @@ class TestLinearPart:
     def test_linear_part_is_hermitian(self):
         rng = np.random.default_rng(11)
         a_row = mg.Tensor3(rng.standard_normal((3, 1, 4)))
-        c = mg.correction_tensor(mg.UniformMissing(0.5), 4, 3)
+        c = masking.correction_tensor(mg.UniformMissing(0.5), 4, 3)
         lin = oracle.update_linear_part(a_row, c, 0.5)
         assert oracle.is_hermitian(lin, tol=1e-12)
 
@@ -694,7 +702,7 @@ class TestLinearPart:
         p = 0.6
         a_row = mg.Tensor3(rng.standard_normal((2, 1, 3)))
         b_row = mg.Tensor3(rng.standard_normal((2, 1, 2)))
-        c = mg.correction_tensor(mg.FrontalSliceMissing(p), 3, 2)
+        c = masking.correction_tensor(mg.FrontalSliceMissing(p), 3, 2)
         x = mg.Tensor3(rng.standard_normal((2, 3, 2)))
         y = mg.Tensor3(rng.standard_normal((2, 3, 2)))
         gx = oracle.gradient_estimate(a_row, b_row, x, c, p)
@@ -791,12 +799,11 @@ class TestRun:
             a_tilde=system.a,  # redraw mode holds the full tensor
             b=problem.b,
             model=problem.model,
-            correction=problem.correction,
             x0=problem.x0,
         )
         alpha = 0.25 / mg.lipschitz_constant(system.a, 0.5)
         swap = 2000
-        sched = mg.HybridStep.matched(alpha, swap)
+        sched = mg.HybridStep(alpha, swap)
         finals, swaps = [], []
         for seed in range(10):
             cfg = mg.SolverConfig(
@@ -821,7 +828,6 @@ class TestRun:
             a_tilde=system.a,
             b=system.b,
             model=model,
-            correction=mg.correction_tensor(model, 3, 2),
             x0=mg.zeros(3, 2, 2),
         )
         cfg = mg.SolverConfig(
@@ -838,7 +844,6 @@ class TestRun:
                     a_tilde=system.a,
                     b=problem.b,
                     model=problem.model,
-                    correction=problem.correction,
                     x0=problem.x0,
                 )
             cfg = mg.SolverConfig(
@@ -886,6 +891,21 @@ class TestRun:
         # 17 significant digits reproduce the float exactly
         rec = res.trace.records[-1]
         assert float(lines[-1].split(",")[3]) == rec.iterate_error
+
+    def test_also_record_outside_the_run_is_ignored(self, tmp_path):
+        # the loop reaches iterations 1..T only, so callers pass a swap iteration past T as it is
+        system, problem = make_problem(m=40, seed=26)
+        T = 40
+        csv = []
+        for extra in ((), (0, T + 1, 10 * T)):
+            cfg = mg.SolverConfig(
+                schedule=mg.HybridStep(1e-3, 10 * T), total_iters=T, seed=6, trace_every=10, also_record=extra
+            )
+            res = mg.run_msgdt(problem, cfg, x_star=system.x_star, full_a=system.a)
+            path = tmp_path / f"trace{len(extra)}.csv"
+            res.trace.write_csv(path)
+            csv.append((res.trace.records, path.read_bytes()))
+        assert csv[0] == csv[1]
 
 
 class TestObjective:
@@ -988,7 +1008,7 @@ class TestSpectralObjective:
 class TestProblemValidation:
     def test_rejects_nonbinary_correction(self):
         system, problem = make_problem()
-        bad = mg.Tensor3(problem.correction.data * 0.5)
+        bad = mg.Tensor3(masking.correction_tensor(problem.model, 3, 2).data * 0.5)
         with pytest.raises(ValueError, match="0/1"):
             mg.ProblemInstance(
                 a_tilde=problem.a_tilde,
@@ -1000,7 +1020,7 @@ class TestProblemValidation:
 
     def test_rejects_nonhermitian_correction(self):
         system, problem = make_problem(l=3, n=2)
-        data = problem.correction.data.copy()
+        data = masking.correction_tensor(problem.model, 3, 2).data.copy()
         data[1, 0, 2] = 1.0  # break symmetry of the slice pairing
         with pytest.raises(ValueError, match="Hermitian"):
             mg.ProblemInstance(
@@ -1019,7 +1039,7 @@ class TestProblemValidation:
                 a_tilde=problem.a_tilde,
                 b=problem.b,
                 model=problem.model,
-                correction=mg.correction_tensor(mg.UniformMissing(0.5), 3, 2),
+                correction=masking.correction_tensor(mg.UniformMissing(0.5), 3, 2),
                 x0=problem.x0,
             )
 
@@ -1048,8 +1068,7 @@ class TestProblemValidation:
                 a_tilde=problem.a_tilde,
                 b=mg.ones(problem.b.m + 1, problem.b.l, problem.b.n),
                 model=problem.model,
-                correction=problem.correction,
-                x0=problem.x0,
+                    x0=problem.x0,
             )
 
 
