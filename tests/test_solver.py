@@ -134,9 +134,11 @@ class TestStepSchedules:
             (lambda v: mg.ConstantStep(v), "step size"),
             (lambda v: mg.InverseSqrtStep(v), "step constant"),
             (lambda v: mg.HybridStep(alpha=v, swap_iter=5), "step size"),
+            # swap at 1: alpha reaches the steps only through the derived matching c
+            (lambda v: mg.HybridStep(alpha=v, swap_iter=1), "step size"),
             (lambda v: mg.SolverConfig(mg.ConstantStep(0.1), 10, projection_radius=v), "projection radius"),
         ],
-        ids=["constant", "inverse-sqrt", "hybrid-alpha", "radius"],
+        ids=["constant", "inverse-sqrt", "hybrid-alpha", "matched", "radius"],
     )
     def test_non_finite_rejected(self, build, name, value):
         # NaN slips past a ``<= 0`` check and would run every iteration on NaN
