@@ -98,6 +98,8 @@ def cmd_mask(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.swap_iter < 0:
+        raise ValueError(f"--swap-iter must be >= 0 (0 disables the decaying phase), got {args.swap_iter}")
     a = read_t3f1(args.a)
     b = read_t3f1(args.b)
     model = model_for(args.model, args.p, args.block_size)

@@ -12,14 +12,14 @@ over the row choice and the mask, E[g(X)] equals the full-data gradient
 
 The iteration runs in the real tube-Fourier domain, where every t-product
 is one small matrix product per frequency f = 0..n//2.  It steps the scaled
-spectrum Y = s o rfft(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
+spectrum Y = s o DFT(X) with s_f = sqrt(w_f / n) (w_f = 1 at DC and at the
 Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 ``update_norm`` and ``iterate_error`` are plain norms of spectra, and
 ``irfft`` runs only for the final iterate.  ``objective`` records are a
 quadratic form in Y with one l x l Gram matrix per frequency
 (``_ObjectiveForm``), built from one pass over the full A per batch, so a
 record needs neither ``irfft`` nor A.  Row spectra come from
-:func:`row_spectra`, one rfft per :func:`~msgdt.tensor.row_chunks` slice of
+:func:`row_spectra`, one tube DFT per :func:`~msgdt.tensor.row_chunks` slice of
 up to 256 rows; the Monte Carlo checks in :mod:`msgdt.checks` take their
 draws' spectra from it too.  Compared with
 iterating on X directly the results differ by rounding only: a few 1e-15
@@ -406,7 +406,7 @@ def _row_gradient(
 ) -> np.ndarray:
     """Scaled spectrum of the update direction g(X) for one masked row slice per run.
 
-    ``ahat`` (..., f, l) is the rfft of the masked row Atilde_i along its
+    ``ahat`` (..., f, l) is the tube DFT of the masked row Atilde_i along its
     tubes; ``pbhat`` (..., f, q) and ``yhat`` (..., f, l, q) are the
     Parseval-scaled spectra of p B_i and of X; ``spec`` is the tubes'
     transform.  Leading axes are runs: a batch passes the
@@ -601,7 +601,8 @@ def row_spectra(runs, draws, spec: tn.TubeSpectrum) -> tuple[np.ndarray, np.ndar
     ``runs`` holds an (A, B, model) triple per run and ``draws`` an
     (idx, keep) pair per run: rows ``idx`` of A, each masked by its unit
     draw in ``keep`` (None: taken as they are), and the same rows of B.  One
-    rfft transforms all of A's rows and one all of B's; B's spectra are
+    :meth:`~msgdt.tensor.TubeSpectrum.forward` call transforms all of A's
+    rows and one all of B's; B's spectra are
     Parseval-scaled and multiplied by each run's p, as the kernel takes them.
     """
     a0, b0, _ = runs[0]

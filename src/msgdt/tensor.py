@@ -7,20 +7,21 @@ unfolding is a plain reshape.  Zero-based indices throughout.
 
 The t-product A * X is fold(bcirc(A) @ unfold(X)).  The tube DFT
 block-diagonalizes bcirc (Kilmer & Martin, Linear Algebra Appl. 435, 2011),
-so it is computed in the real tube-Fourier domain: ``rfft`` down every tube
-keeps the n//2+1 nonnegative frequencies of a real tensor, each frequency
-is one matrix product, and ``irfft`` brings the result back.
+so it is computed in the real tube-Fourier domain: a real DFT down every
+tube keeps the n//2+1 nonnegative frequencies of a real tensor, each
+frequency is one matrix product, and ``irfft`` brings the result back.
 :func:`msgdt.oracle.bcirc` materializes the block-circulant matrix so tests
 can check the two routes against each other.  ``tube_spectrum(n)`` is the
-one helper for the real transform: the rfft and its inverse and the
-Parseval scaling.  ``row_chunks(count)`` is the one chunk policy for row
-slices: every routine that transforms, masks or draws rows takes them at
-most 256 at a time, so transient arrays stay a fixed size however many rows
-there are.
+one helper for the real transform: the forward DFT as two cached real
+matrix products, its inverse by ``irfft``, and the Parseval scaling.
+``row_chunks(count)`` is the one chunk policy for row slices: every routine
+that transforms, masks or draws rows takes them at most 256 at a time, so
+transient arrays stay a fixed size however many rows there are.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,7 +126,7 @@ def row_chunks(count: int) -> list[slice]:
 def _tprod_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """t-product on raw (n, m, l) and (n, l, q) arrays, frequency by frequency.
 
-    out = irfft(rfft(a) @ rfft(x)) along the tubes, with ``a`` taken one
+    out = inverse(forward(a) @ forward(x)) along the tubes, with ``a`` taken one
     :func:`row_chunks` slice at a time.
     """
     n = a.shape[0]
@@ -170,32 +171,49 @@ def hadamard(a: Tensor3, b: Tensor3) -> Tensor3:
 class TubeSpectrum:
     """The real DFT of length-n tubes: frequencies 0..n//2 of a real tube.
 
-    ``forward``/``inverse`` are ``rfft``/``irfft`` along one axis.  With
+    ``forward`` is the DFT along one axis as two real matrix products: the
+    rows of ``basis[0]`` are cos(2 pi f k / n) and -sin(2 pi f k / n) for
+    f = 0..n//2, k = 0..n-1, with the sine rows exactly 0 at DC and at the
+    Nyquist frequency (even n), so those frequencies come out exactly real.
+    At the short tubes of the solver's rows this beats an FFT, which pays a
+    fixed cost per tube; it agrees with ``np.fft.rfft`` within 1e-14 of the
+    spectrum's largest entry up to n = 128.  ``inverse`` is ``irfft``.  With
     ``scaled=True`` frequency f is multiplied by ``scale[f] = sqrt(w_f / n)``,
     where w_f is 1 at DC and at the Nyquist frequency (even n) and 2
     elsewhere; then the complex Frobenius norm of a scaled spectrum equals the
     real norm of the tensor (Parseval), and inner products carry over the same
-    way.  ``weights = scale**2`` are those Parseval weights.
+    way.  ``weights = scale**2`` are those Parseval weights, and
+    ``basis[1]`` is ``basis[0]`` with row f multiplied by ``scale[f]``.
     """
 
     n: int
     scale: np.ndarray
     weights: np.ndarray
-
-    def _along(self, vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-        return vec.reshape((-1,) + (1,) * (ndim - 1 - axis % ndim))
+    basis: np.ndarray
 
     def forward(self, data: np.ndarray, axis: int = 0, scaled: bool = False) -> np.ndarray:
-        """rfft of real ``data`` along ``axis`` (length n there, n//2+1 after)."""
-        hat = np.fft.rfft(data, axis=axis)
-        if scaled:
-            hat *= self._along(self.scale, hat.ndim, axis)
+        """Real DFT of real ``data`` along ``axis`` (length n there, n//2+1 after).
+
+        Two real matrix products with ``basis[scaled]``, the (n//2+1, n)
+        cosine and minus-sine matrices, write the real and imaginary halves
+        of the complex result in place.
+        """
+        data = np.asarray(data, dtype=np.float64)
+        axis %= data.ndim
+        shape = data.shape
+        lead, rest, freqs = math.prod(shape[:axis]), math.prod(shape[axis + 1 :]), self.n // 2 + 1
+        tubes = data.reshape(lead, self.n, rest)
+        hat = np.empty(shape[:axis] + (freqs,) + shape[axis + 1 :], dtype=np.complex128)
+        parts = hat.view(np.float64).reshape(lead, freqs, rest, 2)
+        cosine, minus_sine = self.basis[int(scaled)]
+        np.matmul(cosine, tubes, out=parts[..., 0])
+        np.matmul(minus_sine, tubes, out=parts[..., 1])
         return hat
 
     def inverse(self, hat: np.ndarray, scaled: bool = False) -> np.ndarray:
         """Real array whose :meth:`forward` along axis 0 (with the same ``scaled``) is ``hat``."""
         if scaled:
-            hat = hat / self._along(self.scale, hat.ndim, 0)
+            hat = hat / self.scale.reshape((-1,) + (1,) * (hat.ndim - 1))
         return np.fft.irfft(hat, n=self.n, axis=0)
 
 
@@ -210,9 +228,17 @@ def tube_spectrum(n: int) -> TubeSpectrum:
     if n % 2 == 0:
         weights[-1] = 1.0 / n
     scale = np.sqrt(weights)
-    for arr in (scale, weights):
+    # angle 2 pi f k / n from (f k) mod n, so no angle passes 2 pi; sine rows exactly 0 at DC and Nyquist
+    angles = (2.0 * np.pi / n) * (np.outer(np.arange(freqs), np.arange(n)) % n)
+    sine = -np.sin(angles)
+    sine[0] = 0.0
+    if n % 2 == 0:
+        sine[-1] = 0.0
+    unscaled = np.stack([np.cos(angles), sine])
+    basis = np.stack([unscaled, unscaled * scale[:, None]])
+    for arr in (scale, weights, basis):
         arr.setflags(write=False)
-    return TubeSpectrum(n, scale, weights)
+    return TubeSpectrum(n, scale, weights, basis)
 
 
 def tube_gram(data: np.ndarray, b: Optional[np.ndarray] = None):

@@ -234,6 +234,20 @@ class TestSolve:
                                                      r"1/L_g=[0-9.e+-]+; lower --alpha or raise --step-divisor$")
         assert not out.exists()
 
+    def test_negative_swap_iter_rejected(self, tmp_path, capsys):
+        # 0 means the constant step; a negative swap iteration is an error, not another spelling of 0
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "60,3,2,2", "--seed", "1", "--out", str(gen)])
+        out = tmp_path / "run"
+        argv = ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "40"]
+        capsys.readouterr()
+        code = main(argv + ["--swap-iter", "-7", "--out", str(out)])
+        assert_one_line_error(capsys, code, "solve", r"--swap-iter must be >= 0 \(0 disables the decaying phase\), "
+                                                     r"got -7$")
+        assert not out.exists()
+        assert main(argv + ["--swap-iter", "0", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["params"]["swap_iter"] == 0
+
     def test_radius_is_a_number(self, tmp_path, capsys):
         # leaving --radius out is the one way to run without projection
         gen = tmp_path / "gen"

@@ -750,7 +750,7 @@ class TestProjectBall:
         flat = x.copy()
         _project(_flat(flat), radius)
         assert mg.project_ball(mg.Tensor3(x), radius).data.tobytes() == flat.tobytes()
-        yhat = tube_spectrum(4).forward(x, scaled=True)  # real-valued at DC and Nyquist, as rfft gives
+        yhat = tube_spectrum(4).forward(x, scaled=True)  # real-valued at DC and Nyquist: the sine rows are exact zeros there
         norm = math.sqrt(float(np.dot(yhat.view(np.float64).ravel(), yhat.view(np.float64).ravel())))
         want = yhat * (radius / norm) if norm > radius else yhat
         _project(_flat(yhat), radius)
