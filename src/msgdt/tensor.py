@@ -12,8 +12,9 @@ tube keeps the n//2+1 nonnegative frequencies of a real tensor, each
 frequency is one matrix product, and ``irfft`` brings the result back.
 :func:`msgdt.oracle.bcirc` materializes the block-circulant matrix so tests
 can check the two routes against each other.  ``tube_spectrum(n)`` is the
-one helper for the real transform: the forward DFT as two cached real
-matrix products, its inverse by ``irfft``, and the Parseval scaling.
+one helper for the real transform: the forward DFT (two cached real matrix
+products for short tubes, ``rfft`` for long ones), its inverse by
+``irfft``, and the Parseval scaling.
 ``row_chunks(count)`` is the one chunk policy for row slices: every routine
 that transforms, masks or draws rows takes them at most 256 at a time, so
 transient arrays stay a fixed size however many rows there are.
@@ -171,36 +172,47 @@ def hadamard(a: Tensor3, b: Tensor3) -> Tensor3:
 class TubeSpectrum:
     """The real DFT of length-n tubes: frequencies 0..n//2 of a real tube.
 
-    ``forward`` is the DFT along one axis as two real matrix products: the
-    rows of ``basis[0]`` are cos(2 pi f k / n) and -sin(2 pi f k / n) for
-    f = 0..n//2, k = 0..n-1, with the sine rows exactly 0 at DC and at the
-    Nyquist frequency (even n), so those frequencies come out exactly real.
-    At the short tubes of the solver's rows this beats an FFT, which pays a
-    fixed cost per tube; it agrees with ``np.fft.rfft`` within 1e-14 of the
-    spectrum's largest entry up to n = 128.  ``inverse`` is ``irfft``.  With
-    ``scaled=True`` frequency f is multiplied by ``scale[f] = sqrt(w_f / n)``,
-    where w_f is 1 at DC and at the Nyquist frequency (even n) and 2
-    elsewhere; then the complex Frobenius norm of a scaled spectrum equals the
-    real norm of the tensor (Parseval), and inner products carry over the same
-    way.  ``weights = scale**2`` are those Parseval weights, and
-    ``basis[1]`` is ``basis[0]`` with row f multiplied by ``scale[f]``.
+    For n <= ``_DFT_MATRIX_MAX_N``, ``forward`` is the DFT along one axis as
+    two real matrix products: the rows of ``basis[0]`` are cos(2 pi f k / n)
+    and -sin(2 pi f k / n) for f = 0..n//2, k = 0..n-1, with the sine rows
+    exactly 0 at DC and at the Nyquist frequency (even n), so those
+    frequencies come out exactly real.  At such short tubes this beats an
+    FFT, which pays a fixed cost per tube, and it agrees with ``np.fft.rfft``
+    within 1e-14 of the spectrum's largest entry.  Longer tubes (frame stacks,
+    where n is the frame count) take ``np.fft.rfft``, whose O(n log n) cost
+    and O(n) state win there; ``basis`` is then None.  ``inverse`` is
+    ``irfft``.  With ``scaled=True`` frequency f is multiplied by
+    ``scale[f] = sqrt(w_f / n)``, where w_f is 1 at DC and at the Nyquist
+    frequency (even n) and 2 elsewhere; then the complex Frobenius norm of a
+    scaled spectrum equals the real norm of the tensor (Parseval), and inner
+    products carry over the same way.  ``weights = scale**2`` are those
+    Parseval weights, and ``basis[1]`` is ``basis[0]`` with row f multiplied
+    by ``scale[f]``.
     """
 
     n: int
     scale: np.ndarray
     weights: np.ndarray
-    basis: np.ndarray
+    basis: Optional[np.ndarray]
 
     def forward(self, data: np.ndarray, axis: int = 0, scaled: bool = False) -> np.ndarray:
         """Real DFT of real ``data`` along ``axis`` (length n there, n//2+1 after).
 
-        Two real matrix products with ``basis[scaled]``, the (n//2+1, n)
-        cosine and minus-sine matrices, write the real and imaginary halves
-        of the complex result in place.
+        With a ``basis``, two real matrix products with ``basis[scaled]``, the
+        (n//2+1, n) cosine and minus-sine matrices, write the real and
+        imaginary halves of the complex result in place; without one it is
+        ``np.fft.rfft``.
         """
         data = np.asarray(data, dtype=np.float64)
         axis %= data.ndim
         shape = data.shape
+        if shape[axis] != self.n:
+            raise ValueError(f"tube axis {axis} has length {shape[axis]}, this spectrum is for n = {self.n}")
+        if self.basis is None:
+            hat = np.fft.rfft(data, axis=axis)
+            if scaled:
+                hat *= self.scale.reshape((-1,) + (1,) * (data.ndim - 1 - axis))
+            return hat
         lead, rest, freqs = math.prod(shape[:axis]), math.prod(shape[axis + 1 :]), self.n // 2 + 1
         tubes = data.reshape(lead, self.n, rest)
         hat = np.empty(shape[:axis] + (freqs,) + shape[axis + 1 :], dtype=np.complex128)
@@ -217,6 +229,13 @@ class TubeSpectrum:
         return np.fft.irfft(hat, n=self.n, axis=0)
 
 
+# Longest tube whose forward DFT is the cached matrix product.  On a 256-row
+# chunk of shape (256, R, n, 20) the product beats rfft about 2x at n = 32,
+# loses from n = 48 at R = 3 and at n = 128 at R = 1 (ROADMAP item 1); its
+# cost grows as n^2 and its basis as 16 n^2 bytes, rfft's as n log n and n.
+_DFT_MATRIX_MAX_N = 32
+
+
 @lru_cache(maxsize=64)
 def tube_spectrum(n: int) -> TubeSpectrum:
     """The shared, read-only :class:`TubeSpectrum` for tubes of length n."""
@@ -228,15 +247,18 @@ def tube_spectrum(n: int) -> TubeSpectrum:
     if n % 2 == 0:
         weights[-1] = 1.0 / n
     scale = np.sqrt(weights)
-    # angle 2 pi f k / n from (f k) mod n, so no angle passes 2 pi; sine rows exactly 0 at DC and Nyquist
-    angles = (2.0 * np.pi / n) * (np.outer(np.arange(freqs), np.arange(n)) % n)
-    sine = -np.sin(angles)
-    sine[0] = 0.0
-    if n % 2 == 0:
-        sine[-1] = 0.0
-    unscaled = np.stack([np.cos(angles), sine])
-    basis = np.stack([unscaled, unscaled * scale[:, None]])
-    for arr in (scale, weights, basis):
+    basis = None
+    if n <= _DFT_MATRIX_MAX_N:
+        # angle 2 pi f k / n from (f k) mod n, so no angle passes 2 pi; sine rows exactly 0 at DC and Nyquist
+        angles = (2.0 * np.pi / n) * (np.outer(np.arange(freqs), np.arange(n)) % n)
+        sine = -np.sin(angles)
+        sine[0] = 0.0
+        if n % 2 == 0:
+            sine[-1] = 0.0
+        unscaled = np.stack([np.cos(angles), sine])
+        basis = np.stack([unscaled, unscaled * scale[:, None]])
+        basis.setflags(write=False)
+    for arr in (scale, weights):
         arr.setflags(write=False)
     return TubeSpectrum(n, scale, weights, basis)
 
