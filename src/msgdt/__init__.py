@@ -45,7 +45,6 @@ from .solver import (
     RunResult,
     RunTrace,
     SolverConfig,
-    StepSchedule,
     objective,
     project_ball,
     run_msgdt,
@@ -90,7 +89,6 @@ __all__ = [
     "ConstantStep",
     "InverseSqrtStep",
     "HybridStep",
-    "StepSchedule",
     "step_size",
     "SolverConfig",
     "ProblemInstance",

@@ -18,11 +18,10 @@ from . import __version__
 from .bounds import (
     compute_bound_report,
     gradient_second_moment_bound,
-    lipschitz_constant,
     solution_second_moment_bound,
 )
 from .checks import lipschitz_ratio_max, second_moment_sample, unbiasedness_relative_error
-from .experiment import ExperimentSpec, run_experiment, write_manifest
+from .experiment import ExperimentSpec, _refuse_divergence, run_experiment, write_manifest
 from .frames import export_frames, ingest_frames
 from .masking import (
     MODEL_KINDS,
@@ -133,11 +132,7 @@ def cmd_solve(args) -> int:
     full_a = read_t3f1(args.full_a) if args.full_a else None
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent run is reported below, in one line
         result = run_msgdt(problem, config, x_star=x_star, full_a=full_a)
-    if not np.isfinite(result.x_final.data).all():
-        raise ValueError(
-            f"the iterate went non-finite in {args.iters} iterations: step size alpha={alpha:.6g} against "
-            f"1/L_g={1.0 / lipschitz_constant(a, args.p):.6g}; lower --alpha or raise --step-divisor"
-        )
+    _refuse_divergence(result, "the iterate", args.iters, alpha, a, args.p, "lower --alpha or raise --step-divisor")
 
     out = _out_dir(args)
     write_t3f1(result.x_final, out / "xfinal.t3f")
@@ -210,6 +205,9 @@ def cmd_bounds(args) -> int:
 
 def _verify_identities(args, lines: list[str]) -> bool:
     check_positive("--tol", args.tol)  # an infinite tolerance would pass any deviation
+    for flag, value in (("--l", args.l), ("--n", args.n)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     model = model_for(args.model, args.p, args.block_size)
     row = Tensor3(rng.standard_normal((args.n, 1, args.l)))  # a fresh Gaussian 1 x l x n row slice

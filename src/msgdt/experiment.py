@@ -27,12 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bounds import lipschitz_constant
 from .masking import check_positive, draw_units, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
     InverseSqrtStep,
     ProblemInstance,
+    RunResult,
     SamplingMode,
     SolverConfig,
     run_batch,
@@ -125,12 +127,23 @@ def _seed_int(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0])
 
 
+def _refuse_divergence(result: RunResult, run: str, iters: int, alpha: float, a: Tensor3, p: float,
+                       remedy: str) -> None:
+    """Raise a one-line ValueError, quoting alpha against 1/L_g, when ``run``'s final iterate is non-finite."""
+    if not np.isfinite(result.x_final.data).all():
+        raise ValueError(
+            f"{run} went non-finite in {iters} iterations: step size alpha={alpha:.6g} against "
+            f"1/L_g={1.0 / lipschitz_constant(a, p):.6g}; {remedy}"
+        )
+
+
 def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> list[SummaryRow]:
     """Every p of one trial as one :func:`~msgdt.solver.run_batch` on the trial's system.
 
     In "once" mode each run carries the full A with its own unit draw, and
     the solver masks rows as it transforms them: no run holds a masked copy
-    of A.  In "redraw" mode the solver masks each drawn row itself.
+    of A.  In "redraw" mode the solver masks each drawn row itself.  A run
+    whose final iterate is non-finite raises before any trace is written.
     """
     dims = spec.dims
     problems, configs = [], []
@@ -159,7 +172,11 @@ def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> lis
                 also_record=(spec.swap_iter,),
             )
         )
-    results = run_batch(problems, configs, x_star=system.x_star)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent run is refused below, in one line
+        results = run_batch(problems, configs, x_star=system.x_star)
+    for p, config, result in zip(spec.p_values, configs, results):
+        _refuse_divergence(result, f"the iterate of p={p:g} trial {trial}", spec.total_iters,
+                           config.schedule.alpha, system.a, p, "raise --step-divisor")
 
     rows = []
     for p, result in zip(spec.p_values, results):

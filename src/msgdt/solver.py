@@ -72,6 +72,7 @@ row order or generator, and gets the bits it gets alone;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Union
 
@@ -96,7 +97,6 @@ __all__ = [
     "ConstantStep",
     "InverseSqrtStep",
     "HybridStep",
-    "StepSchedule",
     "step_size",
     "step_table",
     "SolverConfig",
@@ -115,27 +115,12 @@ SamplingMode = Literal["once", "redraw"]
 
 
 @dataclass(frozen=True)
-class ConstantStep:
-    alpha: float
-
-    def __post_init__(self):
-        check_positive("step size", self.alpha)
-
-
-@dataclass(frozen=True)
-class InverseSqrtStep:
-    """alpha_t = c / sqrt(t), with t counted from 1."""
-
-    c: float
-
-    def __post_init__(self):
-        check_positive("step constant", self.c)
-
-
-@dataclass(frozen=True)
 class HybridStep:
-    """Constant alpha while t < swap_iter, then c / sqrt(t) with c = alpha * sqrt(swap_iter),
-    so the two phases agree at the swap iteration."""
+    """The one step schedule: constant alpha while t < swap_iter, then c / sqrt(t) with
+    c = alpha * sqrt(swap_iter), so the two phases agree at the swap iteration.
+
+    The paper's two regimes are its ends, built by :func:`ConstantStep` (a swap no
+    budget reaches) and :func:`InverseSqrtStep` (a swap at 1, where c = alpha)."""
 
     alpha: float
     swap_iter: int
@@ -150,29 +135,32 @@ class HybridStep:
         return self.alpha * math.sqrt(self.swap_iter)
 
 
-StepSchedule = Union[ConstantStep, InverseSqrtStep, HybridStep]
+def ConstantStep(alpha: float) -> HybridStep:
+    """alpha_t = alpha at every t."""
+    return HybridStep(alpha, sys.maxsize)
 
 
-def step_size(schedule: StepSchedule, t: int) -> float:
+def InverseSqrtStep(c: float) -> HybridStep:
+    """alpha_t = c / sqrt(t), with t counted from 1."""
+    check_positive("step constant", c)
+    return HybridStep(c, 1)
+
+
+def step_size(schedule: HybridStep, t: int) -> float:
     """Step size for 1-based iteration t: :func:`step_table`'s formula at one t."""
     if t < 1:
         raise ValueError(f"iteration index is 1-based, got {t}")
     return float(_steps_at(schedule, np.float64(t)))
 
 
-def step_table(schedule: StepSchedule, total_iters: int) -> np.ndarray:
+def step_table(schedule: HybridStep, total_iters: int) -> np.ndarray:
     """Step sizes of iterations 1..total_iters as one array, entry t-1 equal to ``step_size(schedule, t)``."""
     return _steps_at(schedule, np.arange(1, total_iters + 1, dtype=np.float64))
 
 
-def _steps_at(schedule: StepSchedule, t: np.ndarray) -> np.ndarray:
+def _steps_at(schedule: HybridStep, t: np.ndarray) -> np.ndarray:
     """The schedule's step sizes at the float64 iterations ``t``, elementwise."""
-    if isinstance(schedule, ConstantStep):
-        return np.full(np.shape(t), schedule.alpha, dtype=np.float64)
-    decay = schedule.c / np.sqrt(t)
-    if isinstance(schedule, InverseSqrtStep):
-        return decay
-    return np.where(t < schedule.swap_iter, np.float64(schedule.alpha), decay)
+    return np.where(t < schedule.swap_iter, np.float64(schedule.alpha), schedule.c / np.sqrt(t))
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,7 @@ class SolverConfig:
     ``trace_every``; entries outside 1..T are ignored.
     """
 
-    schedule: StepSchedule
+    schedule: HybridStep
     total_iters: int
     projection_radius: Optional[float] = None
     sampling: SamplingMode = "once"
@@ -676,6 +664,8 @@ def run_batch(
     # each buffer's views, made once: the step's, and one flat view per run for the projection
     y_views, spare_views = (_views(arr, coeffs) for arr in (y, spare))
     y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))
+    if x_star is not None and x_star.dims != problems[0].x0.dims:
+        raise ValueError(f"X* dims {x_star.dims} inconsistent with system {problems[0].x0.dims}")
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     forms = None
     if full_a is not None:

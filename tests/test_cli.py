@@ -234,6 +234,20 @@ class TestSolve:
                                                      r"1/L_g=[0-9.e+-]+; lower --alpha or raise --step-divisor$")
         assert not out.exists()
 
+    @pytest.mark.parametrize("keep", [np.s_[:, :, :1], np.s_[:, :1, :]], ids=["one-column", "one-row"])
+    def test_x_star_of_other_dims_rejected(self, tmp_path, capsys, keep):
+        # an (l, 1, n) or (1, q, n) X* broadcasts against the iterate: unchecked, the final error is wrong
+        gen = tmp_path / "gen"
+        main(["gen", "--dims", "30,4,2,3", "--seed", "1", "--out", str(gen)])
+        xstar = tmp_path / "xstar.t3f"
+        mg.write_t3f1(mg.Tensor3(mg.read_t3f1(gen / "xstar.t3f").data[keep]), xstar)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "20",
+                     "--xstar", str(xstar), "--out", str(out)])
+        assert_one_line_error(capsys, code, "solve", r"X\* dims \(\d, \d, 3\) inconsistent with system \(4, 2, 3\)$")
+        assert not out.exists()
+
     def test_negative_swap_iter_rejected(self, tmp_path, capsys):
         # 0 means the constant step; a negative swap iteration is an error, not another spelling of 0
         gen = tmp_path / "gen"
@@ -402,6 +416,20 @@ class TestExperiment:
         assert_one_line_error(capsys, main(self.SMALL + extra + ["--out", str(out)]), "experiment", message)
         assert not out.exists()
 
+    def test_divergent_sweep_raises_and_writes_no_summary(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["experiment", "--dims", "60,4,2,3", "--p", "0.5,0.9", "--iters", "50", "--swap-iter", "20",
+                "--step-divisor", "1e-6", "--trace-every", "25", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert_one_line_error(capsys, code, "experiment",
+                              r"the iterate of p=0\.5 trial 0 went non-finite in 50 iterations: step size "
+                              r"alpha=250000 against 1/L_g=[0-9.e+-]+; raise --step-divisor$")
+        assert not (out / "summary.csv").exists() and not (out / "manifest.json").exists()
+        assert not list(out.glob("trace_*.csv"))
+
     def test_malformed_p_list_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(self.SMALL + ["--p", "0.5,abc", "--out", str(out)])
@@ -470,6 +498,14 @@ class TestVerify:
         out = tmp_path / "verify"
         code = main(["verify", suite, "--trials", "0", "--out", str(out)])
         assert_one_line_error(capsys, code, "verify", "trials must be >= 1, got 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--l", "0"), ("--l", "-1"), ("--n", "0"), ("--n", "-1")])
+    def test_identities_size_below_one_rejected(self, tmp_path, capsys, flag, value):
+        # numpy's own messages ("negative dimensions", "zero-size array") name no flag
+        out = tmp_path / "verify"
+        code = main(["verify", "identities", "--trials", "10", flag, value, "--out", str(out)])
+        assert_one_line_error(capsys, code, "verify", f"{flag} must be >= 1, got {value}$")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -95,6 +96,15 @@ class TestStepSchedules:
         T = 997
         assert np.array_equal(step_table(mg.ConstantStep(alpha), T), step_table(mg.HybridStep(alpha, T + 1), T))
         assert np.array_equal(step_table(mg.InverseSqrtStep(alpha), T), step_table(mg.HybridStep(alpha, 1), T))
+
+    @pytest.mark.parametrize("T", [1, 997, 10**6])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 3.0])
+    def test_constructors_keep_the_written_out_formulas(self, alpha, T):
+        # ConstantStep and InverseSqrtStep build the one schedule, with the bits of their own formulas
+        constant, decaying = mg.ConstantStep(alpha), mg.InverseSqrtStep(alpha)
+        assert type(constant) is mg.HybridStep and type(decaying) is mg.HybridStep
+        assert np.array_equal(step_table(constant, T), np.full(T, alpha))
+        assert np.array_equal(step_table(decaying, T), alpha / np.sqrt(np.arange(1, T + 1.0)))
 
     def test_one_based(self):
         with pytest.raises(ValueError):
@@ -996,6 +1006,15 @@ class TestSpectralObjective:
         cfg = mg.SolverConfig(schedule=mg.ConstantStep(0.01), total_iters=5)
         with pytest.raises(ValueError, match=r"full A dims \(21, 3, 2\) inconsistent with A dims \(20, 3, 2\)"):
             mg.run_msgdt(problem, cfg, full_a=mg.ones(21, 3, 2))
+
+    @pytest.mark.parametrize("dims", [(4, 1, 3), (1, 2, 3)], ids=["one-column", "one-row"])
+    def test_x_star_of_other_dims_refused(self, dims):
+        # both shapes broadcast against the (4, 2, 3) iterate: unchecked, every iterate_error is wrong
+        system, problem = make_problem(m=20, l=4, q=2, n=3)
+        cfg = mg.SolverConfig(schedule=mg.ConstantStep(0.01), total_iters=5)
+        with pytest.raises(ValueError, match=rf"X\* dims {re.escape(str(dims))} inconsistent with system "
+                                             r"\(4, 2, 3\)"):
+            mg.run_msgdt(problem, cfg, x_star=mg.ones(*dims))
 
     def test_one_objective_call_per_b(self, monkeypatch):
         # the records read the Gram terms; objective() runs once per distinct B, at its centre
