@@ -45,6 +45,12 @@ def main() -> int:
     args = parser.parse_args()
     if args.iters > args.data_rows:  # the solve draws rows without replacement ("once" sampling)
         parser.error(f"--iters {args.iters} needs as many distinct rows, but --data-rows is {args.data_rows}")
+    if args.swap_iter < 1:
+        parser.error(f"--swap-iter must be >= 1, got {args.swap_iter}")
+    try:
+        model = mg.UniformMissing(args.p)
+    except ValueError as exc:
+        parser.error(f"--p: {exc}")
 
     out = Path(args.out)
     make_frames(out / "truth", args.rows, args.cols, args.frames)
@@ -55,7 +61,6 @@ def main() -> int:
     a = mg.Tensor3(rng.standard_normal((n, args.data_rows, l)))
     b = mg.tprod(a, x_star)
 
-    model = mg.UniformMissing(args.p)
     mask = mg.draw_mask(model, args.data_rows, l, n, rng)
     a_tilde = mg.hadamard(mask, a)
 

@@ -6,12 +6,15 @@ one Gaussian system and shares it across every p, so p-comparisons are
 paired.  The runs of one trial advance together, as one
 :func:`~msgdt.solver.run_batch`: each p draws its own mask (as a unit
 draw; the solver masks rows as it reads them, so no masked copy of A is
-made), runs the hybrid step schedule alpha = p^2 / step_divisor matched at
-the swap iteration, and writes ``trace_p{p}_trial{t}.csv``.  The summary
-holds iterate errors at iteration 0, the swap, and the end of each run, in
-(p, trial) order.  Every run derives its own seeds from (seed, trial,
+made) and runs the hybrid step schedule alpha = p^2 / step_divisor matched
+at the swap iteration.  Every run derives its own seeds from (seed, trial,
 p-index), and a batched run gives the same bits as the run alone, so
-outputs do not depend on how the runs are grouped or ordered.
+outputs do not depend on how the runs are grouped or ordered.  Only after
+the last trial does :func:`run_experiment` make the output directory and
+write each run's ``trace_p{p}_trial{t}.csv``, then a summary of iterate
+errors at iteration 0, the swap, and the end, in (p, trial) order: bad
+input (see :class:`ExperimentSpec`) or a divergent run raises with nothing
+written.
 
 :func:`fixed_step_trials` and :func:`decaying_step_trials` run the paper's
 two simulation protocols on one problem: one "redraw" run per seed,
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import lipschitz_constant
-from .masking import check_positive, draw_units, model_for
+from .masking import check_positive, check_trials, draw_units, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -39,7 +42,7 @@ from .solver import (
     SolverConfig,
     run_batch,
 )
-from .synthetic import Dims, SyntheticSystem, gen_synthetic
+from .synthetic import Dims, gen_synthetic
 from .tensor import Tensor3
 
 __all__ = [
@@ -56,6 +59,15 @@ SUMMARY_HEADER = "model,p,trial,iters,swap_iter,error_initial,error_swap,error_f
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One p sweep over ``trials`` seeded systems.
+
+    The spec checks only what no run object checks: the p list is not
+    empty, no two p values share a trace file, ``trials >= 1``, and the
+    step divisor is finite and positive.  The run objects that trial 0
+    builds (:func:`~msgdt.masking.model_for`, ``ProblemInstance``,
+    ``HybridStep``, ``SolverConfig``, ``run_batch``) refuse the rest.
+    """
+
     dims: Dims
     p_values: tuple[float, ...]
     model_kind: str = "uniform"
@@ -74,7 +86,6 @@ class ExperimentSpec:
             raise ValueError("no experiments requested: p_values is empty")
         trace_names = {}
         for p in self.p_values:
-            model_for(self.model_kind, p, self.block_size)  # validates kind, p and block size
             name = f"{p:g}"
             if name in trace_names:
                 raise ValueError(
@@ -82,20 +93,8 @@ class ExperimentSpec:
                     f"trace_p{name}_trial*.csv"
                 )
             trace_names[name] = p
-        for field in ("trials", "swap_iter", "trace_every"):
-            value = getattr(self, field)
-            if value < 1:
-                raise ValueError(f"{field} must be >= 1, got {value}")
-        if self.iters is not None and self.iters < 0:
-            raise ValueError(f"iters must be >= 0, got {self.iters}")
+        check_trials(self.trials)
         check_positive("step divisor", self.step_divisor)
-        if self.sampling not in ("once", "redraw"):
-            raise ValueError(f"sampling mode must be 'once' or 'redraw', got {self.sampling!r}")
-        if self.sampling == "once" and self.total_iters > self.dims.m:
-            raise ValueError(
-                f"infeasible spec: {self.total_iters} iterations without replacement "
-                f"but only {self.dims.m} rows; lower --iters or use redraw sampling"
-            )
 
     @property
     def total_iters(self) -> int:
@@ -137,15 +136,17 @@ def _refuse_divergence(result: RunResult, run: str, iters: int, alpha: float, a:
         )
 
 
-def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> list[SummaryRow]:
-    """Every p of one trial as one :func:`~msgdt.solver.run_batch` on the trial's system.
+def _run_trial(spec: ExperimentSpec, trial: int) -> list[RunResult]:
+    """Every p of one trial as one :func:`~msgdt.solver.run_batch` on the trial's system; writes nothing.
 
-    In "once" mode each run carries the full A with its own unit draw, and
-    the solver masks rows as it transforms them: no run holds a masked copy
-    of A.  In "redraw" mode the solver masks each drawn row itself.  A run
-    whose final iterate is non-finite raises before any trace is written.
+    The system is built here, so it is freed on return, before the next
+    trial's.  In "once" mode each run carries the full A with its own unit
+    draw, and the solver masks rows as it transforms them: no run holds a
+    masked copy of A.  In "redraw" mode the solver masks each drawn row
+    itself.  A run whose final iterate is non-finite raises.
     """
     dims = spec.dims
+    system = gen_synthetic(dims, np.random.SeedSequence([spec.seed, trial]))
     problems, configs = [], []
     for pi, p in enumerate(spec.p_values):
         model = model_for(spec.model_kind, p, spec.block_size)
@@ -177,39 +178,33 @@ def _run_trial(spec: ExperimentSpec, trial: int, system: SyntheticSystem) -> lis
     for p, config, result in zip(spec.p_values, configs, results):
         _refuse_divergence(result, f"the iterate of p={p:g} trial {trial}", spec.total_iters,
                            config.schedule.alpha, system.a, p, "raise --step-divisor")
-
-    rows = []
-    for p, result in zip(spec.p_values, results):
-        result.trace.write_csv(Path(spec.out_dir) / f"trace_p{p:g}_trial{trial}.csv")
-        by_iter = result.trace.by_iteration()
-        swap_rec = by_iter.get(spec.swap_iter)
-        rows.append(
-            SummaryRow(
-                model=spec.model_kind,
-                p=p,
-                trial=trial,
-                iters=spec.total_iters,
-                swap_iter=spec.swap_iter,
-                error_initial=by_iter[0].iterate_error,
-                error_swap=None if swap_rec is None else swap_rec.iterate_error,
-                error_final=by_iter[spec.total_iters].iterate_error,
-            )
-        )
-    return rows
+    return results
 
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
-    """Run every (p, trial) pair; write traces, summary.csv, and a manifest."""
+    """Run every (p, trial) pair; only then make ``out_dir`` and write traces, summary.csv, and a manifest."""
+    trial_results = [_run_trial(spec, trial) for trial in range(spec.trials)]
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    runs = {}
-    for trial in range(spec.trials):
-        system = gen_synthetic(spec.dims, np.random.SeedSequence([spec.seed, trial]))
-        for pi, row in enumerate(_run_trial(spec, trial, system)):
-            runs[pi, trial] = row
-        del system  # free it before the next trial's is built
-    rows = [runs[key] for key in sorted(runs)]
+    rows = []
+    for pi, p in enumerate(spec.p_values):
+        for trial, results in enumerate(trial_results):
+            trace = results[pi].trace
+            trace.write_csv(out / f"trace_p{p:g}_trial{trial}.csv")
+            by_iter = trace.by_iteration()
+            swap_rec = by_iter.get(spec.swap_iter)
+            rows.append(
+                SummaryRow(
+                    model=spec.model_kind,
+                    p=p,
+                    trial=trial,
+                    iters=spec.total_iters,
+                    swap_iter=spec.swap_iter,
+                    error_initial=by_iter[0].iterate_error,
+                    error_swap=None if swap_rec is None else swap_rec.iterate_error,
+                    error_final=by_iter[spec.total_iters].iterate_error,
+                )
+            )
 
     with open(out / "summary.csv", "w", newline="") as f:
         f.write(SUMMARY_HEADER + "\n")

@@ -124,26 +124,20 @@ def row_chunks(count: int) -> list[slice]:
     return [slice(start, min(start + _ROW_CHUNK, count)) for start in range(0, count, _ROW_CHUNK)]
 
 
-def _tprod_data(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t-product on raw (n, m, l) and (n, l, q) arrays, frequency by frequency.
+def tprod(a: Tensor3, x: Tensor3) -> Tensor3:
+    """t-product a * x of an m x l x n tensor with an l x q x n tensor, frequency by frequency.
 
     out = inverse(forward(a) @ forward(x)) along the tubes, with ``a`` taken one
     :func:`row_chunks` slice at a time.
     """
-    n = a.shape[0]
-    spec = tube_spectrum(n)
-    xhat = spec.forward(x)
-    out = np.empty((n, a.shape[1], x.shape[2]))
-    for rows in row_chunks(a.shape[1]):
-        out[:, rows] = spec.inverse(spec.forward(a[:, rows]) @ xhat)
-    return out
-
-
-def tprod(a: Tensor3, x: Tensor3) -> Tensor3:
-    """t-product a * x of an m x l x n tensor with an l x q x n tensor."""
     if a.l != x.m or a.n != x.n:
         raise ValueError(f"t-product dimension mismatch: {a.dims} * {x.dims}")
-    return Tensor3(_tprod_data(a.data, x.data))
+    spec = tube_spectrum(a.n)
+    xhat = spec.forward(x.data)
+    out = np.empty((a.n, a.m, x.l))
+    for rows in row_chunks(a.m):
+        out[:, rows] = spec.inverse(spec.forward(a.data[:, rows]) @ xhat)
+    return Tensor3(out)
 
 
 def transpose(t: Tensor3) -> Tensor3:

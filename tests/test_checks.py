@@ -18,7 +18,7 @@ from msgdt.checks import (
 )
 from msgdt.masking import draw_rows, masked_rows
 from msgdt.solver import _row_gradient
-from msgdt.tensor import _tprod_data, tube_spectrum
+from msgdt.tensor import tube_spectrum
 
 
 def test_wrong_correction_tensor_breaks_unbiasedness():
@@ -116,7 +116,6 @@ class TestDegenerateDims:
         assert np.array_equal(mg.transpose(t).data, t.data)
         assert oracle.is_hermitian(t)
         assert mg.tprod(t, t).data[0, 0, 0] == 4.0
-        assert _tprod_data(t.data, t.data)[0, 0, 0] == 4.0
         mu, sigma = mg.strong_convexity(t)
         assert sigma == pytest.approx(2.0)
         assert mu == pytest.approx(4.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -373,7 +374,7 @@ class TestExperiment:
                 ]
             ),
             "experiment",
-            "infeasible spec: 20 iterations without replacement but only 10 rows",
+            "20 iterations need 20 distinct rows but A has only 10",
         )
         assert not (tmp_path / "x").exists()
 
@@ -404,12 +405,13 @@ class TestExperiment:
         [
             (["--p", "0.5,0.5000000001"], "p values 0.5 and 0.5000000001 would share the trace file"),
             (["--p", "0.5,0.5"], "p values 0.5 and 0.5 would share the trace file"),
-            (["--p", "0.5", "--swap-iter", "0"], "swap_iter must be >= 1, got 0"),
+            (["--p", "0.5", "--swap-iter", "0"], "swap iteration must be >= 1, got 0"),
             (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0"),
-            (["--p", "0.5", "--iters", "-1"], "iters must be >= 0, got -1"),
-            (["--p", "0.5", "--iters", "41"], "infeasible spec: 41 iterations without replacement but only 40 rows"),
+            (["--p", "0.5", "--iters", "-1"], "iteration count must be >= 0, got -1"),
+            (["--p", "0.5", "--iters", "41"], "41 iterations need 41 distinct rows but A has only 40"),
+            (["--p", "0.5", "--model", "colblock", "--block-size", "2"], "block size 2 does not divide column count 3"),
         ],
-        ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters", "once-budget"],
+        ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters", "once-budget", "colblock-block-size"],
     )
     def test_bad_spec_rejected_before_any_output(self, tmp_path, capsys, extra, message):
         out = tmp_path / "x"
@@ -427,8 +429,28 @@ class TestExperiment:
         assert_one_line_error(capsys, code, "experiment",
                               r"the iterate of p=0\.5 trial 0 went non-finite in 50 iterations: step size "
                               r"alpha=250000 against 1/L_g=[0-9.e+-]+; raise --step-divisor$")
-        assert not (out / "summary.csv").exists() and not (out / "manifest.json").exists()
-        assert not list(out.glob("trace_*.csv"))
+        assert not out.exists()
+
+    def test_divergence_in_a_later_trial_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from msgdt import experiment
+
+        real_run_batch, calls = experiment.run_batch, []
+
+        def second_trial_diverges(problems, configs, **kwargs):
+            results = real_run_batch(problems, configs, **kwargs)
+            calls.append(len(results))
+            if len(calls) == 2:  # trial 1: its first run, p=0.5, goes non-finite
+                nan = mg.Tensor3(np.full_like(results[0].x_final.data, np.nan))
+                results[0] = dataclasses.replace(results[0], x_final=nan)
+            return results
+
+        monkeypatch.setattr(experiment, "run_batch", second_trial_diverges)
+        out = tmp_path / "x"
+        code = main(self.SMALL + ["--p", "0.5,0.7", "--trials", "2", "--out", str(out)])
+        assert calls == [2, 2]
+        assert_one_line_error(capsys, code, "experiment",
+                              r"the iterate of p=0\.5 trial 1 went non-finite in 40 iterations: ")
+        assert not out.exists()  # trial 0's traces are not written either
 
     def test_malformed_p_list_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -436,7 +458,7 @@ class TestExperiment:
         assert_one_line_error(capsys, code, "experiment", "--p takes comma-separated numbers, got '0.5,abc'")
         assert not out.exists()
 
-    def test_bad_sampling_rejected_by_the_spec(self, tmp_path):
+    def test_bad_sampling_rejected_before_any_output(self, tmp_path):
         from msgdt.experiment import ExperimentSpec, run_experiment
 
         out = tmp_path / "x"
