@@ -102,11 +102,8 @@ def cmd_solve(args) -> int:
     a = read_t3f1(args.a)
     b = read_t3f1(args.b)
     model = model_for(args.model, args.p, args.block_size)
-    if args.alpha is None:
-        check_positive("step divisor", args.step_divisor)  # before it divides
-        alpha = args.p**2 / args.step_divisor
-    else:
-        alpha = args.alpha
+    check_positive("step divisor", args.step_divisor)  # before it divides; with --alpha too, as the manifest records it
+    alpha = args.p**2 / args.step_divisor if args.alpha is None else args.alpha
     if args.swap_iter > 0:
         schedule = HybridStep(alpha, args.swap_iter)
     else:

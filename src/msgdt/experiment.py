@@ -146,10 +146,22 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> list[RunResult]:
     itself.  A run whose final iterate is non-finite raises.
     """
     dims = spec.dims
+    # the models and run settings draw nothing, so a bad setting is refused before the system is built
+    models = [model_for(spec.model_kind, p, spec.block_size) for p in spec.p_values]
+    configs = [
+        SolverConfig(
+            schedule=HybridStep(p * p / spec.step_divisor, spec.swap_iter),
+            total_iters=spec.total_iters,
+            sampling=spec.sampling,
+            seed=_seed_int(spec.seed, trial, pi, 2),
+            trace_every=spec.trace_every,
+            also_record=(spec.swap_iter,),
+        )
+        for pi, p in enumerate(spec.p_values)
+    ]
     system = gen_synthetic(dims, np.random.SeedSequence([spec.seed, trial]))
-    problems, configs = [], []
-    for pi, p in enumerate(spec.p_values):
-        model = model_for(spec.model_kind, p, spec.block_size)
+    problems = []
+    for pi, model in enumerate(models):
         units = None
         if spec.sampling == "once":
             mask_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, pi, 1]))
@@ -161,16 +173,6 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> list[RunResult]:
                 model=model,
                 x0=Tensor3(np.zeros((dims.n, dims.l, dims.q))),
                 units=units,
-            )
-        )
-        configs.append(
-            SolverConfig(
-                schedule=HybridStep(p * p / spec.step_divisor, spec.swap_iter),
-                total_iters=spec.total_iters,
-                sampling=spec.sampling,
-                seed=_seed_int(spec.seed, trial, pi, 2),
-                trace_every=spec.trace_every,
-                also_record=(spec.swap_iter,),
             )
         )
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent run is refused below, in one line

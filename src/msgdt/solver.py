@@ -45,15 +45,16 @@ step size is known when its slice's terms are built.
 Each iteration then runs only the part that depends on the iterate, in one
 ``_apply`` of five numpy calls (seven for column blocks): with r = a Y - p b,
 Y <- S o Y + u r (uniform), S Y + u r (frontal slice, S acting on the
-real view of Y; S Y goes to a spare buffer that then swaps with Y, because
-numpy would copy Y first to write a product over its own input), or
-Y + u_b (r + (p-1) a_b Y_b) for each block b of columns.  The loop makes
-no array view per iteration: each buffer's real or block view is made
-once, and p b is indexed to its broadcast shape once per slice.  g itself
-is not formed on the way: ``_row_gradient``, the same builder and apply
-without step sizes, runs only at traced iterations, on the iterate before
-the step, for ``update_norm``.  The step equals Y - alpha g(Y) up to
-rounding; a test holds one step to it within 1e-13 relative.
+real view of Y; S Y goes to one scratch buffer first, because numpy would
+copy Y to write a product over its own input), or Y + u_b (r + (p-1) a_b
+Y_b) for each block b of columns; every model writes the step into Y.
+The loop makes no array view per iteration: the real or block views of Y
+and of the scratch buffer are made once per batch, and p b is indexed to
+its broadcast shape once per slice.  g itself is not formed on the way:
+``_row_gradient``, the same builder and apply without step sizes, runs
+only at traced iterations, on the iterate before the step, for
+``update_norm``.  The step equals Y - alpha g(Y) up to rounding; a test
+holds one step to it within 1e-13 relative.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -98,7 +99,6 @@ __all__ = [
     "InverseSqrtStep",
     "HybridStep",
     "step_size",
-    "step_table",
     "SolverConfig",
     "ProblemInstance",
     "TraceRecord",
@@ -147,15 +147,10 @@ def InverseSqrtStep(c: float) -> HybridStep:
 
 
 def step_size(schedule: HybridStep, t: int) -> float:
-    """Step size for 1-based iteration t: :func:`step_table`'s formula at one t."""
+    """Step size for 1-based iteration t: the formula :func:`run_batch` takes a slice of iterations at a time."""
     if t < 1:
         raise ValueError(f"iteration index is 1-based, got {t}")
     return float(_steps_at(schedule, np.float64(t)))
-
-
-def step_table(schedule: HybridStep, total_iters: int) -> np.ndarray:
-    """Step sizes of iterations 1..total_iters as one array, entry t-1 equal to ``step_size(schedule, t)``."""
-    return _steps_at(schedule, np.arange(1, total_iters + 1, dtype=np.float64))
 
 
 def _steps_at(schedule: HybridStep, t: np.ndarray) -> np.ndarray:
@@ -347,20 +342,20 @@ def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray],
-           out: Optional[tuple[np.ndarray, np.ndarray]], c: _Coefficients) -> np.ndarray:
-    """S Y + u r of every run, from one row's :func:`_row_terms`, written into the buffer of ``out`` and returned.
+           scratch: Optional[tuple[np.ndarray, np.ndarray]], c: _Coefficients) -> np.ndarray:
+    """S Y + u r of every run, from one row's :func:`_row_terms`, written into Y and returned.
 
-    ``y`` and ``out`` are :func:`_views` of the iterate and of the result's
-    buffer (None: a new array), and r = a Y_f - (p b)_f.  uniform and
-    frontal slice write S Y (the frontal S acting on the real view of Y),
-    then add u r; ``out`` may be ``y`` for the uniform d, not for the
-    frontal S (numpy would copy Y first to write a product over its own
-    input).  A column block adds u_b (r + (p-1) a_b Y_fb) to block b of
-    ``out``, with r summed over the blocks' a_b Y_fb: ``out`` is ``y`` for
-    the step (S = I), and None gives the new term alone (S = 0, for g).
+    ``y`` and ``scratch`` are :func:`_views` of the iterate and of a spare
+    buffer of its shape (None: return g as a new array), and r = a Y_f - (p b)_f.
+    uniform and frontal slice write S Y (the frontal S acting on the real
+    view of Y), then add u r.  The uniform d scales Y in place; the frontal
+    S Y goes to the scratch buffer, since numpy would copy Y first to write
+    a product over its own input, and S Y + u r then goes into Y.  A column
+    block adds u_b (r + (p-1) a_b Y_fb) to block b of Y (S = I), with r
+    summed over the blocks' a_b Y_fb; without ``scratch`` it gives the new
+    term alone (S = 0, for g).
     """
     yhat, view = y
-    dest, dest_view = (None, None) if out is None else out
     if c.block is not None:
         ab, u, pb = terms
         axb = ab @ view  # a_b Y_fb, (..., f, nb, 1, q)
@@ -368,19 +363,20 @@ def _apply(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray],
         resid -= pb
         axb *= c.p_less_1
         axb += resid  # r + (p-1) a_b Y_fb
-        if out is None:
+        if scratch is None:
             return (u * axb).reshape(yhat.shape)
-        dest_view += u * axb
-        return dest
+        view += u * axb
+        return yhat
     a, u, pb, scale = terms
     resid = a @ yhat  # (..., f, 1, q)
     resid -= pb
     if c.uniform:
-        dest_view = np.multiply(view, scale, out=dest_view)
+        dest = np.multiply(view, scale, out=None if scratch is None else view)
+    elif scratch is None:
+        dest = np.matmul(scale, view).view(np.complex128)
     else:
-        dest_view = np.matmul(scale, view, out=dest_view)
-    if out is None:
-        dest = dest_view if c.uniform else dest_view.view(np.complex128)
+        np.matmul(scale, view, out=scratch[1])
+        return np.add(scratch[0], u * resid, out=yhat)
     dest += u * resid
     return dest
 
@@ -559,7 +555,7 @@ def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -
     if configs[0].sampling == "once" and T > m:
         raise ValueError(
             f"{T} iterations need {T} distinct rows but A has only {m}; "
-            "use sampling='redraw' or lower the budget"
+            "sample with replacement (redraw) or lower the iteration count"
         )
 
 
@@ -640,11 +636,13 @@ def run_batch(
     is then that form at the run's spectrum, with no pass over A.
     Every run's rows of A and B, from its permutation or its redraws, are
     masked and transformed by :func:`row_spectra` one
-    :func:`~msgdt.tensor.row_chunks` slice at a time, and the step's terms
-    are built for the whole slice by :func:`_row_terms` at the slice's step
-    sizes; a slice's spectra and terms are freed before the next slice's
-    are built, so no whole-tensor spectrum is kept and no two slices are
-    held at once.
+    :func:`~msgdt.tensor.row_chunks` slice at a time; the slice's step sizes
+    are taken from each run's schedule for that slice only, and the step's
+    terms are built for the whole slice by :func:`_row_terms` at them.  A
+    slice's spectra, step sizes and terms are freed before the next slice's
+    are built, so no whole-tensor spectrum or whole-run step table is kept
+    and no two slices are held at once.  Every step is written into the one
+    iterate buffer (the frontal S Y through one scratch buffer first).
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -654,16 +652,12 @@ def run_batch(
     run_axes = (R,) if R > 1 else ()
     models = tuple(prob.model for prob in problems)
     coeffs = _coefficients(models, spec, run_axes)
-    alphas = np.stack([step_table(cfg.schedule, T) for cfg in configs], axis=1)  # (T, R)
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
-    # the frontal step writes S Y here, then the two swap; the other models step Y in place
-    spare = np.empty_like(y)
-    in_place = coeffs.uniform or coeffs.block is not None
-    # each buffer's views, made once: the step's, and one flat view per run for the projection
-    y_views, spare_views = (_views(arr, coeffs) for arr in (y, spare))
-    y_flat, spare_flat = ([_flat(run) for run in arr] for arr in (y, spare))
+    # the views, made once: Y's and its scratch buffer's for the step, and one flat view per run for the projection
+    y_views, scratch = _views(y, coeffs), _views(np.empty_like(y), coeffs)
+    y_flat = [_flat(run) for run in y]
     if x_star is not None and x_star.dims != problems[0].x0.dims:
         raise ValueError(f"X* dims {x_star.dims} inconsistent with system {problems[0].x0.dims}")
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
@@ -677,32 +671,33 @@ def run_batch(
     record_at = {0, T} | set(cfg0.also_record)
     traces = [RunTrace() for _ in problems]
 
-    def record(t: int, g: Optional[np.ndarray]) -> None:
+    def record(t: int, g: Optional[np.ndarray], steps: Optional[np.ndarray]) -> None:
         for r, (prob, trace) in enumerate(zip(problems, traces)):
-            alpha, update = (None, None) if g is None else (float(alphas[t - 1, r]), _norm(_flat(g[r])))
+            alpha, update = (None, None) if g is None else (float(steps[r]), _norm(_flat(g[r])))
             err = None if y_star is None else _norm(_flat(y[r] - y_star))
             obj = None if forms is None else forms[id(prob.b)](y[r])
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
-    record(0, None)
+    record(0, None, None)
     for rows in tn.row_chunks(T):
         a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
-        chunk = _row_terms(a_chunk, pb_chunk, alphas[rows], coeffs)
+        iters = np.arange(rows.start + 1, rows.stop + 1, dtype=np.float64)
+        alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1)  # (rows, R)
+        chunk = _row_terms(a_chunk, pb_chunk, alphas, coeffs)
         for k, terms in enumerate(zip(*chunk)):
             t = rows.start + k + 1
             traced = t in record_at or t % cfg0.trace_every == 0
             # the trace's g is the kernel's, on the iterate before the step
             g = _row_gradient(a_chunk[k], pb_chunk[k], y, coeffs, spec) if traced else None
-            if _apply(terms, y_views, y_views if in_place else spare_views, coeffs) is spare:
-                y, spare, y_views, spare_views, y_flat, spare_flat = spare, y, spare_views, y_views, spare_flat, y_flat
+            _apply(terms, y_views, scratch, coeffs)
             if radius is not None:
                 for flat in y_flat:
                     _project(flat, radius)
 
             if traced:
-                record(t, g)
-        # free this chunk's spectra and terms (and the row views of them) before the next chunk's are built
-        del a_chunk, pb_chunk, chunk, terms
+                record(t, g, alphas[k])
+        # free this chunk's spectra, steps and terms (and the row views of them) before the next chunk's are built
+        del a_chunk, pb_chunk, alphas, chunk, terms
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

@@ -225,8 +225,9 @@ class TubeSpectrum:
 
 # Longest tube whose forward DFT is the cached matrix product.  On a 256-row
 # chunk of shape (256, R, n, 20) the product beats rfft about 2x at n = 32,
-# loses from n = 48 at R = 3 and at n = 128 at R = 1 (ROADMAP item 1); its
-# cost grows as n^2 and its basis as 16 n^2 bytes, rfft's as n log n and n.
+# loses from n = 48 at R = 3 and at n = 128 at R = 1 (README.md, the paragraph
+# on the tube-Fourier domain); its cost grows as n^2 and its basis as 16 n^2
+# bytes, rfft's as n log n and n.
 _DFT_MATRIX_MAX_N = 32
 
 

@@ -32,12 +32,17 @@ from msgdt.solver import (
     _row_gradient,
     _row_source,
     _row_terms,
+    _steps_at,
     _views,
     row_spectra,
     run_batch,
-    step_table,
 )
 from msgdt.tensor import row_chunks, tube_spectrum
+
+
+def step_table(schedule, total_iters):
+    """Step sizes of iterations 1..total_iters as one array: the formula run_batch takes a slice at a time."""
+    return _steps_at(schedule, np.arange(1, total_iters + 1, dtype=np.float64))
 
 
 def spatial_row_gradient(arow, brow, x, model):
@@ -499,6 +504,23 @@ class TestRunBatch:
             tracemalloc.stop()
         assert peak < b.data.nbytes
 
+    def test_long_batch_keeps_no_step_table(self):
+        # eight long redraw runs on a tiny system: step sizes are taken a slice at a time, not as one (T, R) table
+        m, l, q, n = 30, 2, 1, 2
+        system = mg.gen_synthetic(mg.Dims(m, l, q, n), 31)
+        T, R = 20000, 8
+        problems = [mg.ProblemInstance(a_tilde=system.a, b=system.b, model=mg.UniformMissing(p), x0=mg.zeros(l, q, n))
+                    for p in np.linspace(0.3, 0.9, R)]
+        configs = [mg.SolverConfig(schedule=mg.HybridStep(1e-3, 50), total_iters=T, sampling="redraw", seed=k,
+                                   trace_every=T) for k in range(R)]
+        tracemalloc.start()
+        try:
+            run_batch(problems, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * R * 8
+
     def test_unit_draw_refused_in_redraw_mode(self):
         problems, configs, system = batch_runs("uniform", "once", False, 2, 1, 12)
         with pytest.raises(ValueError, match="'once' mode only"):
@@ -599,13 +621,8 @@ class TestFusedStep:
         for k, terms in enumerate(zip(*_row_terms(chunk, pb, alphas, coeffs))):
             y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
             want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
-            y_in, out = y.copy(), np.empty_like(y)
-            if kind == "frontal":  # S Y goes to the spare buffer; Y is left for the matrix product to read
-                got = _apply(terms, _views(y, coeffs), _views(out, coeffs), coeffs)
-                assert got is out and np.array_equal(y, y_in)
-            else:
-                got = _apply(terms, _views(y, coeffs), _views(y, coeffs), coeffs)
-                assert got is y
+            got = _apply(terms, _views(y, coeffs), _views(np.empty_like(y), coeffs), coeffs)
+            assert got is y  # every model steps Y in place
             for r in range(runs):
                 assert np.linalg.norm(got[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
         assert k == rows - 1
@@ -616,7 +633,7 @@ class TestFusedStep:
     @pytest.mark.parametrize("sampling", ["once", "redraw"])
     @FUSED_KINDS
     def test_runs_follow_the_kernel_step(self, kind, block, sampling, size, n, project):
-        # 300 iterations cross a chunk boundary; with projection, frontal runs swap buffers under it
+        # 300 iterations cross a chunk boundary, and with it the slice of step sizes; projection scales Y in place
         problems, configs, system = batch_runs(kind, sampling, project, n, size, 50 + n, m=300, block=block)
         configs = [dataclasses.replace(cfg, total_iters=300, trace_every=37) for cfg in configs]
         for res, (x_ref, norms) in zip(run_batch(problems, configs), kernel_step_runs(problems, configs)):
