@@ -6,7 +6,10 @@
 The commands cover the file pipeline (``gen`` -> ``mask`` -> ``solve`` in
 ``once`` and ``redraw`` mode for each missing-data model), ``experiment``
 sweeps of 3 p values x 2 trials for ``uniform``, ``colblock b=2`` and
-``frontal`` in both sampling modes, ``bounds`` and ``verify all``.  They
+``frontal`` in both sampling modes, the same sweeps of one trial at
+``2000,20,10,10``, whose batches are large enough to build their rows on a
+second thread (``solver._PIPELINE_MIN_ENTRIES``), ``bounds`` and ``verify
+all``.  They
 run inside OUTDIR with relative paths, and each command's printed output is
 kept next to its files, so the sorted ``OUTDIR/SHA256SUMS`` (in
 ``sha256sum`` format) is the same for two runs, of one checkout or of two,
@@ -32,6 +35,8 @@ from msgdt.cli import main as msgdt_main
 MODELS = {"uniform": [], "colblock": ["--block-size", "2"], "frontal": []}
 SWEEP = ["--dims", "200,4,2,3", "--p", "0.5,0.7,0.9", "--trials", "2", "--swap-iter", "100",
          "--trace-every", "50", "--seed", "5"]
+PIPED_SWEEP = ["--dims", "2000,20,10,10", "--p", "0.3,0.5,0.7", "--iters", "600", "--swap-iter", "300",
+               "--trace-every", "100", "--seed", "7"]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -50,11 +55,12 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--radius", "2", "--seed", "4", "--trace-every", "50",
                                       "--out", f"solve-redraw-{kind}"]),
         ]
-    for kind, block in MODELS.items():
-        for sampling in ("once", "redraw"):
-            name = f"experiment-{kind}-{sampling}"
-            cmds.append((name, ["experiment", *SWEEP, "--model", kind, *block, "--sampling", sampling,
-                                "--out", name]))
+    for prefix, sweep in (("experiment", SWEEP), ("experiment-piped", PIPED_SWEEP)):
+        for kind, block in MODELS.items():
+            for sampling in ("once", "redraw"):
+                name = f"{prefix}-{kind}-{sampling}"
+                cmds.append((name, ["experiment", *sweep, "--model", kind, *block, "--sampling", sampling,
+                                    "--out", name]))
     cmds += [
         ("bounds", ["bounds", "--a", "gen/a.t3f", "--b", "gen/b.t3f", "--p", "0.6", "--radius", "20",
                     "--alpha", "1e-4", "--out", "bounds"]),

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import lipschitz_constant
-from .masking import check_positive, check_trials, draw_units, model_for
+from .masking import check_block, check_positive, check_row_budget, check_trials, draw_units, model_for
 from .solver import (
     ConstantStep,
     HybridStep,
@@ -65,7 +65,9 @@ class ExperimentSpec:
     empty, no two p values share a trace file, ``trials >= 1``, and the
     step divisor is finite and positive.  The run objects that trial 0
     builds (:func:`~msgdt.masking.model_for`, ``ProblemInstance``,
-    ``HybridStep``, ``SolverConfig``, ``run_batch``) refuse the rest.
+    ``HybridStep``, ``SolverConfig``, ``run_batch``) refuse the rest; a
+    block size or a "once" budget that the dims refuse is refused before
+    the first system is built.
     """
 
     dims: Dims
@@ -159,6 +161,9 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> list[RunResult]:
         )
         for pi, p in enumerate(spec.p_values)
     ]
+    # so are a block size and a row budget that the dims refuse, in the words ProblemInstance and run_batch use
+    check_block(models[0], dims.l)
+    check_row_budget(spec.sampling, spec.total_iters, dims.m)
     system = gen_synthetic(dims, np.random.SeedSequence([spec.seed, trial]))
     problems = []
     for pi, model in enumerate(models):

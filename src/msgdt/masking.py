@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "check_positive",
     "check_trials",
     "check_block",
+    "check_row_budget",
     "MODEL_KINDS",
     "kind_fields",
     "model_for",
@@ -191,6 +192,15 @@ def check_block(model: MissingModel, l: int) -> None:
         raise ValueError(f"block size {model.b} does not divide column count {l}")
 
 
+def check_row_budget(sampling: str, total_iters: int, m: int) -> None:
+    """Reject a "once" run of more iterations than A has rows: each iteration takes a row no other has taken."""
+    if sampling == "once" and total_iters > m:
+        raise ValueError(
+            f"{total_iters} iterations need {total_iters} distinct rows but A has only {m}; "
+            "sample with replacement (redraw) or lower the iteration count"
+        )
+
+
 @lru_cache(maxsize=64)
 def unit_map(model: MissingModel, l: int, n: int) -> tuple[np.ndarray, int]:
     """(map, units): a read-only (n, l) map from entry (k, j) of a row slice to its unit.
@@ -230,18 +240,21 @@ def row_mask_batch(model: MissingModel, l: int, n: int, count: int, rng: np.rand
     return draw_units(model, l, n, count, rng)[:, unit_map(model, l, n)[0]].astype(np.float64)
 
 
-def masked_rows(model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
+def masked_rows(
+    model: MissingModel, a_data: np.ndarray, keep: np.ndarray, rows, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Rows ``rows`` of A's (n, m, l) array, row ``rows[k]`` under the unit draw ``keep[k]``, as (rows, n, l).
 
     With ``keep = units[rows]`` the result is bit for bit those rows of
     ``hadamard(D, A)`` for the mask D that :func:`draw_mask` expands from the
     draw ``units`` (0/1 times an entry is exact, signed zeros included).
+    ``out``, a float64 array of that shape, receives the result.
     """
     n, _, l = a_data.shape
     # A float mask makes the product float x float, without a buffered bool cast; ``take`` lays
     # the expanded mask out row by row, where ``keep[:, map]`` would put the row axis innermost.
     mask = np.take(keep.astype(np.float64), unit_map(model, l, n)[0], axis=1)
-    return mask * a_data[:, rows, :].transpose(1, 0, 2)
+    return np.multiply(mask, a_data[:, rows, :].transpose(1, 0, 2), out=out)
 
 
 _HALF_WORD = 1 << 32  # PCG64 hands integers(m) 32-bit halves when m < 2**32

@@ -19,9 +19,9 @@ Nyquist frequency, 2 elsewhere), so ||X|| = ||Y|| by Parseval: projection,
 quadratic form in Y with one l x l Gram matrix per frequency
 (``_ObjectiveForm``), built from one pass over the full A per batch, so a
 record needs neither ``irfft`` nor A.  Row spectra come from
-:func:`row_spectra`, one tube DFT per :func:`~msgdt.tensor.row_chunks` slice of
-up to 256 rows; the Monte Carlo checks in :mod:`msgdt.checks` take their
-draws' spectra from it too.  Compared with
+:func:`row_spectra`, one tube DFT per stage of rows; the Monte Carlo checks
+in :mod:`msgdt.checks` take their draws' spectra from it too, one
+:func:`~msgdt.tensor.row_chunks` slice of up to 256 rows at a time.  Compared with
 iterating on X directly the results differ by rounding only: a few 1e-15
 relative after 10 000 iterations, and a test holds whole runs to a spatial
 reference loop within 1e-12.
@@ -34,13 +34,13 @@ columns), and :func:`msgdt.oracle.gradient_estimate` keeps the dense
 formula with an explicit C as the reference it is tested against.  The
 step Y - alpha_t g(Y) is the same map with alpha folded in.  So one row
 operator serves both: ``_row_terms`` builds the terms (S, u) of
-Y -> S Y + u (a Y - p b), once per :func:`~msgdt.tensor.row_chunks` slice
-for all of its rows at once, and ``_apply`` applies one row's terms.
+Y -> S Y + u (a Y - p b), once per stage for all of its rows at once, and
+``_apply`` applies one row's terms.
 Without step sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T);
 with them they give the step (S = I + alpha D, u = -(alpha/p^2)
 conj(a)^T, the factor multiplied in place into the copy of conj(a)^T the
-builder makes).  Row k of a slice is iteration start + k, so every row's
-step size is known when its slice's terms are built.
+builder makes).  Row k of a stage is iteration start + k, so every row's
+step size is known when its stage's terms are built.
 
 Each iteration then runs only the part that depends on the iterate, in one
 ``_apply`` of five numpy calls (seven for column blocks): with r = a Y - p b,
@@ -50,7 +50,7 @@ copy Y to write a product over its own input), or Y + u_b (r + (p-1) a_b
 Y_b) for each block b of columns; every model writes the step into Y.
 The loop makes no array view per iteration: the real or block views of Y
 and of the scratch buffer are made once per batch, and p b is indexed to
-its broadcast shape once per slice.  g itself is not formed on the way:
+its broadcast shape once per stage.  g itself is not formed on the way:
 ``_row_gradient``, the same builder and apply without step sizes, runs
 only at traced iterations, on the iterate before the step, for
 ``update_norm``.  The step equals Y - alpha g(Y) up to rounding; a test
@@ -60,7 +60,11 @@ Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
 replacement and draws a fresh mask for the chosen row every iteration (the
 problem then carries the fully known A).  The modes differ only in where a
-chunk's rows and masks come from (``_row_source``).
+stage's rows and masks come from (``_row_source``).
+
+Building a stage (its rows, masks, spectra, step sizes and terms) does not
+depend on the iterate, so a large batch builds the next stage on a second
+thread while the loop steps the current one (:func:`run_batch`).
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
@@ -72,6 +76,7 @@ row order or generator, and gets the bits it gets alone;
 
 from __future__ import annotations
 
+import contextvars
 import math
 import sys
 from dataclasses import dataclass, field
@@ -86,6 +91,7 @@ from .masking import (
     UniformMissing,
     check_block,
     check_positive,
+    check_row_budget,
     correction_tensor,
     draw_rows,
     format_model,
@@ -272,7 +278,11 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
 
 
 def _row_terms(
-    ahat: np.ndarray, pbhat: np.ndarray, alpha: Optional[np.ndarray], c: _Coefficients
+    ahat: np.ndarray,
+    pbhat: np.ndarray,
+    alpha: Optional[np.ndarray],
+    c: _Coefficients,
+    out: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None,
 ) -> tuple[np.ndarray, ...]:
     """The terms of the row map Y -> S Y + u r for rows ``ahat`` (..., f, l) and ``pbhat`` (..., f, q).
 
@@ -294,21 +304,29 @@ def _row_terms(
     p b is indexed to broadcast against the residual a Y.  Leading axes are
     kept, so one call covers a whole chunk of rows, and indexing every term
     at row k gives row k's terms, with the same bits.
+
+    ``out`` = (u, S) receives conj(a)^T, in an array of ``ahat``'s shape,
+    and S, in a uniform (..., 1, l, 1) complex or frontal (..., 1, l, l)
+    real array (None for column blocks); the terms are views of them.
     """
     *lead, freqs, l = ahat.shape
-    conj = ahat.conj()
+    u_out, scale_out = (None, None) if out is None else out
+    conj = np.conjugate(ahat, out=u_out)
     if c.block is None:
         a, pb = ahat[..., None, :], pbhat[..., None, :]
         if c.uniform:
             # -d, (..., 1, l, 1), complex with zero imaginary parts: it scales the complex Y as a real d scales
             # Y's real view, at the same speed, and neither the step nor g then makes a view of Y or of its result
-            scale = (c.neg_corr_w @ (ahat * conj).real)[..., None].astype(np.complex128)
+            neg_d = (c.neg_corr_w @ (ahat * conj).real)[..., None]
+            scale = np.empty(neg_d.shape, np.complex128) if scale_out is None else scale_out
+            scale[...] = neg_d
         else:
             # -H_0, one real product over the real and imaginary parts (filled in place: np.stack costs more)
             parts = np.empty((*lead, freqs, 2, l))
             parts[..., 0, :], parts[..., 1, :] = ahat.real, ahat.imag
             weighted = (c.neg_corr_w * parts).reshape(*lead, 2 * freqs, l)
-            scale = (weighted.swapaxes(-1, -2) @ parts.reshape(*lead, 2 * freqs, l))[..., None, :, :]
+            scale = np.matmul(weighted.swapaxes(-1, -2), parts.reshape(*lead, 2 * freqs, l),
+                              out=None if scale_out is None else scale_out[..., 0, :, :])[..., None, :, :]
         conj = conj[..., None]
     else:
         nb, bs = l // c.block, c.block
@@ -551,12 +569,7 @@ def _check_batch(problems: list[ProblemInstance], configs: list[SolverConfig]) -
                 )
         if prob.units is not None and cfg.sampling == "redraw":
             raise ValueError(f"run {k}: a unit draw masks rows in 'once' mode only; 'redraw' draws its own masks")
-    m, T = problems[0].a_tilde.m, configs[0].total_iters
-    if configs[0].sampling == "once" and T > m:
-        raise ValueError(
-            f"{T} iterations need {T} distinct rows but A has only {m}; "
-            "sample with replacement (redraw) or lower the iteration count"
-        )
+    check_row_budget(configs[0].sampling, configs[0].total_iters, problems[0].a_tilde.m)
 
 
 def _row_source(prob: ProblemInstance, config: SolverConfig):
@@ -579,7 +592,7 @@ def _row_source(prob: ProblemInstance, config: SolverConfig):
     return drawn
 
 
-def row_spectra(runs, draws, spec: tn.TubeSpectrum) -> tuple[np.ndarray, np.ndarray]:
+def row_spectra(runs, draws, spec: tn.TubeSpectrum, out=None) -> tuple[np.ndarray, np.ndarray]:
     """(ahat, pbhat) of every run's drawn rows, stacked as (rows, R, f, l) and (rows, R, f, q).
 
     ``runs`` holds an (A, B, model) triple per run and ``draws`` an
@@ -588,21 +601,90 @@ def row_spectra(runs, draws, spec: tn.TubeSpectrum) -> tuple[np.ndarray, np.ndar
     :meth:`~msgdt.tensor.TubeSpectrum.forward` call transforms all of A's
     rows and one all of B's; B's spectra are
     Parseval-scaled and multiplied by each run's p, as the kernel takes them.
+    ``out`` holds four arrays to write into instead of new ones: the
+    gathered rows of A and B, (rows, R, n, l) and (rows, R, n, q) float64,
+    then ahat and pbhat.  B's rows are transformed before A's are gathered,
+    so the two gather arrays may share memory.
     """
     a0, b0, _ = runs[0]
     n, _, l = a0.data.shape
     count = len(draws[0][0])
-    a_rows = np.empty((count, len(runs), n, l))
-    b_rows = np.empty((count, len(runs), n, b0.l))
-    for r, ((a, b, model), (idx, keep)) in enumerate(zip(runs, draws)):
+    if out is None:
+        out = (np.empty((count, len(runs), n, l)), np.empty((count, len(runs), n, b0.l)), None, None)
+    a_rows, b_rows, ahat, pbhat = out
+    for r, ((_, b, _), (idx, _)) in enumerate(zip(runs, draws)):
+        b_rows[:, r] = b.data[:, idx, :].transpose(1, 0, 2)
+    pbhat = spec.forward(b_rows, axis=2, scaled=True, out=pbhat)
+    pbhat *= np.array([model.p for _, _, model in runs]).reshape(-1, 1, 1)
+    for r, ((a, _, model), (idx, keep)) in enumerate(zip(runs, draws)):
         if keep is None:
             a_rows[:, r] = a.data[:, idx, :].transpose(1, 0, 2)
         else:
-            a_rows[:, r] = masked_rows(model, a.data, keep, idx)
-        b_rows[:, r] = b.data[:, idx, :].transpose(1, 0, 2)
-    pbhat = spec.forward(b_rows, axis=2, scaled=True)
-    pbhat *= np.array([model.p for _, _, model in runs]).reshape(-1, 1, 1)
-    return spec.forward(a_rows, axis=2), pbhat
+            masked_rows(model, a.data, keep, idx, out=a_rows[:, r])
+    return spec.forward(a_rows, axis=2, out=ahat), pbhat
+
+
+# Smallest batch iterate, in complex entries R * (n//2+1) * l * q, whose batch builds its next stage of rows
+# on a second thread (:func:`_pipeline`).  The stepping loop's numpy calls are sized by the whole batch; below
+# this they are too short to release the interpreter lock, so the builder waits out the switch interval and the
+# pipeline loses (README.md, the paragraph on row stages, has the table this comes from).
+_PIPELINE_MIN_ENTRIES = 3072
+
+
+def _workspace(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients):
+    """The buffers of one stage of up to ``size`` rows, as a function: row count -> (the ``out`` of
+    :func:`row_spectra`, the ``out`` of :func:`_row_terms`), leading views of the buffers.
+
+    The gathered rows of A and B and the step's u share one float array,
+    so the stage holds no more than the step reads: B's rows are
+    transformed before A's are gathered, and u is written once A's rows
+    are transformed.
+    """
+    freqs = n // 2 + 1
+    # room for u, (freqs, l) complex per row and run, and for either gather, n l or n q floats (n l < 2 freqs l)
+    shared = np.empty(size * runs * max(freqs * l, -(-n * q // 2)), np.complex128)
+    ahat = np.empty((size, runs, freqs, l), np.complex128)
+    pbhat = np.empty((size, runs, freqs, q), np.complex128)
+    scale = None
+    if c.block is None:
+        scale = np.empty((size, runs, 1, l, 1), np.complex128) if c.uniform else np.empty((size, runs, 1, l, l))
+
+    def views(count: int) -> tuple:
+        def front(dtype, *shape):
+            return shared.view(dtype)[: math.prod(shape)].reshape(shape)
+
+        spectra = (front(np.float64, count, runs, n, l), front(np.float64, count, runs, n, q),
+                   ahat[:count], pbhat[:count])
+        return spectra, (front(np.complex128, count, runs, freqs, l), None if scale is None else scale[:count])
+
+    return views
+
+
+def _pipeline(stages: list[slice], slots: list, build, consume) -> None:
+    """``consume(build(rows, slot))`` for every slice ``rows`` of ``stages``, in order.
+
+    With one slot every stage is built into it, inline.  With two, one
+    producer thread builds stage i + 1 into one slot while the caller
+    consumes stage i from the other; the thread runs in a copy of the
+    caller's context, where numpy 2 keeps ``np.errstate``.  A build's
+    exception is raised here, at its stage, and the thread is joined before
+    this returns or raises.
+    """
+    if len(slots) == 1 or not stages:
+        for rows in stages:
+            consume(build(rows, slots[0]))
+        return
+    # imported here: concurrent.futures imports logging, which would add about 6 ms to every `import msgdt`
+    from concurrent.futures import ThreadPoolExecutor
+
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        ahead = producer.submit(context.run, build, stages[0], slots[0])
+        for i in range(len(stages)):
+            built = ahead.result()
+            if i + 1 < len(stages):
+                ahead = producer.submit(context.run, build, stages[i + 1], slots[(i + 1) % 2])
+            consume(built)
 
 
 def run_batch(
@@ -634,14 +716,20 @@ def run_batch(
     chunked pass over ``full_a`` (C for each distinct ``b`` object), then a
     centre and one :func:`objective` call per ``b``; each objective record
     is then that form at the run's spectrum, with no pass over A.
-    Every run's rows of A and B, from its permutation or its redraws, are
-    masked and transformed by :func:`row_spectra` one
-    :func:`~msgdt.tensor.row_chunks` slice at a time; the slice's step sizes
-    are taken from each run's schedule for that slice only, and the step's
-    terms are built for the whole slice by :func:`_row_terms` at them.  A
-    slice's spectra, step sizes and terms are freed before the next slice's
-    are built, so no whole-tensor spectrum or whole-run step table is kept
-    and no two slices are held at once.  Every step is written into the one
+    The iterations are taken in stages of consecutive rows.  A stage's
+    rows of A and B, from each run's permutation or redraws, are masked
+    and transformed by :func:`row_spectra`, its step sizes are taken from
+    each run's schedule for that stage only, and the step's terms are
+    built for the whole stage by :func:`_row_terms` at them.  All of it is
+    written into a workspace allocated once per batch, one
+    :func:`~msgdt.tensor.row_chunks` slice of rows in size, so no
+    whole-tensor spectrum or whole-run step table is kept.  A batch whose
+    stacked iterate has at least ``_PIPELINE_MIN_ENTRIES`` complex entries
+    splits the workspace into two half-slice slots and builds stage i + 1
+    into one on a second thread while it steps stage i from the other
+    (:func:`_pipeline`); a smaller batch builds each full-slice stage
+    inline, in the one slot.  Every stage operation works row by row, so
+    the bits are the same either way.  Every step is written into the one
     iterate buffer (the frontal S Y through one scratch buffer first).
     """
     problems, configs = list(problems), list(configs)
@@ -678,12 +766,16 @@ def run_batch(
             obj = None if forms is None else forms[id(prob.b)](y[r])
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
-    record(0, None, None)
-    for rows in tn.row_chunks(T):
-        a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec)
+    def build(rows: slice, slot) -> tuple:
+        """The stage ``rows``: its row spectra, step sizes (rows, R) and step terms, written into ``slot``."""
+        spectra_out, terms_out = slot(rows.stop - rows.start)
+        a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec, out=spectra_out)
         iters = np.arange(rows.start + 1, rows.stop + 1, dtype=np.float64)
-        alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1)  # (rows, R)
-        chunk = _row_terms(a_chunk, pb_chunk, alphas, coeffs)
+        alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1)
+        return rows, a_chunk, pb_chunk, alphas, _row_terms(a_chunk, pb_chunk, alphas, coeffs, out=terms_out)
+
+    def step(built: tuple) -> None:
+        rows, a_chunk, pb_chunk, alphas, chunk = built
         for k, terms in enumerate(zip(*chunk)):
             t = rows.start + k + 1
             traced = t in record_at or t % cfg0.trace_every == 0
@@ -696,8 +788,15 @@ def run_batch(
 
             if traced:
                 record(t, g, alphas[k])
-        # free this chunk's spectra, steps and terms (and the row views of them) before the next chunk's are built
-        del a_chunk, pb_chunk, alphas, chunk, terms
+
+    record(0, None, None)
+    _, l, n = problems[0].a_tilde.dims
+    q = problems[0].b.l
+    slots = 2 if R * (n // 2 + 1) * l * q >= _PIPELINE_MIN_ENTRIES else 1
+    # the slots split one row_chunks slice between them, so the workspace holds one slice's rows either way
+    size = tn._ROW_CHUNK // slots
+    workspace = [_workspace(size, R, n, l, q, coeffs) for _ in range(slots)]
+    _pipeline([slice(start, min(start + size, T)) for start in range(0, T, size)], workspace, build, step)
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

@@ -17,7 +17,9 @@ products for short tubes, ``rfft`` for long ones), its inverse by
 ``irfft``, and the Parseval scaling.
 ``row_chunks(count)`` is the one chunk policy for row slices: every routine
 that transforms, masks or draws rows takes them at most 256 at a time, so
-transient arrays stay a fixed size however many rows there are.
+transient arrays stay a fixed size however many rows there are.  The solver
+holds one slice's worth of rows, as one stage of 256 or, when it builds the
+next stage on a second thread, as two stages of 128.
 """
 
 from __future__ import annotations
@@ -120,7 +122,12 @@ _ROW_CHUNK = 256
 
 
 def row_chunks(count: int) -> list[slice]:
-    """Consecutive slices of at most 256 rows that cover ``range(count)``, in order."""
+    """Consecutive slices of at most 256 rows that cover ``range(count)``, in order.
+
+    :func:`msgdt.solver.run_batch` splits this size in two when it builds one
+    half-size stage of rows while it steps another, so it too holds no more
+    than one slice of rows at a time.
+    """
     return [slice(start, min(start + _ROW_CHUNK, count)) for start in range(0, count, _ROW_CHUNK)]
 
 
@@ -189,27 +196,34 @@ class TubeSpectrum:
     weights: np.ndarray
     basis: Optional[np.ndarray]
 
-    def forward(self, data: np.ndarray, axis: int = 0, scaled: bool = False) -> np.ndarray:
+    def forward(
+        self, data: np.ndarray, axis: int = 0, scaled: bool = False, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Real DFT of real ``data`` along ``axis`` (length n there, n//2+1 after).
 
         With a ``basis``, two real matrix products with ``basis[scaled]``, the
         (n//2+1, n) cosine and minus-sine matrices, write the real and
         imaginary halves of the complex result in place; without one it is
-        ``np.fft.rfft``.
+        ``np.fft.rfft``.  ``out``, a C-contiguous complex array of the
+        result's shape, receives the result, with the same bits as a new one.
         """
         data = np.asarray(data, dtype=np.float64)
         axis %= data.ndim
         shape = data.shape
         if shape[axis] != self.n:
             raise ValueError(f"tube axis {axis} has length {shape[axis]}, this spectrum is for n = {self.n}")
+        freqs = self.n // 2 + 1
+        hat_shape = shape[:axis] + (freqs,) + shape[axis + 1 :]
+        if out is not None and (out.shape != hat_shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous complex128 array of shape {hat_shape}")
         if self.basis is None:
-            hat = np.fft.rfft(data, axis=axis)
+            hat = np.fft.rfft(data, axis=axis, out=out)
             if scaled:
                 hat *= self.scale.reshape((-1,) + (1,) * (data.ndim - 1 - axis))
             return hat
-        lead, rest, freqs = math.prod(shape[:axis]), math.prod(shape[axis + 1 :]), self.n // 2 + 1
+        lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
         tubes = data.reshape(lead, self.n, rest)
-        hat = np.empty(shape[:axis] + (freqs,) + shape[axis + 1 :], dtype=np.complex128)
+        hat = np.empty(hat_shape, dtype=np.complex128) if out is None else out
         parts = hat.view(np.float64).reshape(lead, freqs, rest, 2)
         cosine, minus_sine = self.basis[int(scaled)]
         np.matmul(cosine, tubes, out=parts[..., 0])

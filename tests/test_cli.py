@@ -401,30 +401,30 @@ class TestExperiment:
             assert (out / f"trace_p{p}_trial{t}.csv").exists()
 
     @pytest.mark.parametrize(
-        "extra,message,built",
+        "extra,message",
         [
-            (["--p", "0.5,0.5000000001"], "p values 0.5 and 0.5000000001 would share the trace file", 0),
-            (["--p", "0.5,0.5"], "p values 0.5 and 0.5 would share the trace file", 0),
-            (["--p", "0.5", "--swap-iter", "0"], "swap iteration must be >= 1, got 0", 0),
-            (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0", 0),
-            (["--p", "0.5", "--iters", "-1"], "iteration count must be >= 0, got -1", 0),
-            # the once budget and the block size are checked on the built system
+            (["--p", "0.5,0.5000000001"], "p values 0.5 and 0.5000000001 would share the trace file"),
+            (["--p", "0.5,0.5"], "p values 0.5 and 0.5 would share the trace file"),
+            (["--p", "0.5", "--swap-iter", "0"], "swap iteration must be >= 1, got 0"),
+            (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0"),
+            (["--p", "0.5", "--iters", "-1"], "iteration count must be >= 0, got -1"),
+            # the once budget and the block size are checked against the dims, in the solver's words
             (["--p", "0.5", "--iters", "41"], re.escape(
                 "msgdt experiment: error: 41 iterations need 41 distinct rows but A has only 40; "
-                "sample with replacement (redraw) or lower the iteration count") + "$", 1),
-            (["--p", "0.5", "--model", "colblock", "--block-size", "2"], "block size 2 does not divide column count 3",
-             1),
+                "sample with replacement (redraw) or lower the iteration count") + "$"),
+            (["--p", "0.5", "--model", "colblock", "--block-size", "2"], "block size 2 does not divide column count 3"),
         ],
         ids=["close-p", "repeated-p", "swap-iter", "trace-every", "iters", "once-budget", "colblock-block-size"],
     )
-    def test_bad_spec_rejected_before_any_output(self, tmp_path, capsys, monkeypatch, extra, message, built):
+    def test_bad_spec_rejected_before_any_output(self, tmp_path, capsys, monkeypatch, extra, message):
         from msgdt import experiment
 
-        systems = []
-        monkeypatch.setattr(experiment, "gen_synthetic", lambda *args: systems.append(args) or mg.gen_synthetic(*args))
+        def no_system(*args):
+            raise AssertionError("a bad spec built a system")
+
+        monkeypatch.setattr(experiment, "gen_synthetic", no_system)
         out = tmp_path / "x"
         assert_one_line_error(capsys, main(self.SMALL + extra + ["--out", str(out)]), "experiment", message)
-        assert len(systems) == built
         assert not out.exists()
 
     def test_divergent_sweep_raises_and_writes_no_summary(self, tmp_path, capsys):

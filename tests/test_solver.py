@@ -6,6 +6,7 @@ import re
 import statistics
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -566,6 +567,88 @@ class TestRowTermsOfAChunk:
         batch = _coefficients(tuple(model_for(kind, p, 2) for p in (0.4, 0.7)), spec, (2,))
         assert batch.inv.shape == batch.p_less_1.shape == (2,) + (1,) * (4 if kind == "colblock" else 3)
         assert solo.inv == batch.inv[0] and solo.p_less_1 == batch.p_less_1[0]
+
+
+def desk_like_batch(kind, T):
+    """Three "once" runs at the desk's l, q and n on a system of T rows, masked by unit draws, one p each."""
+    m, l, q, n = T, 20, 10, 10
+    system = mg.gen_synthetic(mg.Dims(m, l, q, n), 41)
+    rng = np.random.default_rng(42)
+    problems, configs = [], []
+    for r, p in enumerate((0.3, 0.5, 0.7)):
+        model = model_for(kind, p, 4)
+        problems.append(mg.ProblemInstance(a_tilde=system.a, b=system.b, model=model, x0=mg.zeros(l, q, n),
+                                           units=draw_units(model, l, n, m, rng)))
+        configs.append(mg.SolverConfig(schedule=mg.HybridStep(p * p / 5000, T // 2), total_iters=T, seed=r,
+                                       trace_every=100))
+    return problems, configs, system
+
+
+class TestPipeline:
+    """A batch that builds its next stage of rows on a second thread while it steps the current one gives the
+    bits of the same batch built inline, raises a build's error, joins its thread and holds no more memory."""
+
+    @pytest.mark.parametrize("T", [0, 1, 127, 128, 129, 255, 256, 257, 600])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("sampling", ["once", "redraw"])
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_piped_runs_are_the_inline_runs(self, kind, sampling, size, T, monkeypatch):
+        problems, configs, system = batch_runs(kind, sampling, True, 3, size, T, m=600)
+        # traced iterations on the boundaries of the piped stages (128 rows) and the inline ones (256)
+        configs = [dataclasses.replace(cfg, total_iters=T, trace_every=128, also_record=(1, 127, 129, 255, 257))
+                   for cfg in configs]
+        got = {}
+        for gate in (sys.maxsize, 0):
+            monkeypatch.setattr(solver, "_PIPELINE_MIN_ENTRIES", gate)
+            got[gate] = [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)]
+        assert got[0] == got[sys.maxsize]
+
+    def test_a_build_error_leaves_run_batch_and_joins_the_thread(self, monkeypatch):
+        problems, configs, system = desk_like_batch("uniform", 600)
+        real, builders = solver.row_spectra, []
+
+        def fails_at_stage_2(*args, **kwargs):
+            builders.append(threading.current_thread())
+            if len(builders) == 3:
+                raise RuntimeError("no rows for stage 2")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "row_spectra", fails_at_stage_2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="no rows for stage 2"):
+            run_batch(problems, configs)
+        assert threading.active_count() == before
+        assert len(builders) == 3 and threading.main_thread() not in builders  # the desk batch is piped
+
+    def test_the_builder_keeps_the_callers_errstate(self, monkeypatch):
+        problems, configs, system = desk_like_batch("frontal", 300)
+        real, seen = solver._row_terms, []
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread(), np.geterr()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_row_terms", spy)
+        with np.errstate(all="ignore"):
+            caller = np.geterr()
+            run_batch(problems, configs)
+        assert caller != np.geterr()  # the default warns: a thread outside the caller's context would see it
+        assert {thread is threading.main_thread() for thread, _ in seen} == {False, True}  # stages, traced g
+        assert all(err == caller for _, err in seen)
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_piped_peak_is_no_more_than_inline(self, kind, monkeypatch):
+        problems, configs, _ = desk_like_batch(kind, 600)
+        peaks = {}
+        for gate in (sys.maxsize, 0):
+            monkeypatch.setattr(solver, "_PIPELINE_MIN_ENTRIES", gate)
+            tracemalloc.start()
+            try:
+                run_batch(problems, configs)
+                peaks[gate] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[sys.maxsize], peaks
 
 
 def kernel_step_runs(problems, configs):

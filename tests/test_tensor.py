@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,11 @@ class TestTubeSpectrum:
             spec.forward(np.zeros((n + 1, 3)))
         with pytest.raises(ValueError, match=f"tube axis 1 has length {n - 1}, this spectrum is for n = {n}$"):
             spec.forward(np.zeros((0, n - 1)), axis=-1)
+        # an out buffer the result cannot be written into as it is
+        shape = (n // 2 + 1, 6)
+        for out in (np.empty((n // 2 + 2, 6), complex), np.empty(shape), np.empty((6, n // 2 + 1), complex).T):
+            with pytest.raises(ValueError, match=re.escape(f"C-contiguous complex128 array of shape {shape}")):
+                spec.forward(np.zeros((n, 6)), out=out)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 24, 32, 33, 64, 128])
     @pytest.mark.parametrize("scaled", [False, True])
@@ -217,6 +223,10 @@ class TestTubeSpectrum:
         stacked = spec.forward(rows, axis=2, scaled=scaled)
         for r in range(3):
             assert stacked[:, r].tobytes() == spec.forward(rows[:, r], axis=1, scaled=scaled).tobytes()
+        # written into a given buffer, as run_batch's workspace takes it, with the same bits
+        out = np.full(stacked.shape, np.nan, dtype=np.complex128)
+        assert spec.forward(rows, axis=2, scaled=scaled, out=out) is out
+        assert out.tobytes() == stacked.tobytes()
         iterates = rng.standard_normal((4, n, 3, 2))
         stacked = spec.forward(iterates, axis=1, scaled=scaled)
         for r in range(4):
