@@ -61,28 +61,41 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
 
     the first term is G* (:func:`solution_second_moment_bound`).
     """
-    term1 = solution_second_moment_bound(a, radius, p)
-    m, _, n = a.dims
     an = row_norms(a)
-    bn = row_norms(b)
-    term2 = 4.0 * n**1.5 * radius / (p**2 * m) * float(np.sum(an**3 * bn))
-    term3 = 2.0 * n / (p**2 * m) * float(np.sum(an**2 * bn**2))
-    return term1 + term2 + term3
+    g_star = _solution_second_moment(an, a.n, radius, p)
+    return _gradient_second_moment(an, row_norms(b), a.n, radius, p, g_star)
 
 
 def solution_second_moment_bound(a: Tensor3, radius: float, p: float) -> float:
     """G*: bound on E ||g(X*)||^2; only the fourth-power term survives."""
-    check_p(p)
-    check_positive("radius", radius)
-    m, _, n = a.dims
-    an = row_norms(a)
-    return 4.0 * n**2 * radius**2 / (p**3 * m) * float(np.sum(an**4))
+    return _solution_second_moment(row_norms(a), a.n, radius, p)
 
 
 def lipschitz_constant(a: Tensor3, p: float) -> float:
     """L_g = n a_max^2 / p^2, a_max the largest row-slice norm."""
     check_p(p)
-    return a.n * max_row_norm(a) ** 2 / (p * p)
+    return _lipschitz(max_row_norm(a), a.n, p)
+
+
+# The constants above, computed from the row norms ``an`` of A and ``bn`` of B (m = an.size) so that
+# compute_bound_report takes each tensor's norms once.  The first checks p and radius.
+
+
+def _solution_second_moment(an: np.ndarray, n: int, radius: float, p: float) -> float:
+    check_p(p)
+    check_positive("radius", radius)
+    return 4.0 * n**2 * radius**2 / (p**3 * an.size) * float(np.sum(an**4))
+
+
+def _gradient_second_moment(an: np.ndarray, bn: np.ndarray, n: int, radius: float, p: float, g_star: float) -> float:
+    m = an.size
+    term2 = 4.0 * n**1.5 * radius / (p**2 * m) * float(np.sum(an**3 * bn))
+    term3 = 2.0 * n / (p**2 * m) * float(np.sum(an**2 * bn**2))
+    return g_star + term2 + term3
+
+
+def _lipschitz(a_max: float, n: int, p: float) -> float:
+    return n * a_max**2 / (p * p)
 
 
 def strong_convexity(a: Tensor3) -> tuple[float, float]:
@@ -191,10 +204,17 @@ BoundReport.CSV_HEADER = ",".join(f.name for f in fields(BoundReport))
 def compute_bound_report(
     a: Tensor3, b: Tensor3, radius: float, p: float, alpha: Optional[float] = None
 ) -> BoundReport:
-    """Evaluate every constant for the instance; diameter K = 2 * radius."""
-    g = gradient_second_moment_bound(a, b, radius, p)
-    g_star = solution_second_moment_bound(a, radius, p)
-    lg = lipschitz_constant(a, p)
+    """Evaluate every constant for the instance; diameter K = 2 * radius.
+
+    The row norms of A and of B are taken once and shared by G, G*, L_g and
+    a_max; each field equals its public function's value bit for bit, and bad
+    input raises the error that function raises.
+    """
+    an = row_norms(a)
+    g_star = _solution_second_moment(an, a.n, radius, p)
+    g = _gradient_second_moment(an, row_norms(b), a.n, radius, p, g_star)
+    a_max = float(np.max(an))
+    lg = _lipschitz(a_max, a.n, p)
     mu, sigma_min = strong_convexity(a)
     if alpha is None:
         r, horizon = math.nan, math.nan
@@ -211,5 +231,5 @@ def compute_bound_report(
         horizon=horizon,
         diameter=2.0 * radius,
         radius=radius,
-        max_row_norm=max_row_norm(a),
+        max_row_norm=a_max,
     )

@@ -4,11 +4,17 @@ Subcommands: gen, mask, solve, experiment, bounds, verify, frames.  Every
 run that writes files also writes a timestamp-free manifest.json (full
 config, seed, library version), so reruns with the same arguments produce
 byte-identical outputs.
+
+The argument parser is built at the first :func:`main` call and kept for the
+rest of the process; each command's ``cmd_<command>`` function is looked up
+by name at call time, so a function replaced on this module (by a tracer or
+a test) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -343,7 +349,9 @@ def cmd_frames(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: :func:`main` reuses it for every command."""
     parser = argparse.ArgumentParser(
         prog="msgdt",
         description="SGD for tensor linear systems A*X=B under the t-product with missing data in A.",
@@ -367,14 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--xstar", help="reuse this T3F1 solution instead of drawing one")
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=cmd_gen)
 
     mk = sub.add_parser("mask", help="draw a binary mask and the observed tensor D o A")
     mk.add_argument("--a", required=True, help="T3F1 input tensor")
     add_model_flags(mk)
     mk.add_argument("--seed", type=int, default=0)
     mk.add_argument("--out", required=True)
-    mk.set_defaults(func=cmd_mask)
 
     sv = sub.add_parser("solve", help="run the masked SGD iteration")
     sv.add_argument("--a", required=True, help="observed tensor (full A when --sampling redraw)")
@@ -392,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--xstar", help="known solution, enables the iterate_error column")
     sv.add_argument("--full-a", help="unmasked A, enables the objective column")
     sv.add_argument("--out", required=True)
-    sv.set_defaults(func=cmd_solve)
 
     ex = sub.add_parser("experiment", help="sweep p values over seeded synthetic systems")
     ex.add_argument("--dims", default="10000,20,10,10", help="m,l,q,n")
@@ -406,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--sampling", choices=("once", "redraw"), default="once")
     ex.add_argument("--trace-every", type=int, default=100)
     ex.add_argument("--out", required=True)
-    ex.set_defaults(func=cmd_experiment)
 
     bd = sub.add_parser("bounds", help="convergence constants for an instance")
     bd.add_argument("--a", required=True)
@@ -415,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--radius", type=float, required=True, help="ball radius R bounding ||X||")
     bd.add_argument("--alpha", type=float, help="fixed step size for contraction/horizon")
     bd.add_argument("--out", help="also write bounds.csv here")
-    bd.set_defaults(func=cmd_bounds)
 
     vf = sub.add_parser("verify", help="Monte Carlo / enumeration checks; nonzero exit on violation")
     vf.add_argument(
@@ -431,13 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--n", type=int, help="row-slice frontal slices for identity checks (default 2)")
     vf.add_argument("--out", help="write verify.txt and a manifest here")
     # --model is read by identities only; it is resolved with the suite (_resolve_verify_flags)
-    vf.set_defaults(func=cmd_verify, model=None)
+    vf.set_defaults(model=None)
 
     fr = sub.add_parser("frames", help="convert between PGM frame stacks and T3F1 tensors")
     fr.add_argument("direction", choices=("import", "export"))
     fr.add_argument("--src", required=True, help="frame directory (import) or T3F1 file (export)")
     fr.add_argument("--out", required=True, help="T3F1 file (import) or frame directory (export)")
-    fr.set_defaults(func=cmd_frames)
 
     return parser
 
@@ -454,14 +456,13 @@ def _resolve_block_size(args) -> None:
 def main(argv=None) -> int:
     """Run one command; bad input or an unreadable file ends it with exit code 2 and a one-line
     ``msgdt <command>: error:``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             _resolve_verify_flags(args)
         if hasattr(args, "block_size"):
             _resolve_block_size(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # by name: a replaced cmd_* is the one run
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)
         return 2

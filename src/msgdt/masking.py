@@ -325,9 +325,14 @@ def _pcg64_rows(bitgen: np.random.PCG64, m: int, units: int, count: int, p: floa
 
 
 def draw_mask(model: MissingModel, m: int, l: int, n: int, rng: np.random.Generator) -> Tensor3:
-    """Binary mask D of dims m x l x n drawn from the model: :func:`draw_units` for m rows, expanded."""
-    rows = row_mask_batch(model, l, n, m, rng)  # (m, n, l)
-    return Tensor3(np.ascontiguousarray(rows.transpose(1, 0, 2)))
+    """Binary mask D of dims m x l x n drawn from the model: :func:`draw_units` for m rows, expanded.
+
+    The unit draw is expanded as booleans and cast in one pass into D's (n, m, l)
+    float array, the one full-size float array the draw writes.  D and the
+    generator state after it are those of :func:`row_mask_batch` for m rows, transposed.
+    """
+    rows = np.take(draw_units(model, l, n, m, rng), unit_map(model, l, n)[0], axis=1)  # (m, n, l) bool
+    return Tensor3(rows.transpose(1, 0, 2))  # Tensor3 casts to contiguous float64 in one copy
 
 
 def correction_tensor(model: MissingModel, l: int, n: int) -> Tensor3:

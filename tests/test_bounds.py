@@ -243,6 +243,31 @@ class TestBoundReport:
         assert len(row) == len(report.CSV_HEADER.split(","))
         assert float(row[2]) == report.lipschitz
 
+    @pytest.mark.parametrize("m,l,q,n", [(6, 3, 2, 2), (40, 5, 3, 1), (200, 20, 10, 24)])
+    def test_report_equals_the_per_constant_functions(self, m, l, q, n):
+        # the report takes each row norm once; its fields stay bit-equal to the public functions
+        system = mg.gen_synthetic(mg.Dims(m, l, q, n), m + n)
+        a, b, radius, p = system.a, system.b, 3.0 * mg.frob_norm(system.x_star), 0.3
+        report = mg.compute_bound_report(a, b, radius, p)
+        assert report.gradient_second_moment == mg.gradient_second_moment_bound(a, b, radius, p)
+        assert report.solution_second_moment == mg.solution_second_moment_bound(a, radius, p)
+        assert report.lipschitz == mg.lipschitz_constant(a, p)
+        assert report.max_row_norm == mg.max_row_norm(a)
+
+    @pytest.mark.parametrize(
+        "p,radius,message",
+        [
+            (0.0, 1.0, r"observation probability must be in \(0, 1\], got 0.0"),
+            (1.5, float("nan"), r"observation probability must be in \(0, 1\], got 1.5"),
+            (0.5, -2.0, "radius must be finite and positive, got -2.0"),
+            (0.5, float("inf"), "radius must be finite and positive, got inf"),
+        ],
+    )
+    def test_report_rejects_bad_p_and_radius(self, p, radius, message):
+        system = mg.gen_synthetic(mg.Dims(6, 3, 2, 2), 9)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mg.compute_bound_report(system.a, system.b, radius, p)
+
     def test_report_without_alpha(self):
         system = mg.gen_synthetic(mg.Dims(6, 3, 2, 2), 8)
         report = mg.compute_bound_report(system.a, system.b, 1.0, 0.5)

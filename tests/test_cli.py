@@ -696,6 +696,48 @@ class TestMissingInputFile:
         assert not out.exists()
 
 
+class TestOneParserPerProcess:
+    def test_a_replaced_command_function_is_the_one_run(self, tmp_path, capsys, monkeypatch):
+        from msgdt import cli
+
+        gen = tmp_path / "gen"
+        assert main(["gen", "--dims", "20,3,2,2", "--seed", "3", "--out", str(gen)]) == 0  # the parser exists
+        calls = []
+
+        def recording(args):
+            calls.append(args.command)
+            return original(args)
+
+        original = cli.cmd_bounds
+        monkeypatch.setattr(cli, "cmd_bounds", recording)
+        argv = ["bounds", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--p", "0.5", "--radius", "10"]
+        assert main(argv) == 0
+        assert calls == ["bounds"]
+        assert cli.build_parser() is cli.build_parser()
+        assert "lipschitz=" in capsys.readouterr().out
+
+    def test_consecutive_commands_keep_their_codes_and_messages(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["gen", "--dims", "20,4,2,2", "--seed", "4", "--out", str(gen)]) == 0
+        assert capsys.readouterr().out == f"wrote a.t3f xstar.t3f b.t3f to {gen}\n"
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error: the required --out is missing
+            main(["mask", "--a", str(gen / "a.t3f")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: msgdt mask")
+        assert err.endswith("msgdt mask: error: the following arguments are required: --out\n")
+        code = main(["mask", "--a", str(gen / "a.t3f"), "--block-size", "2", "--out", str(tmp_path / "bad")])
+        assert_one_line_error(capsys, code, "mask", "--block-size applies only to --model colblock")
+        mask = tmp_path / "mask"
+        argv = ["mask", "--a", str(gen / "a.t3f"), "--model", "colblock", "--block-size", "2", "--out", str(mask)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote mask.t3f atilde.t3f to {mask} (observed fraction ")
+        code = main(["bounds", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--p", "2", "--radius", "10"])
+        assert_one_line_error(capsys, code, "bounds", r"observation probability must be in \(0, 1\], got 2.0")
+        assert main(["gen", "--dims", "20,4,2,2", "--seed", "4", "--out", str(tmp_path / "again")]) == 0
+        assert read_bytes_map(tmp_path / "again") == read_bytes_map(gen)
+
+
 def test_module_entry_point(capsys, monkeypatch):
     import runpy
 

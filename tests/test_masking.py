@@ -249,6 +249,20 @@ class TestRngContract:
             tracemalloc.stop()
         assert peak < 2 * keep.nbytes  # one call's (count, units) float variates are 8 times keep
 
+    @pytest.mark.parametrize(
+        "model", [mg.UniformMissing(0.5), mg.ColumnBlockMissing(0.5, 4), mg.FrontalSliceMissing(0.5)], ids=str
+    )
+    def test_draw_mask_writes_one_full_size_float_array(self, model):
+        # the mask itself, plus a boolean expansion (1/8) and the unit draw (at most 1/8 more)
+        m, l, n = 2000, 20, 24
+        tracemalloc.start()
+        try:
+            mask = mg.draw_mask(model, m, l, n, np.random.default_rng(27))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mask.data.nbytes  # a float copy of the mask before its transpose reads 2x
+
     @pytest.mark.parametrize("count", [1, 7, 300])
     @pytest.mark.parametrize(
         "model,units",
