@@ -7,10 +7,9 @@ The commands cover the file pipeline (``gen`` -> ``mask`` -> ``solve`` in
 ``once`` and ``redraw`` mode for each missing-data model), ``experiment``
 sweeps of 3 p values x 2 trials for ``uniform``, ``colblock b=2`` and
 ``frontal`` in both sampling modes, the same sweeps of one trial at
-``2000,20,10,10``, whose batches are large enough to build their rows on a
-second thread (``solver._PIPELINE_MIN_ENTRIES``), ``bounds`` and ``verify
-all``.  They
-run inside OUTDIR with relative paths, and each command's printed output is
+``2000,20,10,10``, whose batches are large enough to build their rows in a
+forked builder process (``solver._PIPELINE_MIN_ENTRIES``) where a second
+core is usable, ``bounds`` and ``verify all``.  They run inside OUTDIR with relative paths, and each command's printed output is
 kept next to its files, so the sorted ``OUTDIR/SHA256SUMS`` (in
 ``sha256sum`` format) is the same for two runs, of one checkout or of two,
 exactly when every output byte is.  Compare two runs with

@@ -59,8 +59,10 @@ def gradient_second_moment_bound(a: Tensor3, b: Tensor3, radius: float, p: float
       + (4 n^{3/2} R / p^2 m) sum_i ||A_i||^3 ||B_i||
       + (2 n / p^2 m) sum_i ||A_i||^2 ||B_i||^2;
 
-    the first term is G* (:func:`solution_second_moment_bound`).
+    the first term is G* (:func:`solution_second_moment_bound`).  A B
+    without A's rows and tube length raises a ValueError.
     """
+    tn.check_system(a, b)
     an = row_norms(a)
     g_star = _solution_second_moment(an, a.n, radius, p)
     return _gradient_second_moment(an, row_norms(b), a.n, radius, p, g_star)
@@ -210,6 +212,7 @@ def compute_bound_report(
     a_max; each field equals its public function's value bit for bit, and bad
     input raises the error that function raises.
     """
+    tn.check_system(a, b)
     an = row_norms(a)
     g_star = _solution_second_moment(an, a.n, radius, p)
     g = _gradient_second_moment(an, row_norms(b), a.n, radius, p, g_star)

@@ -34,7 +34,8 @@ columns), and :func:`msgdt.oracle.gradient_estimate` keeps the dense
 formula with an explicit C as the reference it is tested against.  The
 step Y - alpha_t g(Y) is the same map with alpha folded in.  So one row
 operator serves both: ``_row_terms`` builds the terms (S, u) of
-Y -> S Y + u (a Y - p b), once per stage for all of its rows at once, and
+Y -> S Y + u (a Y - p b), once per stage for all of its rows at once, as
+views of its buffers (``_term_views``) that ``_fill_terms`` writes, and
 ``_apply`` applies one row's terms.
 Without step sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T);
 with them they give the step (S = I + alpha D, u = -(alpha/p^2)
@@ -63,8 +64,11 @@ problem then carries the fully known A).  The modes differ only in where a
 stage's rows and masks come from (``_row_source``).
 
 Building a stage (its rows, masks, spectra, step sizes and terms) does not
-depend on the iterate, so a large batch builds the next stage on a second
-thread while the loop steps the current one (:func:`run_batch`).
+depend on the iterate, so a large batch builds the next stage in a forked
+builder process while the loop steps the current one (:func:`run_batch`).
+A process, not a thread: the loop and the builder are both many short
+numpy calls, and a thread would pass the interpreter lock back and forth
+with the loop at every one of them.
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
@@ -76,9 +80,12 @@ row order or generator, and gets the bits it gets alone;
 
 from __future__ import annotations
 
-import contextvars
 import math
+import mmap
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Union
 
@@ -215,8 +222,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         m, l, n = self.a_tilde.dims
-        if self.b.dims != (m, self.b.l, n):
-            raise ValueError(f"B dims {self.b.dims} inconsistent with A dims {self.a_tilde.dims}")
+        tn.check_system(self.a_tilde, self.b)
         if self.x0.dims != (l, self.b.l, n):
             raise ValueError(f"X0 dims {self.x0.dims} inconsistent with system {(l, self.b.l, n)}")
         if not np.isfinite(self.x0.data).all():
@@ -277,20 +283,13 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     )
 
 
-def _row_terms(
-    ahat: np.ndarray,
-    pbhat: np.ndarray,
-    alpha: Optional[np.ndarray],
-    c: _Coefficients,
-    out: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None,
-) -> tuple[np.ndarray, ...]:
-    """The terms of the row map Y -> S Y + u r for rows ``ahat`` (..., f, l) and ``pbhat`` (..., f, q).
+def _term_views(ahat: np.ndarray, pbhat: np.ndarray, u: np.ndarray, scale: Optional[np.ndarray],
+                c: _Coefficients) -> tuple[np.ndarray, ...]:
+    """The terms of the row map Y -> S Y + u r, as views of the buffers that :func:`_fill_terms` writes.
 
-    r = a Y_f - (p b)_f.  Without step sizes the terms give g(Y), with
-    S = -D and u = (1/p^2) conj(a)^T; with step sizes ``alpha`` (the leading
-    axes of ``ahat``) they give the step Y - alpha g(Y), with S = I + alpha D
-    and u = -(alpha/p^2) conj(a)^T, the factor multiplied in place into the
-    copy of conj(a)^T that ``conj()`` makes.  The terms are (a, u, p b, S):
+    ``ahat`` (..., f, l) and ``pbhat`` (..., f, q) are the rows' spectra, r = a Y_f - (p b)_f, ``u`` is an
+    array of ``ahat``'s shape and ``scale`` holds S: a uniform (..., 1, l, 1) complex or frontal (..., 1, l, l)
+    real array, None for column blocks.  The terms are (a, u, p b, S):
 
     * uniform: D = diag(d) with d_j = (1-p)/p^2 sum_k arow[k, j]^2, S a
       complex (..., 1, l, 1) array with zero imaginary parts;
@@ -300,50 +299,73 @@ def _row_terms(
       lives in r, extended by (p-1) a_b Y_fb per block, so S is I for the
       step and 0 for g: :func:`_apply` adds u_b r_b onto Y, or gives it alone.
 
-    d and H_0 are sums over the tube, read off the spectrum by Parseval.
     p b is indexed to broadcast against the residual a Y.  Leading axes are
-    kept, so one call covers a whole chunk of rows, and indexing every term
-    at row k gives row k's terms, with the same bits.
+    kept, so one set of views covers a whole stage of rows, and indexing
+    every term at row k gives row k's terms.
+    """
+    if c.block is None:
+        return ahat[..., None, :], u[..., None], pbhat[..., None, :], scale
+    *lead, freqs, l = ahat.shape
+    nb, bs = l // c.block, c.block
+    return ahat.reshape(*lead, freqs, nb, 1, bs), u.reshape(*lead, freqs, nb, bs, 1), pbhat[..., None, None, :]
 
-    ``out`` = (u, S) receives conj(a)^T, in an array of ``ahat``'s shape,
-    and S, in a uniform (..., 1, l, 1) complex or frontal (..., 1, l, l)
-    real array (None for column blocks); the terms are views of them.
+
+def _fill_terms(terms: tuple[np.ndarray, ...], ahat: np.ndarray, alpha: Optional[np.ndarray], c: _Coefficients) -> None:
+    """Write u and S of the :func:`_term_views` ``terms`` for the rows ``ahat``.
+
+    Without step sizes the terms give g(Y), with S = -D and u = (1/p^2)
+    conj(a)^T; with step sizes ``alpha`` (the leading axes of ``ahat``) they
+    give the step Y - alpha g(Y), with S = I + alpha D and u = -(alpha/p^2)
+    conj(a)^T, the factor multiplied in place into u.  d and H_0 are sums
+    over the tube, read off the spectrum by Parseval.  Every operation works
+    row by row, so filling a whole stage at once gives each row the bits it
+    gets alone.
     """
     *lead, freqs, l = ahat.shape
-    u_out, scale_out = (None, None) if out is None else out
-    conj = np.conjugate(ahat, out=u_out)
+    u = terms[1]
+    conj = np.conjugate(ahat, out=u.reshape(ahat.shape))
     if c.block is None:
-        a, pb = ahat[..., None, :], pbhat[..., None, :]
+        scale = terms[3]
         if c.uniform:
             # -d, (..., 1, l, 1), complex with zero imaginary parts: it scales the complex Y as a real d scales
             # Y's real view, at the same speed, and neither the step nor g then makes a view of Y or of its result
-            neg_d = (c.neg_corr_w @ (ahat * conj).real)[..., None]
-            scale = np.empty(neg_d.shape, np.complex128) if scale_out is None else scale_out
-            scale[...] = neg_d
+            scale[...] = (c.neg_corr_w @ (ahat * conj).real)[..., None]
         else:
             # -H_0, one real product over the real and imaginary parts (filled in place: np.stack costs more)
             parts = np.empty((*lead, freqs, 2, l))
             parts[..., 0, :], parts[..., 1, :] = ahat.real, ahat.imag
             weighted = (c.neg_corr_w * parts).reshape(*lead, 2 * freqs, l)
-            scale = np.matmul(weighted.swapaxes(-1, -2), parts.reshape(*lead, 2 * freqs, l),
-                              out=None if scale_out is None else scale_out[..., 0, :, :])[..., None, :, :]
-        conj = conj[..., None]
-    else:
-        nb, bs = l // c.block, c.block
-        a, pb = ahat.reshape(*lead, freqs, nb, 1, bs), pbhat[..., None, None, :]
-        conj = conj.reshape(*lead, freqs, nb, bs, 1)
+            np.matmul(weighted.swapaxes(-1, -2), parts.reshape(*lead, 2 * freqs, l), out=scale[..., 0, :, :])
     if alpha is None:
-        conj *= c.inv
-    else:
-        neg_alpha = -alpha
-        conj *= (neg_alpha * c.inv.real.reshape(-1)).reshape(alpha.shape + (1,) * (conj.ndim - alpha.ndim))
-        if c.block is None:
-            scale *= neg_alpha.reshape(alpha.shape + (1,) * (scale.ndim - alpha.ndim))  # alpha d or alpha H_0
-            if c.uniform:
-                scale += 1.0
-            else:
-                scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each alpha H_0
-    return (a, conj, pb) if c.block is not None else (a, conj, pb, scale)
+        u *= c.inv
+        return
+    neg_alpha = -alpha
+    u *= (neg_alpha * c.inv.real.reshape(-1)).reshape(alpha.shape + (1,) * (u.ndim - alpha.ndim))
+    if c.block is None:
+        scale *= neg_alpha.reshape(alpha.shape + (1,) * (scale.ndim - alpha.ndim))  # alpha d or alpha H_0
+        if c.uniform:
+            scale += 1.0
+        else:
+            scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each alpha H_0
+
+
+def _scale_buffer(lead: tuple[int, ...], l: int, c: _Coefficients, empty=np.empty) -> Optional[np.ndarray]:
+    """The buffer of S for rows with leading axes ``lead`` (:func:`_term_views`), from ``empty``."""
+    if c.block is not None:
+        return None
+    return empty((*lead, 1, l, 1), np.complex128) if c.uniform else empty((*lead, 1, l, l), np.float64)
+
+
+def _row_terms(ahat: np.ndarray, pbhat: np.ndarray, alpha: Optional[np.ndarray], c: _Coefficients) -> tuple:
+    """The terms (a, u, p b[, S]) of the row map for rows ``ahat`` and ``pbhat``, in new buffers.
+
+    :func:`_term_views` over new u and S, filled by :func:`_fill_terms`; the
+    stage buffers of :func:`run_batch` are filled by the same two calls.
+    """
+    u, scale = np.empty(ahat.shape, ahat.dtype), _scale_buffer(ahat.shape[:-2], ahat.shape[-1], c)
+    terms = _term_views(ahat, pbhat, u, scale, c)
+    _fill_terms(terms, ahat, alpha, c)
+    return terms
 
 
 def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -625,66 +647,170 @@ def row_spectra(runs, draws, spec: tn.TubeSpectrum, out=None) -> tuple[np.ndarra
 
 
 # Smallest batch iterate, in complex entries R * (n//2+1) * l * q, whose batch builds its next stage of rows
-# on a second thread (:func:`_pipeline`).  The stepping loop's numpy calls are sized by the whole batch; below
-# this they are too short to release the interpreter lock, so the builder waits out the switch interval and the
-# pipeline loses (README.md, the paragraph on row stages, has the table this comes from).
+# in a forked builder process (:func:`_pipeline`).  The builder gains below this too, in 2000-iteration batches;
+# the gate keeps wide-tube's solve (2600 entries) and the theory checks' short single runs inline, where a fork's
+# fixed cost meets little overlap (README.md, the paragraph on row stages, has the table).
 _PIPELINE_MIN_ENTRIES = 3072
 
+# the one-byte tokens of :func:`_pipeline`: "stage built" (or "build failed", then the pickled error) to the
+# stepping process, "slot free" to the builder
+_BUILT, _FAILED, _FREE = b"+", b"!", b"-"
 
-def _workspace(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients):
-    """The buffers of one stage of up to ``size`` rows, as a function: row count -> (the ``out`` of
-    :func:`row_spectra`, the ``out`` of :func:`_row_terms`), leading views of the buffers.
 
-    The gathered rows of A and B and the step's u share one float array,
-    so the stage holds no more than the step reads: B's rows are
-    transformed before A's are gathered, and u is written once A's rows
-    are transformed.
+def _builder_possible() -> bool:
+    """Whether a batch may fork a builder: ``os.fork`` exists, no other thread could hold a lock the child
+    inherits, and the process may run on a second core (its own affinity, or the machine's count without one)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return cores >= 2
+
+
+def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array in anonymous shared memory: what a forked child writes into it, its parent reads."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _Slot:
+    """The buffers of one stage of up to ``size`` rows, with the views the step reads, made once per batch.
+
+    ``gathers`` are the gathered rows of A and B, (size, R, n, l) and
+    (size, R, n, q) float64, in the memory of the step's u; ``ahat`` and
+    ``pbhat`` are their spectra, ``alphas`` the (size, R) step sizes and
+    ``terms`` the step's :func:`_term_views`.  A stage of ``count`` rows
+    uses the first ``count`` rows of each.
+    """
+
+    gathers: tuple[np.ndarray, np.ndarray]
+    ahat: np.ndarray
+    pbhat: np.ndarray
+    alphas: np.ndarray
+    terms: tuple[np.ndarray, ...]
+
+
+def _slot(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients, empty=np.empty) -> _Slot:
+    """A :class:`_Slot` whose buffers come from ``empty``: ``np.empty``, or :func:`_shared_empty` for a builder.
+
+    The gathered rows of A and B and the step's u share one buffer, so the
+    stage holds no more than the step reads: B's rows are transformed
+    before A's are gathered, and u is written once A's rows are transformed.
     """
     freqs = n // 2 + 1
     # room for u, (freqs, l) complex per row and run, and for either gather, n l or n q floats (n l < 2 freqs l)
-    shared = np.empty(size * runs * max(freqs * l, -(-n * q // 2)), np.complex128)
-    ahat = np.empty((size, runs, freqs, l), np.complex128)
-    pbhat = np.empty((size, runs, freqs, q), np.complex128)
-    scale = None
-    if c.block is None:
-        scale = np.empty((size, runs, 1, l, 1), np.complex128) if c.uniform else np.empty((size, runs, 1, l, l))
-
-    def views(count: int) -> tuple:
-        def front(dtype, *shape):
-            return shared.view(dtype)[: math.prod(shape)].reshape(shape)
-
-        spectra = (front(np.float64, count, runs, n, l), front(np.float64, count, runs, n, q),
-                   ahat[:count], pbhat[:count])
-        return spectra, (front(np.complex128, count, runs, freqs, l), None if scale is None else scale[:count])
-
-    return views
+    rows_and_u = empty((size * runs * max(freqs * l, -(-n * q // 2)),), np.complex128)
+    gathers = tuple(rows_and_u.view(np.float64)[: size * runs * n * width].reshape(size, runs, n, width)
+                    for width in (l, q))
+    ahat = empty((size, runs, freqs, l), np.complex128)
+    pbhat = empty((size, runs, freqs, q), np.complex128)
+    u = rows_and_u[: size * runs * freqs * l].reshape(size, runs, freqs, l)
+    terms = _term_views(ahat, pbhat, u, _scale_buffer((size, runs), l, c, empty), c)
+    return _Slot(gathers, ahat, pbhat, empty((size, runs), np.float64), terms)
 
 
-def _pipeline(stages: list[slice], slots: list, build, consume) -> None:
-    """``consume(build(rows, slot))`` for every slice ``rows`` of ``stages``, in order.
+def _pipeline(stages: list[slice], slots: list[_Slot], fill, step) -> None:
+    """``fill(rows, slot)``, then ``step(rows, slot)``, for every slice ``rows`` of ``stages``, in order.
 
-    With one slot every stage is built into it, inline.  With two, one
-    producer thread builds stage i + 1 into one slot while the caller
-    consumes stage i from the other; the thread runs in a copy of the
-    caller's context, where numpy 2 keeps ``np.errstate``.  A build's
-    exception is raised here, at its stage, and the thread is joined before
-    this returns or raises.
+    With one slot every stage is filled into it inline.  With two, in
+    shared memory, a forked builder fills stage i + 1 into one slot while
+    this process steps stage i from the other.  The builder inherits all a
+    fill reads through the fork: A, B, the unit draws, the runs' generators
+    and ``np.errstate``.  Two pipes carry one-byte tokens, "stage built" to
+    this process and "slot free" to the builder; a fill's exception comes
+    back pickled and is raised here, at its stage.  The builder is reaped
+    before this returns or raises, and killed first if a step raised.  If
+    this process dies, the builder reads EOF on its "slot free" pipe and
+    exits.  Where the fork fails, every stage is filled inline.
     """
-    if len(slots) == 1 or not stages:
+    if len(slots) == 1:
         for rows in stages:
-            consume(build(rows, slots[0]))
+            fill(rows, slots[0])
+            step(rows, slots[0])
         return
-    # imported here: concurrent.futures imports logging, which would add about 6 ms to every `import msgdt`
-    from concurrent.futures import ThreadPoolExecutor
+    built_r, built_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: build in this one
+        for fd in (built_r, built_w, free_r, free_w):
+            os.close(fd)
+        return _pipeline(stages, slots[:1], fill, step)
+    if pid == 0:
+        try:
+            os.close(built_r)
+            os.close(free_w)
+            _build(stages, slots, fill, built_w, free_r)
+        finally:
+            os._exit(0)  # never back into the caller's code, and none of its exit handlers
+    os.close(built_w)
+    os.close(free_r)
+    stepped = False
+    try:
+        for i, rows in enumerate(stages):
+            _receive_stage(built_r)
+            step(rows, slots[i % 2])
+            if i + 2 < len(stages):
+                try:
+                    os.write(free_w, _FREE)
+                except BrokenPipeError:  # the builder has ended: its last token, read next, says why
+                    pass
+        stepped = True
+    finally:
+        os.close(free_w)
+        os.close(built_r)
+        if not stepped:
+            import signal  # here, where a step failed: at import it would add to every process's memory
 
-    context = contextvars.copy_context()
-    with ThreadPoolExecutor(max_workers=1) as producer:
-        ahead = producer.submit(context.run, build, stages[0], slots[0])
-        for i in range(len(stages)):
-            built = ahead.result()
-            if i + 1 < len(stages):
-                ahead = producer.submit(context.run, build, stages[i + 1], slots[(i + 1) % 2])
-            consume(built)
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _build(stages: list[slice], slots: list[_Slot], fill, built_w: int, free_r: int) -> None:
+    """The builder of :func:`_pipeline`: fill stage i into slot i % 2 once the stage two before it is stepped."""
+    for i, rows in enumerate(stages):
+        if i >= 2 and not os.read(free_r, 1):
+            return  # EOF: the stepping process is gone
+        try:
+            fill(rows, slots[i % 2])
+        except Exception as exc:
+            with open(built_w, "wb", closefd=False) as pipe:
+                pipe.write(_FAILED + _pickled(exc))
+            return
+        os.write(built_w, _BUILT)
+
+
+def _pickled(exc: Exception) -> bytes:
+    """``exc`` pickled, or a RuntimeError naming it where ``exc`` does not survive the round trip.
+
+    A traceback does not pickle, so the builder's goes along as a note, which the caller's report prints.
+    """
+    import traceback  # here, in the builder that failed: at import it would add to every process's memory
+
+    note = "".join(["in the row stage builder:\n", *traceback.format_tb(exc.__traceback__)])
+    try:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        fallback = RuntimeError(f"building a row stage failed: {exc!r}")
+        fallback.__notes__ = [note]
+        return pickle.dumps(fallback)
+
+
+def _receive_stage(built_r: int) -> None:
+    """Wait for the builder's next token: return on "stage built", raise the builder's error otherwise."""
+    token = os.read(built_r, 1)
+    if token == _BUILT:
+        return
+    if token != _FAILED:
+        raise RuntimeError("the row stage builder exited before its stage was built")
+    with open(built_r, "rb", closefd=False) as pipe:
+        raise pickle.loads(pipe.read())
 
 
 def run_batch(
@@ -720,17 +846,22 @@ def run_batch(
     rows of A and B, from each run's permutation or redraws, are masked
     and transformed by :func:`row_spectra`, its step sizes are taken from
     each run's schedule for that stage only, and the step's terms are
-    built for the whole stage by :func:`_row_terms` at them.  All of it is
+    built for the whole stage by :func:`_fill_terms` at them.  All of it is
     written into a workspace allocated once per batch, one
     :func:`~msgdt.tensor.row_chunks` slice of rows in size, so no
-    whole-tensor spectrum or whole-run step table is kept.  A batch whose
+    whole-tensor spectrum or whole-run step table is kept; the step reads
+    each stage's terms through views made once per slot.  A batch whose
     stacked iterate has at least ``_PIPELINE_MIN_ENTRIES`` complex entries
-    splits the workspace into two half-slice slots and builds stage i + 1
-    into one on a second thread while it steps stage i from the other
-    (:func:`_pipeline`); a smaller batch builds each full-slice stage
-    inline, in the one slot.  Every stage operation works row by row, so
-    the bits are the same either way.  Every step is written into the one
-    iterate buffer (the frontal S Y through one scratch buffer first).
+    and that runs for more than one slice of rows splits the workspace into
+    two half-slice slots in shared memory, and a forked builder process
+    fills stage i + 1 into one while this process steps stage i from the
+    other (:func:`_pipeline`).  That needs ``os.fork``, no other thread in
+    the process and a second usable core; otherwise, and for a smaller
+    batch, each full-slice stage is built inline, in the one slot.  Every
+    stage operation works row by row, and the builder inherits the runs'
+    generators, so the bits are the same either way.  No process outlives
+    the call.  Every step is written into the one iterate buffer (the
+    frontal S Y through one scratch buffer first).
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -766,37 +897,42 @@ def run_batch(
             obj = None if forms is None else forms[id(prob.b)](y[r])
             trace.records.append(TraceRecord(t, alpha, update, err, obj))
 
-    def build(rows: slice, slot) -> tuple:
-        """The stage ``rows``: its row spectra, step sizes (rows, R) and step terms, written into ``slot``."""
-        spectra_out, terms_out = slot(rows.stop - rows.start)
-        a_chunk, pb_chunk = row_spectra(runs, [source(rows) for source in sources], spec, out=spectra_out)
+    def fill(rows: slice, slot: _Slot) -> None:
+        """Build the stage ``rows`` into ``slot``: its row spectra, step sizes (rows, R) and step terms."""
+        count = rows.stop - rows.start
+        ahat, pbhat = slot.ahat[:count], slot.pbhat[:count]
+        row_spectra(runs, [source(rows) for source in sources], spec,
+                    out=(*(rows_of[:count] for rows_of in slot.gathers), ahat, pbhat))
         iters = np.arange(rows.start + 1, rows.stop + 1, dtype=np.float64)
-        alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1)
-        return rows, a_chunk, pb_chunk, alphas, _row_terms(a_chunk, pb_chunk, alphas, coeffs, out=terms_out)
+        alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1, out=slot.alphas[:count])
+        _fill_terms(tuple(term[:count] for term in slot.terms), ahat, alphas, coeffs)
 
-    def step(built: tuple) -> None:
-        rows, a_chunk, pb_chunk, alphas, chunk = built
-        for k, terms in enumerate(zip(*chunk)):
+    def step(rows: slice, slot: _Slot) -> None:
+        for k, terms in zip(range(rows.stop - rows.start), zip(*slot.terms)):
             t = rows.start + k + 1
             traced = t in record_at or t % cfg0.trace_every == 0
             # the trace's g is the kernel's, on the iterate before the step
-            g = _row_gradient(a_chunk[k], pb_chunk[k], y, coeffs, spec) if traced else None
+            g = _row_gradient(slot.ahat[k], slot.pbhat[k], y, coeffs, spec) if traced else None
             _apply(terms, y_views, scratch, coeffs)
             if radius is not None:
                 for flat in y_flat:
                     _project(flat, radius)
 
             if traced:
-                record(t, g, alphas[k])
+                record(t, g, slot.alphas[k])
 
     record(0, None, None)
     _, l, n = problems[0].a_tilde.dims
     q = problems[0].b.l
-    slots = 2 if R * (n // 2 + 1) * l * q >= _PIPELINE_MIN_ENTRIES else 1
-    # the slots split one row_chunks slice between them, so the workspace holds one slice's rows either way
-    size = tn._ROW_CHUNK // slots
-    workspace = [_workspace(size, R, n, l, q, coeffs) for _ in range(slots)]
-    _pipeline([slice(start, min(start + size, T)) for start in range(0, T, size)], workspace, build, step)
+    size = tn._ROW_CHUNK
+    # a fork costs about 3 ms at the desk: a batch of one slice's rows or fewer builds them inline
+    if R * (n // 2 + 1) * l * q >= _PIPELINE_MIN_ENTRIES and T > size and _builder_possible():
+        # the slots split one row_chunks slice between them, so the workspace holds one slice's rows either way
+        size //= 2
+        slots = [_slot(size, R, n, l, q, coeffs, _shared_empty) for _ in range(2)]
+    else:
+        slots = [_slot(size, R, n, l, q, coeffs)]
+    _pipeline([slice(start, min(start + size, T)) for start in range(0, T, size)], slots, fill, step)
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

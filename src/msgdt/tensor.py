@@ -19,7 +19,7 @@ products for short tubes, ``rfft`` for long ones), its inverse by
 that transforms, masks or draws rows takes them at most 256 at a time, so
 transient arrays stay a fixed size however many rows there are.  The solver
 holds one slice's worth of rows, as one stage of 256 or, when it builds the
-next stage on a second thread, as two stages of 128.
+next stage in a forked builder process, as two stages of 128.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "inner",
     "frob_norm",
     "hadamard",
+    "check_system",
     "TubeSpectrum",
     "tube_spectrum",
     "tube_gram",
@@ -108,6 +109,13 @@ class Tensor3:
 def _require_same_dims(a: Tensor3, b: Tensor3, what: str) -> None:
     if a.data.shape != b.data.shape:
         raise ValueError(f"cannot {what} tensors of dims {a.dims} and {b.dims}")
+
+
+def check_system(a: Tensor3, b: Tensor3) -> None:
+    """Refuse a B that cannot be the right-hand side of A * X = B: it needs A's rows m and tube length n."""
+    if (b.m, b.n) != (a.m, a.n):
+        raise ValueError(f"B dims {b.dims} inconsistent with A dims {a.dims}: B needs A's {a.m} rows and "
+                         f"tube length {a.n}")
 
 
 def zeros(m: int, l: int, n: int) -> Tensor3:

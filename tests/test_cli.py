@@ -506,6 +506,27 @@ class TestBounds:
         assert len(csv_lines) == 2
         assert csv_lines[0].startswith("gradient_second_moment,")
 
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_a_b_of_other_rows_exits_2(self, rows, tmp_path, capsys):
+        # a 1-row B once gave a bound and exit 0, a 30-row B numpy's broadcast message
+        main(["gen", "--dims", "20,3,2,2", "--seed", "1", "--out", str(tmp_path / "a")])
+        main(["gen", "--dims", f"{rows},3,2,2", "--seed", "2", "--out", str(tmp_path / "b")])
+        capsys.readouterr()
+        out = tmp_path / "bounds"
+        code = main(["bounds", "--a", str(tmp_path / "a" / "a.t3f"), "--b", str(tmp_path / "b" / "b.t3f"),
+                     "--p", "0.5", "--radius", "10", "--out", str(out)])
+        assert_one_line_error(capsys, code, "bounds",
+                              rf"B dims \({rows}, 2, 2\) inconsistent with A dims \(20, 3, 2\): B needs A's 20 rows")
+        assert not out.exists()
+
+    def test_a_b_of_another_tube_length_is_refused_by_both_bounds(self):
+        a = mg.gen_synthetic(mg.Dims(20, 3, 2, 2), 1).a
+        b = mg.gen_synthetic(mg.Dims(20, 3, 2, 3), 2).b
+        for bound in (mg.compute_bound_report, mg.gradient_second_moment_bound):
+            with pytest.raises(ValueError, match=r"B dims \(20, 2, 3\) inconsistent with A dims \(20, 3, 2\): "
+                                                 r"B needs A's 20 rows and tube length 2$"):
+                bound(a, b, 10.0, 0.5)
+
 
 class TestVerify:
     def test_identities_p_one_exits_zero(self, capsys):

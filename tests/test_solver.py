@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -584,9 +585,46 @@ def desk_like_batch(kind, T):
     return problems, configs, system
 
 
+class StageError(Exception):
+    """A build error that pickles, so a builder can send it back as it is."""
+
+
+def fork_spy(monkeypatch) -> list[int]:
+    """The pids of the children ``os.fork`` makes in this process from now on, as a list that fills."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def has_exited(pid: int) -> bool:
+    """Whether process ``pid`` has ended: gone from /proc, or a zombie that nobody has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat[stat.rindex(")") + 2] in "ZX"
+
+
+AFFINITY = getattr(os, "sched_getaffinity", None)
+CHILDREN = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+
+
 class TestPipeline:
-    """A batch that builds its next stage of rows on a second thread while it steps the current one gives the
-    bits of the same batch built inline, raises a build's error, joins its thread and holds no more memory."""
+    """A batch that builds its next stage of rows in a forked builder while it steps the current one gives the
+    bits of the same batch built inline, raises a build's error, leaves no process behind and holds no more
+    memory; with one usable core, or no fork, it builds inline."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        # the gate wants a second usable core: these tests fork their builder on any machine, under taskset too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @pytest.mark.parametrize("T", [0, 1, 127, 128, 129, 255, 256, 257, 600])
     @pytest.mark.parametrize("size", [1, 3])
@@ -603,42 +641,114 @@ class TestPipeline:
             got[gate] = [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)]
         assert got[0] == got[sys.maxsize]
 
-    def test_a_build_error_leaves_run_batch_and_joins_the_thread(self, monkeypatch):
-        problems, configs, system = desk_like_batch("uniform", 600)
-        real, builders = solver.row_spectra, []
+    @pytest.mark.parametrize("local", [False, True])
+    def test_a_build_error_reaches_the_caller_and_no_builder_outlives_it(self, local, monkeypatch):
+        problems, configs, _ = desk_like_batch("uniform", 600)
+        forks, real, caller, calls = fork_spy(monkeypatch), solver.row_spectra, os.getpid(), []
+
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot find it by name."""
 
         def fails_at_stage_2(*args, **kwargs):
-            builders.append(threading.current_thread())
-            if len(builders) == 3:
-                raise RuntimeError("no rows for stage 2")
+            calls.append(os.getpid())
+            if len(calls) == 3:
+                where = "the caller" if os.getpid() == caller else "a child"
+                raise (LocalError if local else StageError)(f"no rows for stage 2, built in {where}")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "row_spectra", fails_at_stage_2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="no rows for stage 2"):
+        # an error pickle cannot carry comes back as a RuntimeError that names it
+        want = (RuntimeError, "building a row stage failed: LocalError('no rows for stage 2, built in a child')") \
+            if local else (StageError, "no rows for stage 2, built in a child")
+        with pytest.raises(want[0]) as raised:
             run_batch(problems, configs)
-        assert threading.active_count() == before
-        assert len(builders) == 3 and threading.main_thread() not in builders  # the desk batch is piped
+        assert raised.value.args == (want[1],)
+        assert len(forks) == 1 and calls == []  # the desk batch is piped: every stage was built in the builder
+        # the builder's traceback comes along as a note
+        (note,) = raised.value.__notes__
+        assert note.startswith("in the row stage builder:\n") and "in fails_at_stage_2" in note
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_step_error_kills_and_reaps_the_builder(self, monkeypatch):
+        problems, configs, _ = desk_like_batch("frontal", 600)
+        forks, real, steps = fork_spy(monkeypatch), solver._apply, []
+
+        def fails_at_step_200(*args):
+            steps.append(None)
+            if len(steps) == 200:
+                raise FloatingPointError("step 200")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_apply", fails_at_step_200)
+        with pytest.raises(FloatingPointError, match="step 200"):
+            run_batch(problems, configs)
+        # the builder of 5 stages was waiting for a slot: only the kill ends it, and waitpid has reaped it
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not CHILDREN.exists(), reason="needs /proc/<pid>/task/<pid>/children")
+    def test_a_builder_whose_caller_is_killed_exits_by_itself(self):
+        # a redraw batch that runs until killed; the core gate is opened as in this class's fixture
+        code = (
+            "import os\n"
+            "import msgdt as mg\n"
+            "from msgdt.solver import run_batch\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "system = mg.gen_synthetic(mg.Dims(50, 20, 10, 10), 1)\n"
+            "problems = [mg.ProblemInstance(a_tilde=system.a, b=system.b, model=mg.UniformMissing(p),\n"
+            "                               x0=mg.zeros(20, 10, 10)) for p in (0.3, 0.5, 0.7)]\n"
+            "configs = [mg.SolverConfig(schedule=mg.ConstantStep(1e-9), total_iters=10**7, sampling='redraw',\n"
+            "                           seed=k, trace_every=10**7) for k in range(3)]\n"
+            "run_batch(problems, configs)\n"
+        )
+        src = str(Path(mg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+        try:
+            children, deadline = Path(f"/proc/{proc.pid}/task/{proc.pid}/children"), time.monotonic() + 60
+            while not children.read_text().split():
+                assert proc.poll() is None and time.monotonic() < deadline, "no builder was forked"
+                time.sleep(0.02)
+            builder = int(children.read_text().split()[0])
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 5
+        while not has_exited(builder):
+            assert time.monotonic() < deadline, f"builder {builder} outlived its caller by 5 s"
+            time.sleep(0.02)
 
     def test_the_builder_keeps_the_callers_errstate(self, monkeypatch):
-        problems, configs, system = desk_like_batch("frontal", 300)
-        real, seen = solver._row_terms, []
-
-        def spy(*args, **kwargs):
-            seen.append((threading.current_thread(), np.geterr()))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_row_terms", spy)
+        problems, configs, _ = desk_like_batch("frontal", 300)
+        forks, real = fork_spy(monkeypatch), solver._fill_terms
         with np.errstate(all="ignore"):
             caller = np.geterr()
+
+        def spy(*args, **kwargs):
+            # in the builder an error goes back to run_batch, which raises it here
+            if np.geterr() != caller:
+                raise AssertionError(f"terms filled under {np.geterr()}, not the caller's {caller}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_fill_terms", spy)
+        with np.errstate(all="ignore"):
             run_batch(problems, configs)
-        assert caller != np.geterr()  # the default warns: a thread outside the caller's context would see it
-        assert {thread is threading.main_thread() for thread, _ in seen} == {False, True}  # stages, traced g
-        assert all(err == caller for _, err in seen)
+        assert caller != np.geterr()  # the default warns: a builder that had not inherited the caller's would see it
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
     def test_piped_peak_is_no_more_than_inline(self, kind, monkeypatch):
         problems, configs, _ = desk_like_batch(kind, 600)
+        real, shared = solver._shared_empty, []
+
+        def counted(shape, dtype):
+            arr = real(shape, dtype)
+            shared.append(arr.nbytes)
+            return arr
+
+        monkeypatch.setattr(solver, "_shared_empty", counted)
         peaks = {}
         for gate in (sys.maxsize, 0):
             monkeypatch.setattr(solver, "_PIPELINE_MIN_ENTRIES", gate)
@@ -648,7 +758,67 @@ class TestPipeline:
                 peaks[gate] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= peaks[sys.maxsize], peaks
+        # the builder allocates in its own process, and the slots' shared memory is outside tracemalloc
+        assert shared and peaks[0] + sum(shared) <= peaks[sys.maxsize], (peaks, sum(shared))
+
+    @pytest.mark.parametrize("kind", ["uniform", "frontal"])
+    def test_one_usable_core_builds_inline(self, kind, monkeypatch):
+        problems, configs, system = desk_like_batch(kind, 600)
+        forks = fork_spy(monkeypatch)
+        piped = [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)]
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)] == piped
+        assert len(forks) == 1
+
+    def test_a_batch_of_one_slice_builds_inline(self, monkeypatch):
+        # a fork costs more than the overlap gains on 256 rows or fewer
+        forks = fork_spy(monkeypatch)
+        for T, want in ((256, 0), (257, 1)):
+            problems, configs, _ = desk_like_batch("uniform", T)
+            run_batch(problems, configs)
+            assert len(forks) == want, T
+
+    @pytest.mark.parametrize("cores", [None, 1, 2])
+    def test_without_affinity_the_gate_counts_the_machines_cores(self, cores, monkeypatch):
+        problems, configs, _ = desk_like_batch("uniform", 300)
+        forks = fork_spy(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        run_batch(problems, configs)
+        assert len(forks) == (cores == 2)
+
+    @pytest.mark.skipif(AFFINITY is None, reason="no os.sched_getaffinity")
+    def test_the_gate_reads_this_process_affinity(self, monkeypatch):
+        # under `taskset -c 0` this process has one core and builds inline; given two or more, it forks
+        problems, configs, _ = desk_like_batch("uniform", 300)
+        monkeypatch.setattr(os, "sched_getaffinity", AFFINITY)
+        forks = fork_spy(monkeypatch)
+        run_batch(problems, configs)
+        assert len(forks) == (len(AFFINITY(0)) >= 2)
+
+    def test_a_second_thread_or_a_failed_fork_builds_inline(self, monkeypatch):
+        problems, configs, system = desk_like_batch("colblock", 600)
+        want = [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)]
+        fds = len(os.listdir("/proc/self/fd")) if Path("/proc/self/fd").exists() else None
+        forks = fork_spy(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)] == want
+        finally:
+            release.set()
+            other.join(5)
+        assert not other.is_alive() and forks == []
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        assert [result_bits(res) for res in run_batch(problems, configs, system.x_star, system.a)] == want
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds  # the pipes made for the builder are closed
 
 
 def kernel_step_runs(problems, configs):
