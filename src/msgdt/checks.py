@@ -51,6 +51,7 @@ __all__ = [
 
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
     """Exact E[g(X)]: average over all rows and all mask configurations."""
+    tn.check_system(a, b)
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
@@ -111,6 +112,7 @@ def lipschitz_ratio_max(
 ) -> tuple[float, float]:
     """(max empirical ratio, bound): ratios ||g(X)-g(Y)|| / ||X-Y|| over
     random rows, masks, and iterate pairs, against n a_max^2 / p^2."""
+    tn.check_system(a, b)
     worst = 0.0
     for xy, _, g in _drawn_pairs(a, b, model, trials, rng):
         count = len(xy)
@@ -135,6 +137,7 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
+    tn.check_system(a, b)
     check_trials(trials)
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)

@@ -68,7 +68,9 @@ depend on the iterate, so a large batch builds the next stage in a forked
 builder process while the loop steps the current one (:func:`run_batch`).
 A process, not a thread: the loop and the builder are both many short
 numpy calls, and a thread would pass the interpreter lock back and forth
-with the loop at every one of them.
+with the loop at every one of them.  A build reads only what the fork
+copied, so the caller rebuilds a stage the builder failed on and raises
+its error itself, with no error channel between the two.
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
@@ -83,7 +85,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -652,9 +653,8 @@ def row_spectra(runs, draws, spec: tn.TubeSpectrum, out=None) -> tuple[np.ndarra
 # fixed cost meets little overlap (README.md, the paragraph on row stages, has the table).
 _PIPELINE_MIN_ENTRIES = 3072
 
-# the one-byte tokens of :func:`_pipeline`: "stage built" (or "build failed", then the pickled error) to the
-# stepping process, "slot free" to the builder
-_BUILT, _FAILED, _FREE = b"+", b"!", b"-"
+# the one-byte tokens of :func:`_pipeline`: "stage built" to the stepping process, "slot free" to the builder
+_BUILT, _FREE = b"+", b"-"
 
 
 def _builder_possible() -> bool:
@@ -712,22 +712,31 @@ def _slot(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients, empty=
     return _Slot(gathers, ahat, pbhat, empty((size, runs), np.float64), terms)
 
 
-def _pipeline(stages: list[slice], slots: list[_Slot], fill, step) -> None:
-    """``fill(rows, slot)``, then ``step(rows, slot)``, for every slice ``rows`` of ``stages``, in order.
+def _pipeline(starts: range, slots: list[_Slot], fill, step) -> None:
+    """``fill(rows, slot)``, then ``step(rows, slot)``, for every stage ``rows``, in order.
 
-    With one slot every stage is filled into it inline.  With two, in
-    shared memory, a forked builder fills stage i + 1 into one slot while
-    this process steps stage i from the other.  The builder inherits all a
-    fill reads through the fork: A, B, the unit draws, the runs' generators
-    and ``np.errstate``.  Two pipes carry one-byte tokens, "stage built" to
-    this process and "slot free" to the builder; a fill's exception comes
-    back pickled and is raised here, at its stage.  The builder is reaped
-    before this returns or raises, and killed first if a step raised.  If
-    this process dies, the builder reads EOF on its "slot free" pipe and
-    exits.  Where the fork fails, every stage is filled inline.
+    ``starts`` is ``range(0, T, size)``; each stage is the slice of up to
+    ``size`` iterations from its start, made when it is reached.  With one
+    slot every stage is filled into it inline.  With two, in shared memory,
+    a forked builder fills stage i + 1 into one slot while this process
+    steps stage i from the other.  The builder inherits all a fill reads
+    through the fork: A, B, the unit draws, the runs' generators and
+    ``np.errstate``.  Two pipes carry one-byte tokens, "stage built" to this
+    process and "slot free" to the builder.  A builder that fails exits
+    nonzero without its token; this process then reaps it and fills stages
+    0..i itself from the state the fork copied, which it has not advanced,
+    so a fill's error is raised here as itself.  Where that rebuild raises
+    nothing, a RuntimeError says how the builder ended.  The builder is
+    reaped before this returns or raises, and killed first if a step
+    raised.  If this process dies, the builder reads EOF on its "slot free"
+    pipe and exits.  Where the fork fails, every stage is filled inline.
     """
+
+    def stage(start: int) -> slice:
+        return slice(start, min(start + starts.step, starts.stop))
+
     if len(slots) == 1:
-        for rows in stages:
+        for rows in map(stage, starts):
             fill(rows, slots[0])
             step(rows, slots[0])
         return
@@ -738,25 +747,32 @@ def _pipeline(stages: list[slice], slots: list[_Slot], fill, step) -> None:
     except OSError:  # no process to be had: build in this one
         for fd in (built_r, built_w, free_r, free_w):
             os.close(fd)
-        return _pipeline(stages, slots[:1], fill, step)
+        return _pipeline(starts, slots[:1], fill, step)
     if pid == 0:
         try:
             os.close(built_r)
             os.close(free_w)
-            _build(stages, slots, fill, built_w, free_r)
+            for i, start in enumerate(starts):
+                if i >= 2 and not os.read(free_r, 1):
+                    break  # EOF: the stepping process is gone
+                fill(stage(start), slots[i % 2])
+                os.write(built_w, _BUILT)
+            os._exit(0)
         finally:
-            os._exit(0)  # never back into the caller's code, and none of its exit handlers
+            os._exit(1)  # an error: never back into the caller's code, and none of its exit handlers
     os.close(built_w)
     os.close(free_r)
-    stepped = False
+    stepped, failed = False, None
     try:
-        for i, rows in enumerate(stages):
-            _receive_stage(built_r)
-            step(rows, slots[i % 2])
-            if i + 2 < len(stages):
+        for i, start in enumerate(starts):
+            if os.read(built_r, 1) != _BUILT:
+                failed = i
+                break
+            step(stage(start), slots[i % 2])
+            if i + 2 < len(starts):
                 try:
                     os.write(free_w, _FREE)
-                except BrokenPipeError:  # the builder has ended: its last token, read next, says why
+                except BrokenPipeError:  # the builder has ended: its missing token, read next, says so
                     pass
         stepped = True
     finally:
@@ -766,51 +782,13 @@ def _pipeline(stages: list[slice], slots: list[_Slot], fill, step) -> None:
             import signal  # here, where a step failed: at import it would add to every process's memory
 
             os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _build(stages: list[slice], slots: list[_Slot], fill, built_w: int, free_r: int) -> None:
-    """The builder of :func:`_pipeline`: fill stage i into slot i % 2 once the stage two before it is stepped."""
-    for i, rows in enumerate(stages):
-        if i >= 2 and not os.read(free_r, 1):
-            return  # EOF: the stepping process is gone
-        try:
-            fill(rows, slots[i % 2])
-        except Exception as exc:
-            with open(built_w, "wb", closefd=False) as pipe:
-                pipe.write(_FAILED + _pickled(exc))
-            return
-        os.write(built_w, _BUILT)
-
-
-def _pickled(exc: Exception) -> bytes:
-    """``exc`` pickled, or a RuntimeError naming it where ``exc`` does not survive the round trip.
-
-    A traceback does not pickle, so the builder's goes along as a note, which the caller's report prints.
-    """
-    import traceback  # here, in the builder that failed: at import it would add to every process's memory
-
-    note = "".join(["in the row stage builder:\n", *traceback.format_tb(exc.__traceback__)])
-    try:
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        fallback = RuntimeError(f"building a row stage failed: {exc!r}")
-        fallback.__notes__ = [note]
-        return pickle.dumps(fallback)
-
-
-def _receive_stage(built_r: int) -> None:
-    """Wait for the builder's next token: return on "stage built", raise the builder's error otherwise."""
-    token = os.read(built_r, 1)
-    if token == _BUILT:
-        return
-    if token != _FAILED:
-        raise RuntimeError("the row stage builder exited before its stage was built")
-    with open(built_r, "rb", closefd=False) as pipe:
-        raise pickle.loads(pipe.read())
+        status = os.waitpid(pid, 0)[1]
+    if failed is not None:
+        for redo in starts[: failed + 1]:  # raises the builder's error, if it is one this process meets too
+            fill(stage(redo), slots[0])
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"the row stage builder {how} before it built stage {failed}")
 
 
 def run_batch(
@@ -849,7 +827,7 @@ def run_batch(
     built for the whole stage by :func:`_fill_terms` at them.  All of it is
     written into a workspace allocated once per batch, one
     :func:`~msgdt.tensor.row_chunks` slice of rows in size, so no
-    whole-tensor spectrum or whole-run step table is kept; the step reads
+    whole-tensor spectrum, step table or stage list is kept; the step reads
     each stage's terms through views made once per slot.  A batch whose
     stacked iterate has at least ``_PIPELINE_MIN_ENTRIES`` complex entries
     and that runs for more than one slice of rows splits the workspace into
@@ -859,8 +837,10 @@ def run_batch(
     the process and a second usable core; otherwise, and for a smaller
     batch, each full-slice stage is built inline, in the one slot.  Every
     stage operation works row by row, and the builder inherits the runs'
-    generators, so the bits are the same either way.  No process outlives
-    the call.  Every step is written into the one iterate buffer (the
+    generators, so the bits are the same either way.  A build's error is
+    raised from this process's rebuild of the stage, as itself, or as a
+    RuntimeError naming how the builder ended; no process outlives the
+    call.  Every step is written into the one iterate buffer (the
     frontal S Y through one scratch buffer first).
     """
     problems, configs = list(problems), list(configs)
@@ -932,7 +912,7 @@ def run_batch(
         slots = [_slot(size, R, n, l, q, coeffs, _shared_empty) for _ in range(2)]
     else:
         slots = [_slot(size, R, n, l, q, coeffs)]
-    _pipeline([slice(start, min(start + size, T)) for start in range(0, T, size)], slots, fill, step)
+    _pipeline(range(0, T, size), slots, fill, step)
 
     results = []
     for r, (prob, trace) in enumerate(zip(problems, traces)):

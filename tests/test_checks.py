@@ -66,6 +66,24 @@ def test_strong_convexity_over_no_pairs_refused():
         strong_convexity_margin(system.a, system.b, 1.0, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("check", ["enumerated_gradient_mean", "lipschitz_ratio_max", "second_moment_sample"])
+@pytest.mark.parametrize("b_dims", [(4, 2, 2), (8, 2, 3)], ids=["fewer-rows", "other-tube-length"])
+def test_a_b_without_as_rows_or_tube_length_is_refused(check, b_dims):
+    # without the check, a 4-row B ends in an IndexError and a B of tube length 3 in numpy's broadcast message
+    system = mg.gen_synthetic(mg.Dims(8, 3, 2, 2), 2)
+    b, x = mg.zeros(*b_dims), mg.zeros(3, 2, 2)
+    model, rng = mg.UniformMissing(0.5), np.random.default_rng(0)
+    run = {
+        "enumerated_gradient_mean": lambda: enumerated_gradient_mean(system.a, b, x, model),
+        "lipschitz_ratio_max": lambda: lipschitz_ratio_max(system.a, b, model, 300, rng),
+        "second_moment_sample": lambda: second_moment_sample(system.a, b, x, model, 300, rng),
+    }[check]
+    dims = ", ".join(map(str, b_dims))
+    with pytest.raises(ValueError, match=rf"^B dims \({dims}\) inconsistent with A dims \(8, 3, 2\): B needs A's 8 "
+                                         r"rows and tube length 2$"):
+        run()
+
+
 def test_enumerated_mean_matches_public_gradient_average():
     # the raw-kernel enumeration agrees with the public gradient_estimate
     system = mg.gen_synthetic(mg.Dims(3, 2, 2, 2), 4)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -586,7 +587,7 @@ def desk_like_batch(kind, T):
 
 
 class StageError(Exception):
-    """A build error that pickles, so a builder can send it back as it is."""
+    """A build error defined at module level."""
 
 
 def fork_spy(monkeypatch) -> list[int]:
@@ -657,18 +658,59 @@ class TestPipeline:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "row_spectra", fails_at_stage_2)
-        # an error pickle cannot carry comes back as a RuntimeError that names it
-        want = (RuntimeError, "building a row stage failed: LocalError('no rows for stage 2, built in a child')") \
-            if local else (StageError, "no rows for stage 2, built in a child")
-        with pytest.raises(want[0]) as raised:
+        with pytest.raises(LocalError if local else StageError) as raised:
             run_batch(problems, configs)
-        assert raised.value.args == (want[1],)
-        assert len(forks) == 1 and calls == []  # the desk batch is piped: every stage was built in the builder
-        # the builder's traceback comes along as a note
-        (note,) = raised.value.__notes__
-        assert note.startswith("in the row stage builder:\n") and "in fails_at_stage_2" in note
+        # the builder failed at stage 2, and the caller's rebuild of stages 0..2 raised the error itself
+        assert type(raised.value) is (LocalError if local else StageError)
+        assert raised.value.args == ("no rows for stage 2, built in the caller",)
+        assert calls == [caller] * 3 and len(forks) == 1
+        assert "fails_at_stage_2" in [entry.name for entry in raised.traceback]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_builder_killed_mid_batch_is_named_and_reaped(self, monkeypatch):
+        problems, configs, _ = desk_like_batch("frontal", 600)
+        forks, real, caller, calls = fork_spy(monkeypatch), solver._fill_terms, os.getpid(), []
+
+        def killed_at_stage_2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_fill_terms", killed_at_stage_2)
+        # the caller's rebuild of stages 0..2 raises nothing, so the error says how the builder ended
+        with pytest.raises(RuntimeError, match=r"^the row stage builder was killed by signal 9 before it built "
+                                               r"stage 2$"):
+            run_batch(problems, configs)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("gate", [0, sys.maxsize], ids=["piped", "inline"])
+    def test_a_long_batch_makes_its_stages_as_it_reaches_them(self, gate, monkeypatch):
+        # 10^8 iterations are 781 250 piped stages: a list of their slices alone held about 100 MB
+        system = mg.gen_synthetic(mg.Dims(50, 20, 10, 10), 1)
+        problems = [mg.ProblemInstance(a_tilde=system.a, b=system.b, model=mg.UniformMissing(p),
+                                       x0=mg.zeros(20, 10, 10)) for p in (0.3, 0.5, 0.7)]
+        configs = [mg.SolverConfig(schedule=mg.ConstantStep(1e-9), total_iters=10**8, sampling="redraw", seed=k,
+                                   trace_every=10**8) for k in range(3)]
+        forks = fork_spy(monkeypatch)
+        monkeypatch.setattr(solver, "_PIPELINE_MIN_ENTRIES", gate)
+
+        def first_step(*args):
+            raise StageError("the first step")
+
+        monkeypatch.setattr(solver, "_apply", first_step)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StageError, match="the first step"):
+                run_batch(problems, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == (gate == 0)
+        assert peak < 16 * 2**20, peak
 
     def test_a_step_error_kills_and_reaps_the_builder(self, monkeypatch):
         problems, configs, _ = desk_like_batch("frontal", 600)
@@ -727,7 +769,7 @@ class TestPipeline:
             caller = np.geterr()
 
         def spy(*args, **kwargs):
-            # in the builder an error goes back to run_batch, which raises it here
+            # in the builder an error ends it, and run_batch raises: the caller's rebuild does not meet it
             if np.geterr() != caller:
                 raise AssertionError(f"terms filled under {np.geterr()}, not the caller's {caller}")
             return real(*args, **kwargs)
