@@ -117,6 +117,13 @@ def strong_convexity(a: Tensor3) -> tuple[float, float]:
     return smallest**2 / m, smallest
 
 
+def _check_step(alpha: float, lipschitz: float, what: str) -> None:
+    """Refuse a step size that is not positive or not below 1/L_g; with L_g = 0 every positive one is below it."""
+    check_positive("step size", alpha)
+    if lipschitz > 0.0 and alpha >= 1.0 / lipschitz:
+        raise ValueError(f"step size too large: alpha={alpha} but the {what} needs alpha < {1.0 / lipschitz}")
+
+
 def contraction_ratio(alpha: float, mu: float, lipschitz: float) -> float:
     """r = 1 - 2 alpha mu (1 - alpha L_g); requires alpha < 1/L_g.
 
@@ -124,11 +131,7 @@ def contraction_ratio(alpha: float, mu: float, lipschitz: float) -> float:
     a warning: the per-step bound is vacuous there but simulation may still
     be wanted.
     """
-    check_positive("step size", alpha)
-    if alpha >= 1.0 / lipschitz:
-        raise ValueError(
-            f"step size too large: alpha={alpha} but the contraction needs alpha < {1.0 / lipschitz}"
-        )
+    _check_step(alpha, lipschitz, "contraction")
     r = 1.0 - 2.0 * alpha * mu * (1.0 - alpha * lipschitz)
     if r <= 0.0:
         warnings.warn(
@@ -141,11 +144,7 @@ def contraction_ratio(alpha: float, mu: float, lipschitz: float) -> float:
 
 def horizon_bound(alpha: float, mu: float, lipschitz: float, solution_second_moment: float) -> float:
     """Fixed-step error floor alpha G* / (mu (1 - alpha L_g))."""
-    check_positive("step size", alpha)
-    if alpha >= 1.0 / lipschitz:
-        raise ValueError(
-            f"step size too large: alpha={alpha} but the horizon needs alpha < {1.0 / lipschitz}"
-        )
+    _check_step(alpha, lipschitz, "horizon")
     check_positive("strong convexity constant", mu)
     return alpha * solution_second_moment / (mu * (1.0 - alpha * lipschitz))
 

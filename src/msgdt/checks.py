@@ -51,7 +51,7 @@ __all__ = [
 
 def enumerated_gradient_mean(a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel) -> Tensor3:
     """Exact E[g(X)]: average over all rows and all mask configurations."""
-    tn.check_system(a, b)
+    tn.check_system(a, b, x)
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)
     yhat = spec.forward(x.data, scaled=True)
@@ -137,7 +137,7 @@ def second_moment_sample(
     a: Tensor3, b: Tensor3, x: Tensor3, model: MissingModel, trials: int, rng: np.random.Generator
 ) -> SecondMomentSample:
     """Sample mean of ||g(X)||^2 over (row, mask) draws at a fixed X."""
-    tn.check_system(a, b)
+    tn.check_system(a, b, x)
     check_trials(trials)
     m, l, n = a.dims
     spec = tn.tube_spectrum(n)

@@ -462,6 +462,8 @@ def main(argv=None) -> int:
             _resolve_verify_flags(args)
         if hasattr(args, "block_size"):
             _resolve_block_size(args)
+        if getattr(args, "seed", 0) < 0:  # numpy's own refusal names no flag
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return globals()[f"cmd_{args.command}"](args)  # by name: a replaced cmd_* is the one run
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)

@@ -116,10 +116,7 @@ def gradient_estimate(
     check_p(p)
     if a_row_tilde.m != 1 or b_row.m != 1:
         raise ValueError("row slices must have a single row")
-    if a_row_tilde.l != x.m or x.l != b_row.l or a_row_tilde.n != x.n or b_row.n != x.n:
-        raise ValueError(
-            f"inconsistent shapes: A row {a_row_tilde.dims}, B row {b_row.dims}, X {x.dims}"
-        )
+    tn.check_system(a_row_tilde, b_row, x)
     lin = tn.tprod(update_linear_part(a_row_tilde, c, p), x)
     return lin - tn.tprod(tn.transpose(a_row_tilde), b_row) * (1.0 / p)
 
@@ -136,5 +133,6 @@ def update_linear_part(a_row_tilde: Tensor3, c: Tensor3, p: float) -> Tensor3:
 
 def full_gradient(full_a: Tensor3, b: Tensor3, x: Tensor3) -> Tensor3:
     """grad F(X) = (1/m) A* * (A * X - B)."""
+    tn.check_system(full_a, b, x)
     residual = tn.tprod(full_a, x) - b
     return Tensor3(tn.tprod(tn.transpose(full_a), residual).data / full_a.m)

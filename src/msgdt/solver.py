@@ -223,9 +223,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         m, l, n = self.a_tilde.dims
-        tn.check_system(self.a_tilde, self.b)
-        if self.x0.dims != (l, self.b.l, n):
-            raise ValueError(f"X0 dims {self.x0.dims} inconsistent with system {(l, self.b.l, n)}")
+        tn.check_system(self.a_tilde, self.b, self.x0, "X0")
         if not np.isfinite(self.x0.data).all():
             raise ValueError("X0 has non-finite entries")
         check_block(self.model, l)
@@ -519,6 +517,7 @@ class RunResult:
 
 def objective(full_a: Tensor3, b: Tensor3, x: Tensor3) -> float:
     """F(X) = ||A * X - B||^2 / (2m); needs the unmasked A."""
+    tn.check_system(full_a, b, x)
     residual = tn.tprod(full_a, x) - b
     return tn.inner(residual, residual) / (2.0 * full_a.m)
 
@@ -857,8 +856,7 @@ def run_batch(
     # the views, made once: Y's and its scratch buffer's for the step, and one flat view per run for the projection
     y_views, scratch = _views(y, coeffs), _views(np.empty_like(y), coeffs)
     y_flat = [_flat(run) for run in y]
-    if x_star is not None and x_star.dims != problems[0].x0.dims:
-        raise ValueError(f"X* dims {x_star.dims} inconsistent with system {problems[0].x0.dims}")
+    tn.check_system(problems[0].a_tilde, problems[0].b, x_star, "X*")
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     forms = None
     if full_a is not None:

@@ -65,6 +65,8 @@ class Tensor3:
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 data must be 3-d, got shape {arr.shape}")
+        if 0 in arr.shape:
+            raise ValueError(f"Tensor3 dims {arr.shape[1:] + arr.shape[:1]} must all be positive")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -111,11 +113,14 @@ def _require_same_dims(a: Tensor3, b: Tensor3, what: str) -> None:
         raise ValueError(f"cannot {what} tensors of dims {a.dims} and {b.dims}")
 
 
-def check_system(a: Tensor3, b: Tensor3) -> None:
-    """Refuse a B that cannot be the right-hand side of A * X = B: it needs A's rows m and tube length n."""
+def check_system(a: Tensor3, b: Tensor3, x: Optional[Tensor3] = None, name: str = "X") -> None:
+    """The shape contract of A * X = B: refuse a B that is not m x q x n against A's m x l x n, then, when
+    given, an iterate ``x`` (named ``name``: X, X0 or X*) that is not l x q x n."""
     if (b.m, b.n) != (a.m, a.n):
         raise ValueError(f"B dims {b.dims} inconsistent with A dims {a.dims}: B needs A's {a.m} rows and "
                          f"tube length {a.n}")
+    if x is not None and x.dims != (a.l, b.l, a.n):
+        raise ValueError(f"{name} dims {x.dims} inconsistent with system {(a.l, b.l, a.n)}")
 
 
 def zeros(m: int, l: int, n: int) -> Tensor3:
@@ -335,6 +340,8 @@ def read_t3f1(path) -> Tensor3:
         if len(header) < 28:
             raise ValueError(f"{path}: truncated T3F1 header")
         m, l, n = (int(v) for v in np.frombuffer(header[4:], dtype="<u8"))
+        if 0 in (m, l, n):
+            raise ValueError(f"{path}: T3F1 header dims {(m, l, n)} must all be positive")
         payload = os.fstat(f.fileno()).st_size - 28
         if payload != 8 * m * l * n:
             raise ValueError(f"{path}: T3F1 payload has {payload} bytes, expected {8 * m * l * n}")

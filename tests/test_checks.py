@@ -84,6 +84,25 @@ def test_a_b_without_as_rows_or_tube_length_is_refused(check, b_dims):
         run()
 
 
+@pytest.mark.parametrize("check", ["enumerated_gradient_mean", "second_moment_sample", "objective", "full_gradient"])
+@pytest.mark.parametrize("x_dims", [(3, 1, 2), (2, 2, 2), (3, 2, 3)], ids=["one-column", "two-rows", "tube-of-3"])
+def test_an_x_without_the_systems_dims_is_refused(check, x_dims):
+    # unchecked, X dims (3, 1, 2) and (2, 2, 2) ended both checks in numpy's "non-broadcastable output operand" and
+    # "matmul: ... mismatch in its core dimension 0"; objective and full_gradient refused each X by another message
+    system = mg.gen_synthetic(mg.Dims(8, 3, 2, 2), 2)
+    x, model = mg.zeros(*x_dims), mg.UniformMissing(0.5)
+    run = {
+        "enumerated_gradient_mean": lambda: enumerated_gradient_mean(system.a, system.b, x, model),
+        "second_moment_sample": lambda: second_moment_sample(system.a, system.b, x, model, 300,
+                                                             np.random.default_rng(0)),
+        "objective": lambda: mg.objective(system.a, system.b, x),
+        "full_gradient": lambda: oracle.full_gradient(system.a, system.b, x),
+    }[check]
+    dims = ", ".join(map(str, x_dims))
+    with pytest.raises(ValueError, match=rf"^X dims \({dims}\) inconsistent with system \(3, 2, 2\)$"):
+        run()
+
+
 def test_enumerated_mean_matches_public_gradient_average():
     # the raw-kernel enumeration agrees with the public gradient_estimate
     system = mg.gen_synthetic(mg.Dims(3, 2, 2, 2), 4)

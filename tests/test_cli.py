@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msgdt as mg
 from msgdt.cli import main
@@ -528,6 +535,18 @@ class TestBounds:
                 bound(a, b, 10.0, 0.5)
 
 
+    def test_an_all_zero_a_with_a_step_size_exits_2(self, tmp_path, capsys):
+        # L_g = 0: the step size check once divided by it and ended in a ZeroDivisionError traceback
+        a, b, out = tmp_path / "a.t3f", tmp_path / "b.t3f", tmp_path / "bounds"
+        mg.write_t3f1(mg.zeros(20, 3, 2), a)
+        mg.write_t3f1(mg.ones(20, 2, 2), b)
+        code = main(["bounds", "--a", str(a), "--b", str(b), "--p", "0.5", "--radius", "10", "--alpha", "1e-3",
+                     "--out", str(out)])
+        assert_one_line_error(capsys, code, "bounds",
+                              r"strong convexity constant must be finite and positive, got 0\.0$")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_identities_p_one_exits_zero(self, capsys):
         assert main(["verify", "identities", "--p", "1", "--trials", "200"]) == 0
@@ -697,6 +716,25 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "mask", "solve", "experiment", "verify"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, command):
+    # numpy's own refusal, "expected non-negative integer", names no flag
+    gen = tmp_path / "gen"
+    main(["gen", "--dims", "12,4,2,3", "--seed", "3", "--out", str(gen)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--dims", "12,4,2,3"],
+        "mask": ["mask", "--a", str(gen / "a.t3f")],
+        "solve": ["solve", "--a", str(gen / "a.t3f"), "--b", str(gen / "b.t3f"), "--iters", "5"],
+        "experiment": ["experiment", "--dims", "12,4,2,3", "--p", "0.5", "--iters", "5", "--swap-iter", "3"],
+        "verify": ["verify", "lipschitz", "--trials", "10"],
+    }[command]
+    code = main(argv + ["--seed", "-1", "--out", str(out)])
+    assert_one_line_error(capsys, code, command, r"--seed must be >= 0, got -1$")
+    assert not out.exists()
+
+
 class TestMissingInputFile:
     """A missing input file gets the one-line error, naming the path, before any output exists."""
 
@@ -774,3 +812,112 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "msgdt" in capsys.readouterr().out
+
+
+# --- every command on small, mismatched and malformed T3F1 files --------------------------------------------------
+
+# sampled_from over repeated values: most draws are well formed, so most commands get past their checks
+_DIM = st.sampled_from((1, 2, 3, 4) * 3 + (0,))
+# a file: its header dims (the system's own, or any 0..4), its payload (right-sized, 8 bytes short or 8 bytes over)
+# and its entries (Gaussian or all zero)
+_FILE = st.tuples(st.sampled_from(("own",) * 5 + ("other",)), st.tuples(*[st.integers(0, 4)] * 3),
+                  st.sampled_from(("exact",) * 6 + ("truncated", "over-long")),
+                  st.sampled_from(("normal",) * 3 + ("zero",)))
+_MODEL = st.sampled_from([["--model", "uniform"], ["--model", "frontal"], ["--model", "colblock"],
+                          ["--model", "colblock", "--block-size", "2"]] * 2
+                         + [["--model", "uniform", "--block-size", "2"]])
+# numpy's words in the errors this test has seen end a command
+_NUMPY_PHRASES = ("broadcast", "operand", "out of bounds", "zero-size array", "non-negative integer",
+                  "Mean of empty slice")
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf(inity)?)\b")
+
+
+def _write_t3f1_case(path, own, file, seed):
+    kind, other, payload, values = file
+    dims = own if kind == "own" else other
+    data = np.random.default_rng(seed).standard_normal(math.prod(dims)) * (values == "normal")
+    raw = data.astype("<f8").tobytes()
+    raw = {"exact": raw, "truncated": raw[:-8], "over-long": raw + bytes(8)}[payload]
+    path.write_bytes(b"T3F1" + np.array(dims, dtype="<u8").tobytes() + raw)
+
+
+def _command_line(draw, d, system):
+    """One command over the files in ``d``, its flags drawn from small sets of valid and invalid values."""
+    m, l, q, n = system
+    a, b, xstar = (str(d / name) for name in ("a.t3f", "b.t3f", "xstar.t3f"))
+    seed = ["--seed", str(draw(st.sampled_from((0, 1, 2, 3, 4, 5, 6, -1))))]
+    p = ["--p", draw(st.sampled_from(["0.5", "1"]))]
+    alpha = draw(st.sampled_from([[], [], ["--alpha", "1e-3"], ["--alpha", "1e3"]]))
+    command = draw(st.sampled_from(["gen", "mask", "solve", "bounds", "verify"]))
+    if command == "gen":
+        return ["gen", "--dims", f"{m},{l},{q},{n}", *draw(st.sampled_from([[], ["--xstar", xstar]])), *seed]
+    if command == "mask":
+        return ["mask", "--a", a, *draw(_MODEL), *p, *seed]
+    if command == "solve":
+        extra = draw(st.sampled_from([[], ["--xstar", xstar], ["--full-a", a], ["--xstar", xstar, "--full-a", a]]))
+        return ["solve", "--a", a, "--b", b, *draw(_MODEL), *p, "--iters", str(draw(st.integers(0, 5))),
+                "--swap-iter", str(draw(st.integers(0, 3))), "--trace-every", "2",
+                "--sampling", draw(st.sampled_from(["once", "redraw"])), *alpha, *extra, *seed]
+    if command == "bounds":
+        return ["bounds", "--a", a, "--b", b, *p, "--radius", "1", *alpha]
+    suite = draw(st.sampled_from(["identities", "unbiasedness", "lipschitz", "bounds"]))
+    flags = [] if suite == "unbiasedness" else ["--trials", str(draw(st.sampled_from((3, 2, 1, 0))))]
+    if suite == "identities":
+        flags += [*draw(_MODEL), "--l", str(draw(st.sampled_from((3, 2, 1, 0)))),
+                  "--n", str(draw(st.sampled_from((2, 1, 0))))]
+    return ["verify", suite, *p, *flags, *seed]
+
+
+def _assert_finite_outputs(argv, stdout, out):
+    """Every number a command printed or wrote is finite; T3F1 outputs are read back, which refuses non-finite ones.
+
+    The one exception is the bound report's NaN contraction and horizon when no --alpha was given.
+    """
+    texts = {"stdout": stdout}
+    if out.exists():
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".t3f":
+                mg.read_t3f1(path)
+            else:
+                texts[path.name] = path.read_text()
+    if "bounds.csv" in texts:  # the report's columns as its key=value lines, so that one rule reads both
+        header, row = texts["bounds.csv"].splitlines()
+        texts["bounds.csv"] = "\n".join(f"{k}={v}" for k, v in zip(header.split(","), row.split(",")))
+    nan_keys = {"contraction", "horizon"} if argv[0] == "bounds" and "--alpha" not in argv else set()
+    for name, text in texts.items():
+        for line in text.replace(str(out), "<out>").splitlines():
+            key = line.split("=", 1)[0]
+            if key in nan_keys:
+                assert line == f"{key}=nan", (argv, name, line)
+            else:
+                assert not _NON_FINITE.search(line), (argv, name, line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=st.tuples(_DIM, _DIM, _DIM, _DIM), files=st.tuples(_FILE, _FILE, _FILE), data=st.data())
+def test_every_command_ends_in_finite_output_or_one_line(system, files, data):
+    """gen, mask, solve, bounds and verify exit 0 with finite output, or 2 with one line that is not numpy's."""
+    m, l, q, n = system
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        owns = {"a.t3f": (m, l, n), "b.t3f": (m, q, n), "xstar.t3f": (l, q, n)}
+        for seed, ((name, own), file) in enumerate(zip(owns.items(), files)):
+            _write_t3f1_case(d / name, own, file, seed)
+        argv = _command_line(data.draw, d, system)
+        out = d / "out"
+        if argv[0] != "bounds" or data.draw(st.booleans()):  # --out is optional for bounds only
+            argv += ["--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = stderr.getvalue()
+        if code == 2:
+            assert err.startswith(f"msgdt {argv[0]}: error: ") and err.count("\n") == 1, (argv, err)
+            assert not any(phrase in err for phrase in _NUMPY_PHRASES), (argv, err)
+            assert not out.exists(), argv
+        elif code == 1 and argv[0] == "verify":  # a violation seen in a few draws is a result, reported as one
+            assert err == "" and "VIOLATION" in stdout.getvalue(), (argv, err)
+        else:
+            assert code == 0 and err == "", (argv, code, err)
+            _assert_finite_outputs(argv, stdout.getvalue(), out)

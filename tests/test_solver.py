@@ -1404,6 +1404,13 @@ class TestProblemValidation:
                     x0=problem.x0,
             )
 
+    @pytest.mark.parametrize("dims", [(3, 1, 2), (2, 2, 2), (3, 2, 3)], ids=["one-column", "two-rows", "tube-of-3"])
+    def test_rejects_x0_of_other_dims(self, dims):
+        _, problem = make_problem(l=3, q=2, n=2)
+        with pytest.raises(ValueError, match=rf"^X0 dims {re.escape(str(dims))} inconsistent with system "
+                                             r"\(3, 2, 2\)$"):
+            mg.ProblemInstance(a_tilde=problem.a_tilde, b=problem.b, model=problem.model, x0=mg.ones(*dims))
+
 
 def test_solve_path_does_not_load_the_oracle():
     # a fresh interpreter: this one has already imported the oracle

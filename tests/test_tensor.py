@@ -487,10 +487,20 @@ class TestT3F1:
         with pytest.raises(ValueError):
             mg.read_t3f1(path)
 
+    @pytest.mark.parametrize("dims", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (0, 0, 0)], ids=["m", "l", "n", "all"])
+    def test_rejects_a_zero_dimension_in_the_header(self, tmp_path, dims):
+        # the payload of 0 bytes matches the header, so only the dims check refuses the file
+        path = tmp_path / "t.t3f"
+        path.write_bytes(b"T3F1" + np.array(dims, dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match=rf"t\.t3f: T3F1 header dims {re.escape(str(dims))} must all be positive"):
+            mg.read_t3f1(path)
+
 
 def test_tensor3_validation():
     with pytest.raises(ValueError):
         mg.Tensor3(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"Tensor3 dims \(0, 3, 1\) must all be positive"):
+        mg.Tensor3(np.zeros((1, 0, 3)))
     t = mg.Tensor3(np.zeros((1, 2, 3), dtype=np.float32))
     assert t.data.dtype == np.float64
     assert t.dims == (2, 3, 1)
