@@ -17,6 +17,18 @@ exactly when every output byte is.  Compare two runs with
     diff OUTDIR1/SHA256SUMS OUTDIR2/SHA256SUMS
 
 The script exits nonzero if any command does.
+
+    python3 scripts/output_digest.py --against REV
+
+compares this checkout with the git revision REV instead.  It checks REV
+out with ``git worktree add --detach`` into a temporary directory, runs
+each tree's own digest in a fresh process (``PYTHONPATH`` set to that
+tree's ``src``, ``PYTHONDONTWRITEBYTECODE=1``), and prints every file that
+moved, was added or was removed, with the command that wrote it.  It exits
+1 if any such file is not listed in this checkout's
+``scripts/declared_moves.txt`` (one output path per line, as in
+``SHA256SUMS``; blank lines and ``#`` comments are ignored), and removes
+the worktree on every exit.
 """
 
 from __future__ import annotations
@@ -26,7 +38,11 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
+import signal
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from msgdt.cli import main as msgdt_main
@@ -77,10 +93,85 @@ def sha256_lines(root: Path) -> list[str]:
     return lines
 
 
+TREE = Path(__file__).resolve().parents[1]
+DECLARED = TREE / "scripts" / "declared_moves.txt"
+
+
+def read_sums(text: str) -> dict[str, str]:
+    """{path: digest} of ``sha256sum``-style lines."""
+    return {path: digest for digest, path in (line.split("  ", 1) for line in text.splitlines() if line)}
+
+
+def read_declared(text: str) -> set[str]:
+    """The output paths listed in a declared-moves file: one per line, without blank lines and ``#`` comments."""
+    return {line.strip() for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")}
+
+
+def changed_files(base: dict[str, str], new: dict[str, str]) -> list[tuple[str, str]]:
+    """(kind, path) of every file that moved, was added or was removed from ``base`` to ``new``, by path."""
+    kinds = {path: "moved" for path in base.keys() & new.keys() if base[path] != new[path]}
+    kinds.update({path: "added" for path in new.keys() - base.keys()})
+    kinds.update({path: "removed" for path in base.keys() - new.keys()})
+    return sorted((kind, path) for path, kind in kinds.items())
+
+
+def writer(path: str) -> str:
+    """The command that wrote the output ``path``: its first directory, or its name under stdout/, names it."""
+    top, _, rest = path.partition("/")
+    argv = dict(commands()).get(Path(rest).stem if top == "stdout" else top)
+    return "an unknown command" if argv is None else "msgdt " + " ".join(argv)
+
+
+def tree_sums(tree: Path, outdir: Path) -> dict[str, str]:
+    """The SHA256SUMS of ``tree``'s own digest, run in a fresh process on ``tree``'s sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, str(tree / "scripts" / "output_digest.py"), str(outdir)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return read_sums((outdir / "SHA256SUMS").read_text())
+
+
+def against(rev: str) -> int:
+    """Compare this checkout's digest with REV's, as the module docstring says; 1 on an undeclared change."""
+    tmp = Path(tempfile.mkdtemp(prefix="output-digest-"))
+    base_tree = tmp / "base"
+    # SIGTERM, as from a CI timeout, unwinds through the finally below like an error does
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        subprocess.run(["git", "-C", str(TREE), "worktree", "add", "--quiet", "--detach", str(base_tree), rev],
+                       check=True)
+        base = tree_sums(base_tree, tmp / "base-out")
+        new = tree_sums(TREE, tmp / "new-out")
+    except subprocess.CalledProcessError as exc:
+        print(f"output_digest: {' '.join(exc.cmd)} exited with {exc.returncode}", file=sys.stderr)
+        return 2
+    finally:
+        if base_tree.exists():
+            subprocess.run(["git", "-C", str(TREE), "worktree", "remove", "--force", str(base_tree)], check=False)
+        shutil.rmtree(tmp, ignore_errors=True)
+    return report(base, new, read_declared(DECLARED.read_text()) if DECLARED.exists() else set(), rev)
+
+
+def report(base: dict[str, str], new: dict[str, str], declared: set[str], rev: str) -> int:
+    """Print every changed file from ``base`` to ``new`` with its command; 1 if one is not ``declared``, else 0."""
+    changes = changed_files(base, new)
+    undeclared = [path for _, path in changes if path not in declared]
+    for kind, path in changes:
+        mark = "" if path in declared else "  [not declared]"
+        print(f"{kind} {path}{mark}: {writer(path)}")
+    print(f"{len(changes)} of {len(base.keys() | new.keys())} files moved, added or removed against {rev}; "
+          f"{len(undeclared)} not in {DECLARED.relative_to(TREE)}")
+    return 1 if undeclared else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("outdir", type=Path, help="new or empty directory for the outputs and SHA256SUMS")
+    ap.add_argument("outdir", type=Path, nargs="?", help="new or empty directory for the outputs and SHA256SUMS")
+    ap.add_argument("--against", metavar="REV", help="compare this checkout's outputs with git revision REV's")
     args = ap.parse_args(argv)
+    if (args.outdir is None) == (args.against is None):
+        ap.error("give either OUTDIR or --against REV")
+    if args.against is not None:
+        return against(args.against)
     root = args.outdir.resolve()
     root.mkdir(parents=True, exist_ok=True)
     if any(root.iterdir()):

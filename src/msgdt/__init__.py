@@ -46,7 +46,6 @@ from .solver import (
     RunTrace,
     SolverConfig,
     objective,
-    project_ball,
     run_msgdt,
     step_size,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "ProblemInstance",
     "RunTrace",
     "RunResult",
-    "project_ball",
     "run_msgdt",
     "objective",
     # bounds

@@ -50,6 +50,8 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: only 8-bit PGM supported, got maxval {maxval}")
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: frame width and height must be positive, got {width} x {height}")
     pos += 1  # single whitespace byte after maxval
     pixels = raw[pos : pos + width * height]
     if len(pixels) != width * height:

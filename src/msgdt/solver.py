@@ -33,10 +33,10 @@ d; frontal slice: the real H_0; column block: a rank-one term per block of
 columns), and :func:`msgdt.oracle.gradient_estimate` keeps the dense
 formula with an explicit C as the reference it is tested against.  The
 step Y - alpha_t g(Y) is the same map with alpha folded in.  So one row
-operator serves both: ``_row_terms`` builds the terms (S, u) of
-Y -> S Y + u (a Y - p b), once per stage for all of its rows at once, as
-views of its buffers (``_term_views``) that ``_fill_terms`` writes, and
-``_apply`` applies one row's terms.
+operator serves both: the terms (S, u) of Y -> S Y + u (a Y - p b) are
+views (``_term_views``) that ``_fill_terms`` writes, once per stage for all
+of its rows at once into the stage's slot, and ``_apply`` applies one row's
+terms; ``_row_gradient`` builds g's terms for one row the same way.
 Without step sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T);
 with them they give the step (S = I + alpha D, u = -(alpha/p^2)
 conj(a)^T, the factor multiplied in place into the copy of conj(a)^T the
@@ -118,7 +118,6 @@ __all__ = [
     "TraceRecord",
     "RunTrace",
     "RunResult",
-    "project_ball",
     "row_spectra",
     "run_batch",
     "run_msgdt",
@@ -245,7 +244,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """The p-dependent factors of the row map (:func:`_row_terms`, :func:`_apply`) for a batch of runs of one model kind.
+    """The p-dependent factors of the row map (:func:`_fill_terms`, :func:`_apply`) for a batch of runs of one model kind.
 
     ``inv`` = 1/p^2 and ``p_less_1`` = p - 1 per run, shaped to broadcast
     against a chunk's conj(a)^T and the column block's residuals;
@@ -282,13 +281,13 @@ def _coefficients(models: tuple, spec: tn.TubeSpectrum, lead: tuple[int, ...]) -
     )
 
 
-def _term_views(ahat: np.ndarray, pbhat: np.ndarray, u: np.ndarray, scale: Optional[np.ndarray],
-                c: _Coefficients) -> tuple[np.ndarray, ...]:
+def _term_views(ahat: np.ndarray, pbhat: np.ndarray, u: np.ndarray, c: _Coefficients,
+                empty=np.empty) -> tuple[np.ndarray, ...]:
     """The terms of the row map Y -> S Y + u r, as views of the buffers that :func:`_fill_terms` writes.
 
-    ``ahat`` (..., f, l) and ``pbhat`` (..., f, q) are the rows' spectra, r = a Y_f - (p b)_f, ``u`` is an
-    array of ``ahat``'s shape and ``scale`` holds S: a uniform (..., 1, l, 1) complex or frontal (..., 1, l, l)
-    real array, None for column blocks.  The terms are (a, u, p b, S):
+    ``ahat`` (..., f, l) and ``pbhat`` (..., f, q) are the rows' spectra, r = a Y_f - (p b)_f, and ``u`` is an
+    array of ``ahat``'s shape.  S gets a buffer from ``empty``: a uniform (..., 1, l, 1) complex or frontal
+    (..., 1, l, l) real array, none for column blocks.  The terms are (a, u, p b, S):
 
     * uniform: D = diag(d) with d_j = (1-p)/p^2 sum_k arow[k, j]^2, S a
       complex (..., 1, l, 1) array with zero imaginary parts;
@@ -302,9 +301,10 @@ def _term_views(ahat: np.ndarray, pbhat: np.ndarray, u: np.ndarray, scale: Optio
     kept, so one set of views covers a whole stage of rows, and indexing
     every term at row k gives row k's terms.
     """
-    if c.block is None:
-        return ahat[..., None, :], u[..., None], pbhat[..., None, :], scale
     *lead, freqs, l = ahat.shape
+    if c.block is None:
+        scale = empty((*lead, 1, l, 1), np.complex128) if c.uniform else empty((*lead, 1, l, l), np.float64)
+        return ahat[..., None, :], u[..., None], pbhat[..., None, :], scale
     nb, bs = l // c.block, c.block
     return ahat.reshape(*lead, freqs, nb, 1, bs), u.reshape(*lead, freqs, nb, bs, 1), pbhat[..., None, None, :]
 
@@ -348,25 +348,6 @@ def _fill_terms(terms: tuple[np.ndarray, ...], ahat: np.ndarray, alpha: Optional
             scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each alpha H_0
 
 
-def _scale_buffer(lead: tuple[int, ...], l: int, c: _Coefficients, empty=np.empty) -> Optional[np.ndarray]:
-    """The buffer of S for rows with leading axes ``lead`` (:func:`_term_views`), from ``empty``."""
-    if c.block is not None:
-        return None
-    return empty((*lead, 1, l, 1), np.complex128) if c.uniform else empty((*lead, 1, l, l), np.float64)
-
-
-def _row_terms(ahat: np.ndarray, pbhat: np.ndarray, alpha: Optional[np.ndarray], c: _Coefficients) -> tuple:
-    """The terms (a, u, p b[, S]) of the row map for rows ``ahat`` and ``pbhat``, in new buffers.
-
-    :func:`_term_views` over new u and S, filled by :func:`_fill_terms`; the
-    stage buffers of :func:`run_batch` are filled by the same two calls.
-    """
-    u, scale = np.empty(ahat.shape, ahat.dtype), _scale_buffer(ahat.shape[:-2], ahat.shape[-1], c)
-    terms = _term_views(ahat, pbhat, u, scale, c)
-    _fill_terms(terms, ahat, alpha, c)
-    return terms
-
-
 def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
     """(Y, the view of Y that :func:`_apply` reads and writes) for a spectrum buffer ``yhat`` (..., f, l, q).
 
@@ -382,7 +363,7 @@ def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray],
            scratch: Optional[tuple[np.ndarray, np.ndarray]], c: _Coefficients) -> np.ndarray:
-    """S Y + u r of every run, from one row's :func:`_row_terms`, written into Y and returned.
+    """S Y + u r of every run, from one row's :func:`_term_views`, written into Y and returned.
 
     ``y`` and ``scratch`` are :func:`_views` of the iterate and of a spare
     buffer of its shape (None: return g as a new array), and r = a Y_f - (p b)_f.
@@ -436,10 +417,13 @@ def _row_gradient(
     :class:`_Coefficients` of its per-run models, built once, and a single
     run may pass its model.  Each run's result depends on that run's
     inputs only, with the same bits whatever the batch.  g is the row map
-    of :func:`_row_terms` without step sizes, applied by :func:`_apply`.
+    without step sizes: :func:`_term_views` over a new u, written by
+    :func:`_fill_terms` as a stage's are, and applied by :func:`_apply`.
     """
     c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
-    return _apply(_row_terms(ahat, pbhat, None, c), _views(yhat, c), None, c)
+    terms = _term_views(ahat, pbhat, np.empty(ahat.shape, ahat.dtype), c)
+    _fill_terms(terms, ahat, None, c)
+    return _apply(terms, _views(yhat, c), None, c)
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -460,15 +444,6 @@ def _project(flat: np.ndarray, radius: float) -> None:
     norm = _norm(flat)
     if norm > radius:
         flat *= radius / norm
-
-
-def project_ball(x: Tensor3, radius: Optional[float]) -> Tensor3:
-    """Projection onto the Frobenius ball of the given radius (None = identity)."""
-    if radius is None:
-        return x
-    data = x.data.copy()
-    _project(_flat(data), radius)
-    return Tensor3(data)
 
 
 @dataclass(frozen=True)
@@ -707,7 +682,7 @@ def _slot(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients, empty=
     ahat = empty((size, runs, freqs, l), np.complex128)
     pbhat = empty((size, runs, freqs, q), np.complex128)
     u = rows_and_u[: size * runs * freqs * l].reshape(size, runs, freqs, l)
-    terms = _term_views(ahat, pbhat, u, _scale_buffer((size, runs), l, c, empty), c)
+    terms = _term_views(ahat, pbhat, u, c, empty)
     return _Slot(gathers, ahat, pbhat, empty((size, runs), np.float64), terms)
 
 

@@ -43,6 +43,13 @@ def test_wrong_correction_tensor_breaks_unbiasedness():
     assert bad > 1e-3
 
 
+def test_unbiasedness_at_a_zero_gradient_is_the_absolute_gap():
+    # B = 0 and X = 0 make the full gradient and every g exactly zero: the gap is not divided by the zero scale
+    system = mg.gen_synthetic(mg.Dims(4, 3, 2, 2), 0)
+    gap = unbiasedness_relative_error(system.a, mg.zeros(4, 2, 2), mg.zeros(3, 2, 2), mg.UniformMissing(0.4))
+    assert gap == 0.0
+
+
 def test_inflated_mu_violates_inequality():
     system = mg.gen_synthetic(mg.Dims(8, 3, 2, 2), 2)
     mu, _ = mg.strong_convexity(system.a)

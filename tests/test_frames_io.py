@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import msgdt as mg
+from msgdt.cli import main
 from msgdt.frames import export_frames, ingest_frames, read_pgm, write_pgm
+from test_cli import assert_one_line_error
 
 
 def test_single_frame_values(tmp_path):
@@ -49,6 +53,22 @@ def test_rejects_truncated(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5", b"P5\n4", b"P5\n4 4\n# no maxval\n"])
+def test_rejects_truncated_header(tmp_path, header):
+    path = tmp_path / "head.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=r"head\.pgm: truncated PGM header"):
+        read_pgm(path)
+
+
+def test_import_names_an_empty_frame(tmp_path, capsys):
+    (tmp_path / "frames").mkdir()
+    (tmp_path / "frames" / "f0.pgm").write_bytes(b"P5 0 0 255\n")
+    code = main(["frames", "import", "--src", str(tmp_path / "frames"), "--out", str(tmp_path / "t.t3f")])
+    assert_one_line_error(capsys, code, "frames", r"f0\.pgm: frame width and height must be positive, got 0 x 0$")
+    assert not (tmp_path / "t.t3f").exists()
+
+
 def test_rejects_wide_maxval(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
@@ -66,6 +86,13 @@ def test_rejects_mixed_dimensions(tmp_path):
 def test_rejects_empty_directory(tmp_path):
     with pytest.raises(ValueError, match="no .pgm"):
         ingest_frames(tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_write_refuses_a_frame_that_is_not_2d(tmp_path, shape):
+    with pytest.raises(ValueError, match=re.escape(f"frame must be 2-d, got shape {shape}")):
+        write_pgm(np.zeros(shape), tmp_path / "f.pgm")
+    assert not (tmp_path / "f.pgm").exists()
 
 
 def test_export_clips_and_rounds(tmp_path):

@@ -79,6 +79,11 @@ class TestParseFormat:
         assert model == expected
         assert mg.parse_model(mg.format_model(model)) == model
 
+    @pytest.mark.parametrize("thing", ["uniform p=0.5", 0.5, None])
+    def test_format_refuses_a_non_model(self, thing):
+        with pytest.raises(TypeError, match="not a missing model"):
+            mg.format_model(thing)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             mg.parse_model("")
@@ -398,6 +403,16 @@ class TestEnumeration:
         total = sum(prob for _, prob in oracle.enumerate_row_masks(model, 4, 2))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [mg.UniformMissing(1.0), mg.ColumnBlockMissing(1.0, 2), mg.FrontalSliceMissing(1.0)])
+    def test_p_one_yields_only_the_full_mask(self, model):
+        # every configuration with a missing unit has probability 0 and is skipped
+        (mask, prob), = oracle.enumerate_row_masks(model, 4, 2)
+        assert prob == 1.0 and np.array_equal(mask, np.ones((2, 4)))
+
+    def test_exact_expectation_refuses_more_than_one_row(self):
+        with pytest.raises(ValueError, match=r"expected a 1 x l x n row slice, got dims \(2, 3, 2\)"):
+            oracle.exact_row_gram_expectation(mg.ones(2, 3, 2), mg.UniformMissing(0.5))
+
     def test_exact_identity_small(self):
         # E_D[Atilde* * Atilde] = p^2 A* * A + (p - p^2) C o (A* * A)
         rng = np.random.default_rng(7)
@@ -439,6 +454,10 @@ class TestMonteCarloIdentity:
         assert rep.max_rel_err_c1 <= 0.05
         assert rep.max_rel_err_c2 <= 0.05
         assert rep.trials == 100_000
+
+    def test_more_than_one_row_refused(self):
+        with pytest.raises(ValueError, match=r"expected a 1 x l x n row slice, got dims \(2, 3, 2\)"):
+            masking.verify_expectation_identity(mg.ones(2, 3, 2), mg.UniformMissing(0.5), 10, np.random.default_rng(0))
 
     def test_trials_validated(self):
         rng = np.random.default_rng(11)

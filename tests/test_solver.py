@@ -29,13 +29,15 @@ from msgdt.masking import draw_rows, draw_units, masked_rows, model_for, row_mas
 from msgdt.solver import (
     _apply,
     _coefficients,
+    _fill_terms,
     _flat,
     _norm,
     _project,
     _row_gradient,
     _row_source,
-    _row_terms,
+    _slot,
     _steps_at,
+    _term_views,
     _views,
     row_spectra,
     run_batch,
@@ -55,6 +57,15 @@ def spatial_row_gradient(arow, brow, x, model):
         spec.forward(arow), model.p * spec.forward(brow, scaled=True), spec.forward(x, scaled=True), model, spec
     )
     return spec.inverse(ghat, scaled=True)
+
+
+def stage_terms(chunk, pb, n, alphas, coeffs):
+    """The terms run_batch's stage builder writes for the rows ``chunk`` and ``pb``: a slot's views, by _fill_terms."""
+    rows, runs, _, l = chunk.shape
+    slot = _slot(rows, runs, n, l, pb.shape[-1], coeffs)
+    slot.ahat[...], slot.pbhat[...] = chunk, pb
+    _fill_terms(slot.terms, slot.ahat, alphas, coeffs)
+    return slot.terms
 
 
 def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
@@ -196,6 +207,12 @@ class TestGradientEstimate:
         with pytest.raises(ValueError):
             oracle.gradient_estimate(a_row, b_row, x, c, p=1.5)
 
+    @pytest.mark.parametrize("a_rows,b_rows", [(2, 1), (1, 2)])
+    def test_more_than_one_row_refused(self, a_rows, b_rows):
+        c = masking.correction_tensor(mg.UniformMissing(0.5), 2, 2)
+        with pytest.raises(ValueError, match="row slices must have a single row"):
+            oracle.gradient_estimate(mg.ones(a_rows, 2, 2), mg.ones(b_rows, 2, 2), mg.ones(2, 2, 2), c, 0.5)
+
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             oracle.gradient_estimate(
@@ -255,7 +272,7 @@ class TestKernelMatchesDenseOracle:
 
 
 def spatial_reference_run(problem, config, x_star, full_a):
-    """run_msgdt's iteration written on X itself: dense C, gradient_estimate, project_ball.
+    """run_msgdt's iteration written on X itself: dense C, gradient_estimate, a Frobenius rescale onto the ball.
 
     Draws rows from the generator exactly as run_msgdt does; returns the final
     iterate and (iteration, update_norm, iterate_error, objective) per record.
@@ -277,7 +294,9 @@ def spatial_reference_run(problem, config, x_star, full_a):
             i, arow = int(idx[0]), masked_rows(model, a.data, keep, idx)[0]
         brow = mg.Tensor3(b.data[:, i : i + 1, :])
         g = oracle.gradient_estimate(mg.Tensor3(arow[:, None, :]), brow, x, c, model.p)
-        x = mg.project_ball(x - mg.step_size(config.schedule, t) * g, config.projection_radius)
+        x = x - mg.step_size(config.schedule, t) * g
+        if config.projection_radius is not None and mg.frob_norm(x) > config.projection_radius:
+            x = x * (config.projection_radius / mg.frob_norm(x))
         if t % config.trace_every == 0 or t == config.total_iters:
             records.append((t, mg.frob_norm(g), mg.frob_norm(x - x_star), mg.objective(full_a, b, x)))
     return x, records
@@ -489,6 +508,12 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=f"runs of one batch must share {field}"):
             run_batch(problems, configs, system.x_star)
 
+    @pytest.mark.parametrize("problems,configs", [(0, 0), (0, 1), (1, 2), (2, 1)])
+    def test_one_config_per_problem(self, problems, configs):
+        batch_problems, batch_configs, _ = batch_runs("uniform", "once", False, 2, 2, 10)
+        with pytest.raises(ValueError, match=f"one config per problem, got {problems} problems and {configs} configs"):
+            run_batch(batch_problems[:problems], batch_configs[:configs])
+
     def test_redraw_batch_keeps_no_spectrum_of_b(self):
         # four p values on a tall B: rows of B are transformed a chunk at a time, not all of p B per p
         m, l, q, n = 20000, 2, 3, 4
@@ -552,10 +577,11 @@ class TestRowTermsOfAChunk:
         keep = rng.random((rows, runs, n, l)) < 0.6
         chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
         pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
-        # g's terms, which _row_gradient builds, and the step's at each row's step sizes
+        # g's terms, and the step's at each row's step sizes; alone, each row's are built as _row_gradient builds g's
         for alphas in (None, rng.uniform(0.01, 0.1, (rows, runs))):
-            for k, terms in enumerate(zip(*_row_terms(chunk, pb, alphas, coeffs))):
-                alone = _row_terms(chunk[k], pb[k], None if alphas is None else alphas[k], coeffs)
+            for k, terms in enumerate(zip(*stage_terms(chunk, pb, n, alphas, coeffs))):
+                alone = _term_views(chunk[k], pb[k], np.empty_like(chunk[k]), coeffs)
+                _fill_terms(alone, chunk[k], None if alphas is None else alphas[k], coeffs)
                 assert len(terms) == len(alone) == (3 if kind == "colblock" else 4)
                 assert all(np.array_equal(got, want) for got, want in zip(terms, alone)), k
             assert k == rows - 1
@@ -913,7 +939,7 @@ class TestFusedStep:
         # step sizes near 1/L_g for each row, so that a step moves Y about as far as Y's own size
         p_sq = np.array([model.p for model in models]) ** 2
         alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
-        for k, terms in enumerate(zip(*_row_terms(chunk, pb, alphas, coeffs))):
+        for k, terms in enumerate(zip(*stage_terms(chunk, pb, n, alphas, coeffs))):
             y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
             want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
             got = _apply(terms, _views(y, coeffs), _views(np.empty_like(y), coeffs), coeffs)
@@ -1051,41 +1077,38 @@ class TestLipschitz:
 
 
 class TestProjectBall:
+    """The loop's one projection: _project scales an array in place through its flat float64 view."""
+
     def test_scales_to_radius(self):
         rng = np.random.default_rng(15)
-        x = mg.Tensor3(rng.standard_normal((2, 3, 2)))
-        r = mg.frob_norm(x) / 2
-        proj = mg.project_ball(x, r)
-        assert mg.frob_norm(proj) == pytest.approx(r, rel=1e-12)
-        npt.assert_allclose(proj.data * 2, x.data, rtol=1e-12)
-
-    def test_unbounded_is_identity(self):
-        x = mg.ones(2, 2, 2)
-        assert mg.project_ball(x, None) is x
+        x = rng.standard_normal((2, 3, 2))
+        r = np.linalg.norm(x) / 2
+        proj = x.copy()
+        _project(_flat(proj), r)
+        assert np.linalg.norm(proj) == pytest.approx(r, rel=1e-12)
+        npt.assert_allclose(proj * 2, x, rtol=1e-12)
 
     @pytest.mark.parametrize("radius", [0.5, 100.0])
     def test_one_projection_for_tensors_and_spectra(self, radius):
-        # the loop projects each run in place through its flat float64 view; on a real tensor that is
-        # project_ball's bits, and on a complex spectrum the bits of scaling the complex array itself
+        # on a real tensor and on a complex spectrum, the bits of scaling the array itself by radius / norm
         rng = np.random.default_rng(17)
         x = rng.standard_normal((4, 3, 2))
-        flat = x.copy()
-        _project(_flat(flat), radius)
-        assert mg.project_ball(mg.Tensor3(x), radius).data.tobytes() == flat.tobytes()
         yhat = tube_spectrum(4).forward(x, scaled=True)  # real-valued at DC and Nyquist: the sine rows are exact zeros there
-        norm = math.sqrt(float(np.dot(yhat.view(np.float64).ravel(), yhat.view(np.float64).ravel())))
-        want = yhat * (radius / norm) if norm > radius else yhat
-        _project(_flat(yhat), radius)
-        assert yhat.tobytes() == want.tobytes()
-        assert (norm > radius) == (radius == 0.5)
+        for arr in (x, yhat):
+            norm = math.sqrt(float(np.dot(arr.view(np.float64).ravel(), arr.view(np.float64).ravel())))
+            want = arr * (radius / norm) if norm > radius else arr.copy()
+            _project(_flat(arr), radius)
+            assert arr.tobytes() == want.tobytes()
+            assert (norm > radius) == (radius == 0.5)
 
     def test_idempotent(self):
         # up to one rounding of the norm comparison
         rng = np.random.default_rng(16)
-        x = mg.Tensor3(rng.standard_normal((2, 3, 2)))
-        once = mg.project_ball(x, 1.0)
-        twice = mg.project_ball(once, 1.0)
-        npt.assert_allclose(twice.data, once.data, rtol=1e-15)
+        once = rng.standard_normal((2, 3, 2))
+        _project(_flat(once), 1.0)
+        twice = once.copy()
+        _project(_flat(twice), 1.0)
+        npt.assert_allclose(twice, once, rtol=1e-15)
 
 
 class TestRun:

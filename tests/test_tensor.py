@@ -232,6 +232,11 @@ class TestTubeSpectrum:
         for r in range(4):
             assert stacked[r].tobytes() == spec.forward(iterates[r], scaled=scaled).tobytes()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_tube_length_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"tube length must be positive, got {n}"):
+            tn.tube_spectrum(n)
+
     def test_shared_and_read_only(self):
         spec = tn.tube_spectrum(4)
         assert tn.tube_spectrum(4) is spec
