@@ -31,7 +31,7 @@ def make_frames(directory: Path, rows: int, cols: int, count: int) -> None:
         write_pgm(frame, directory / f"frame_{k:03d}.pgm")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=24)
     parser.add_argument("--cols", type=int, default=32)
@@ -42,7 +42,7 @@ def main() -> int:
     parser.add_argument("--swap-iter", type=int, default=1500)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/video_demo")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.iters > args.data_rows:  # the solve draws rows without replacement ("once" sampling)
         parser.error(f"--iters {args.iters} needs as many distinct rows, but --data-rows is {args.data_rows}")
     if args.swap_iter < 1:

@@ -45,9 +45,9 @@ def read_pgm(path) -> np.ndarray:
         width_tok, pos = _read_header_token(raw, 2)
         height_tok, pos = _read_header_token(raw, pos)
         maxval_tok, pos = _read_header_token(raw, pos)
+        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: only 8-bit PGM supported, got maxval {maxval}")
     if width <= 0 or height <= 0:

@@ -5,9 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import msgdt as mg
-from msgdt.cli import main
 from msgdt.frames import export_frames, ingest_frames, read_pgm, write_pgm
-from test_cli import assert_one_line_error
 
 
 def test_single_frame_values(tmp_path):
@@ -59,14 +57,6 @@ def test_rejects_truncated_header(tmp_path, header):
     path.write_bytes(header)
     with pytest.raises(ValueError, match=r"head\.pgm: truncated PGM header"):
         read_pgm(path)
-
-
-def test_import_names_an_empty_frame(tmp_path, capsys):
-    (tmp_path / "frames").mkdir()
-    (tmp_path / "frames" / "f0.pgm").write_bytes(b"P5 0 0 255\n")
-    code = main(["frames", "import", "--src", str(tmp_path / "frames"), "--out", str(tmp_path / "t.t3f")])
-    assert_one_line_error(capsys, code, "frames", r"f0\.pgm: frame width and height must be positive, got 0 x 0$")
-    assert not (tmp_path / "t.t3f").exists()
 
 
 def test_rejects_wide_maxval(tmp_path):
