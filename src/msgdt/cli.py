@@ -51,9 +51,12 @@ from .tensor import Tensor3, frob_norm, hadamard, read_t3f1, tprod, write_t3f1
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
+        p_values = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise ValueError(f"--p takes comma-separated numbers, got {text!r}") from None
+    if not p_values:  # ExperimentSpec's refusal names its field
+        raise ValueError(f"--p takes at least one p value, got {text!r}")
+    return p_values
 
 
 def _out_dir(args) -> Path:
@@ -464,6 +467,8 @@ def main(argv=None) -> int:
             _resolve_block_size(args)
         if getattr(args, "seed", 0) < 0:  # numpy's own refusal names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "trace_every", 1) < 1:  # SolverConfig's names its field
+            raise ValueError(f"--trace-every must be >= 1, got {args.trace_every}")
         return globals()[f"cmd_{args.command}"](args)  # by name: a replaced cmd_* is the one run
     except ValueError as exc:  # the library's rejection of bad input, as argparse reports its own
         print(f"msgdt {args.command}: error: {exc}", file=sys.stderr)

@@ -35,27 +35,29 @@ formula with an explicit C as the reference it is tested against.  The
 step Y - alpha_t g(Y) is the same map with alpha folded in.  So one row
 operator serves both: the terms (S, u) of Y -> S Y + u (a Y - p b) are
 views (``_term_views``) that ``_fill_terms`` writes, once per stage for all
-of its rows at once into the stage's slot, and ``_apply`` applies one row's
-terms; ``_row_gradient`` builds g's terms for one row the same way.
-Without step sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T);
-with them they give the step (S = I + alpha D, u = -(alpha/p^2)
-conj(a)^T, the factor multiplied in place into the copy of conj(a)^T the
-builder makes).  Row k of a stage is iteration start + k, so every row's
-step size is known when its stage's terms are built.
+of its rows at once into the stage's slot; ``_row_gradient`` builds g's
+terms for one row the same way and applies them in numpy.  Without step
+sizes the terms give g (S = -D, u = (1/p^2) conj(a)^T); with them they
+give the step (S = I + alpha D, u = -(alpha/p^2) conj(a)^T, the factor
+multiplied in place into the copy of conj(a)^T the builder makes).  Row k
+of a stage is iteration start + k, so every row's step size is known when
+its stage's terms are built.
 
-Each iteration then runs only the part that depends on the iterate, in one
-``_apply`` of five numpy calls (seven for column blocks): with r = a Y - p b,
-Y <- S o Y + u r (uniform), S Y + u r (frontal slice, S acting on the
-real view of Y; S Y goes to one scratch buffer first, because numpy would
-copy Y to write a product over its own input), or Y + u_b (r + (p-1) a_b
-Y_b) for each block b of columns; every model writes the step into Y.
-The loop makes no array view per iteration: the real or block views of Y
-and of the scratch buffer are made once per batch, and p b is indexed to
-its broadcast shape once per stage.  g itself is not formed on the way:
-``_row_gradient``, the same builder and apply without step sizes, runs
-only at traced iterations, on the iterate before the step, for
-``update_norm``.  The step equals Y - alpha g(Y) up to rounding; a test
-holds one step to it within 1e-13 relative.
+The steps themselves are compiled: ``_step.c`` has one function per model
+that steps a range of a stage's rows for every run, in place on Y, from
+the slot's buffers, and projects each run onto the ball after each
+iteration (:mod:`msgdt._step` builds it with ``cc`` once per machine and
+loads it with ctypes; there is no numpy step to fall back on).  With
+r = a Y - p b, it writes Y <- S o Y + u r (uniform), S Y + u r (frontal
+slice, S acting on the real view of Y), or Y + u_b (r + (p-1) a_b Y_b)
+for each block b of columns.  ``run_batch`` makes one compiled call per
+run of untraced iterations of a stage.  g itself is not formed on the
+way: at a traced iteration ``_row_gradient`` runs in numpy on the iterate
+before the step, for ``update_norm``, and that iteration is then one
+compiled call of its own.  The compiled step runs each sum in a fixed
+order, so its bits do not depend on the instruction set; against the
+numpy step it replaced, Y - alpha g(Y) with the same terms, a test holds
+one step within 1e-13 relative.
 
 Row sampling runs in one of two modes: "once" uses an up-front uniform
 permutation so no row repeats (requires T <= m), "redraw" samples rows with
@@ -66,16 +68,15 @@ stage's rows and masks come from (``_row_source``).
 Building a stage (its rows, masks, spectra, step sizes and terms) does not
 depend on the iterate, so a large batch builds the next stage in a forked
 builder process while the loop steps the current one (:func:`run_batch`).
-A process, not a thread: the loop and the builder are both many short
-numpy calls, and a thread would pass the interpreter lock back and forth
-with the loop at every one of them.  A build reads only what the fork
+A process, not a thread: the builder is many short numpy calls, and a
+thread would take the interpreter lock from the loop at every one of them.  A build reads only what the fork
 copied, so the caller rebuilds a stage the builder failed on and raises
 its error itself, with no error channel between the two.
 
 Independent runs on one shape and model kind advance together:
 :func:`run_batch` stacks their spectra along a leading run axis and steps
-them all through one ``_apply`` call per iteration, which spreads numpy's
-per-call cost over the runs.  Each run keeps its own p, X0, step sizes,
+them all through one compiled call per run of untraced iterations, which
+spreads the call's cost over the runs.  Each run keeps its own p, X0, step sizes,
 row order or generator, and gets the bits it gets alone;
 :func:`run_msgdt` is the batch of one.
 """
@@ -88,10 +89,11 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Union
+from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
+from . import _step
 from . import tensor as tn
 from .masking import (
     ColumnBlockMissing,
@@ -244,7 +246,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """The p-dependent factors of the row map (:func:`_fill_terms`, :func:`_apply`) for a batch of runs of one model kind.
+    """The p-dependent factors of the row map (:func:`_fill_terms`, the step, g) for a batch of runs of one model kind.
 
     ``inv`` = 1/p^2 and ``p_less_1`` = p - 1 per run, shaped to broadcast
     against a chunk's conj(a)^T and the column block's residuals;
@@ -295,7 +297,7 @@ def _term_views(ahat: np.ndarray, pbhat: np.ndarray, u: np.ndarray, c: _Coeffici
       contiguous real (..., 1, l, l) array that acts on the real view;
     * column block: (a_b, u_b, p b) per block b of columns, without S.  D
       lives in r, extended by (p-1) a_b Y_fb per block, so S is I for the
-      step and 0 for g: :func:`_apply` adds u_b r_b onto Y, or gives it alone.
+      step and 0 for g: the step adds u_b r_b onto Y, and g is u_b r_b alone.
 
     p b is indexed to broadcast against the residual a Y.  Leading axes are
     kept, so one set of views covers a whole stage of rows, and indexing
@@ -348,59 +350,6 @@ def _fill_terms(terms: tuple[np.ndarray, ...], ahat: np.ndarray, alpha: Optional
             scale.reshape(scale.shape[:-2] + (l * l,))[..., :: l + 1] += 1.0  # the diagonal of each alpha H_0
 
 
-def _views(yhat: np.ndarray, c: _Coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, the view of Y that :func:`_apply` reads and writes) for a spectrum buffer ``yhat`` (..., f, l, q).
-
-    The view is Y itself for the uniform d, the real (..., f, l, 2q) view
-    for the frontal S, and the (..., f, nb, b, q) view of the column
-    blocks.  The loop makes it once per buffer, so a step makes no view.
-    """
-    if c.block is not None:
-        *lead, l, q = yhat.shape
-        return yhat, yhat.reshape(*lead, l // c.block, c.block, q)
-    return yhat, yhat if c.uniform else yhat.view(np.float64)
-
-
-def _apply(terms: tuple[np.ndarray, ...], y: tuple[np.ndarray, np.ndarray],
-           scratch: Optional[tuple[np.ndarray, np.ndarray]], c: _Coefficients) -> np.ndarray:
-    """S Y + u r of every run, from one row's :func:`_term_views`, written into Y and returned.
-
-    ``y`` and ``scratch`` are :func:`_views` of the iterate and of a spare
-    buffer of its shape (None: return g as a new array), and r = a Y_f - (p b)_f.
-    uniform and frontal slice write S Y (the frontal S acting on the real
-    view of Y), then add u r.  The uniform d scales Y in place; the frontal
-    S Y goes to the scratch buffer, since numpy would copy Y first to write
-    a product over its own input, and S Y + u r then goes into Y.  A column
-    block adds u_b (r + (p-1) a_b Y_fb) to block b of Y (S = I), with r
-    summed over the blocks' a_b Y_fb; without ``scratch`` it gives the new
-    term alone (S = 0, for g).
-    """
-    yhat, view = y
-    if c.block is not None:
-        ab, u, pb = terms
-        axb = ab @ view  # a_b Y_fb, (..., f, nb, 1, q)
-        resid = np.add.reduce(axb, axis=-3, keepdims=True)
-        resid -= pb
-        axb *= c.p_less_1
-        axb += resid  # r + (p-1) a_b Y_fb
-        if scratch is None:
-            return (u * axb).reshape(yhat.shape)
-        view += u * axb
-        return yhat
-    a, u, pb, scale = terms
-    resid = a @ yhat  # (..., f, 1, q)
-    resid -= pb
-    if c.uniform:
-        dest = np.multiply(view, scale, out=None if scratch is None else view)
-    elif scratch is None:
-        dest = np.matmul(scale, view).view(np.complex128)
-    else:
-        np.matmul(scale, view, out=scratch[1])
-        return np.add(scratch[0], u * resid, out=yhat)
-    dest += u * resid
-    return dest
-
-
 def _row_gradient(
     ahat: np.ndarray,
     pbhat: np.ndarray,
@@ -418,12 +367,29 @@ def _row_gradient(
     run may pass its model.  Each run's result depends on that run's
     inputs only, with the same bits whatever the batch.  g is the row map
     without step sizes: :func:`_term_views` over a new u, written by
-    :func:`_fill_terms` as a stage's are, and applied by :func:`_apply`.
+    :func:`_fill_terms` as a stage's are, then S Y + u r with r = a Y_f -
+    (p b)_f (the frontal S acting on the real view of Y), or u_b (r + (p-1)
+    a_b Y_fb) for each block b of columns, with r summed over the blocks'
+    a_b Y_fb.
     """
     c = model if isinstance(model, _Coefficients) else _coefficients((model,), spec, ())
     terms = _term_views(ahat, pbhat, np.empty(ahat.shape, ahat.dtype), c)
     _fill_terms(terms, ahat, None, c)
-    return _apply(terms, _views(yhat, c), None, c)
+    if c.block is not None:
+        ab, u, pb = terms
+        *lead, l, q = yhat.shape
+        axb = ab @ yhat.reshape(*lead, l // c.block, c.block, q)  # a_b Y_fb, (..., f, nb, 1, q)
+        resid = np.add.reduce(axb, axis=-3, keepdims=True)
+        resid -= pb
+        axb *= c.p_less_1
+        axb += resid  # r + (p-1) a_b Y_fb
+        return (u * axb).reshape(yhat.shape)
+    a, u, pb, scale = terms
+    resid = a @ yhat  # (..., f, 1, q)
+    resid -= pb
+    g = yhat * scale if c.uniform else np.matmul(scale, yhat.view(np.float64)).view(np.complex128)
+    g += u * resid
+    return g
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -434,16 +400,6 @@ def _flat(arr: np.ndarray) -> np.ndarray:
 def _norm(flat: np.ndarray) -> float:
     """Frobenius norm of a :func:`_flat` view."""
     return math.sqrt(float(np.dot(flat, flat)))
-
-
-def _project(flat: np.ndarray, radius: float) -> None:
-    """Scale the :func:`_flat` view ``flat`` in place onto the Frobenius ball of ``radius``; leave it when inside.
-
-    Parseval makes this the same map on X and on its scaled spectrum.
-    """
-    norm = _norm(flat)
-    if norm > radius:
-        flat *= radius / norm
 
 
 @dataclass(frozen=True)
@@ -651,7 +607,7 @@ def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Slot:
-    """The buffers of one stage of up to ``size`` rows, with the views the step reads, made once per batch.
+    """The buffers of one stage of up to ``size`` rows and the views of its terms, made once per batch.
 
     ``gathers`` are the gathered rows of A and B, (size, R, n, l) and
     (size, R, n, q) float64, in the memory of the step's u; ``ahat`` and
@@ -684,6 +640,42 @@ def _slot(size: int, runs: int, n: int, l: int, q: int, c: _Coefficients, empty=
     u = rows_and_u[: size * runs * freqs * l].reshape(size, runs, freqs, l)
     terms = _term_views(ahat, pbhat, u, c, empty)
     return _Slot(gathers, ahat, pbhat, empty((size, runs), np.float64), terms)
+
+
+@dataclass(frozen=True, eq=False)
+class _StageKernel:
+    """The compiled step of the stages in one slot, on one iterate: ``kernel(k0, k1)`` steps rows k0..k1 - 1.
+
+    One call steps every run through those rows of the stage in the slot,
+    in place on the iterate, projecting each run after each row.  ``fn`` is
+    the model's function of :mod:`msgdt._step` and ``args`` its arguments
+    up to the row range, with the addresses of ``buffers``, which the
+    kernel keeps alive.
+    """
+
+    fn: Callable[..., None]
+    args: tuple
+    buffers: tuple[np.ndarray, ...]
+
+    def __call__(self, k0: int, k1: int) -> None:
+        self.fn(*self.args, k0, k1)
+
+
+def _stage_kernel(slot: _Slot, y: np.ndarray, c: _Coefficients, radius: Optional[float]) -> _StageKernel:
+    """The :class:`_StageKernel` of ``slot`` on the (R, f, l, q) iterate ``y``, onto the ball of ``radius`` or none."""
+    lib = _step.library()
+    runs, freqs, l, q = y.shape
+    work = np.empty((l + 1) * q, np.complex128)  # r, and a_b Y_fb or the frontal S Y_f
+    if c.block is None:
+        fn, model, block = (lib.step_uniform if c.uniform else lib.step_frontal), slot.terms[3], ()
+    else:
+        fn, model, block = lib.step_colblock, np.ascontiguousarray(c.p_less_1.real.reshape(-1)), (c.block,)
+    buffers = (slot.ahat, slot.terms[1], slot.pbhat, model, y, work)  # ahat, u, p b, S or p - 1, Y, work
+    if not all(buf.flags.c_contiguous for buf in buffers):  # the C code indexes each as a dense array
+        raise ValueError("the compiled step needs C-contiguous buffers")
+    ptrs = [buf.ctypes.data for buf in buffers]
+    args = (runs, freqs, l, q, *ptrs[:4], *block, *ptrs[4:], math.inf if radius is None else radius)
+    return _StageKernel(fn, args, buffers)
 
 
 def _pipeline(starts: range, slots: list[_Slot], fill, step) -> None:
@@ -778,13 +770,15 @@ def run_batch(
     The runs must share the shape, the model kind and block size, the
     sampling mode, the iteration budget, the trace iterations and the
     projection radius; a mismatch raises a ValueError naming the field.
-    The iterates' scaled spectra are stacked as (R, f, l, q) and every
-    iteration steps them all through one :func:`_apply` call.  Each run's
-    result is the same, bit for bit, as when it runs alone: the step works
-    run by run inside its products, and norms, projection and trace records
-    are taken on each run's slice.  A traced iteration also calls
+    The iterates' scaled spectra are stacked as (R, f, l, q), and the
+    compiled step (:class:`_StageKernel`) steps them all, one call for each
+    run of untraced iterations of a stage.  Each run's result is the same,
+    bit for bit, as when it runs alone: the step, its projection and the
+    trace records work run by run.  A traced iteration calls
     :func:`_row_gradient` on the iterate before the step, for the
-    ``update_norm`` of g.
+    ``update_norm`` of g, and is then a compiled call of its own.  The
+    first batch of a process builds or loads the compiled step
+    (:func:`msgdt._step.library`), before any fork.
 
     ``x_star`` and ``full_a`` only feed the trace (iterate error and
     objective); in "redraw" mode the full A must be in ``a_tilde``.  The
@@ -802,7 +796,7 @@ def run_batch(
     written into a workspace allocated once per batch, one
     :func:`~msgdt.tensor.row_chunks` slice of rows in size, so no
     whole-tensor spectrum, step table or stage list is kept; the step reads
-    each stage's terms through views made once per slot.  A batch whose
+    each stage's terms from the slot's buffers.  A batch whose
     stacked iterate has at least ``_PIPELINE_MIN_ENTRIES`` complex entries
     and that runs for more than one slice of rows splits the workspace into
     two half-slice slots in shared memory, and a forked builder process
@@ -814,8 +808,7 @@ def run_batch(
     generators, so the bits are the same either way.  A build's error is
     raised from this process's rebuild of the stage, as itself, or as a
     RuntimeError naming how the builder ended; no process outlives the
-    call.  Every step is written into the one iterate buffer (the
-    frontal S Y through one scratch buffer first).
+    call.  Every step is written into the one iterate buffer.
     """
     problems, configs = list(problems), list(configs)
     _check_batch(problems, configs)
@@ -828,9 +821,6 @@ def run_batch(
     sources = [_row_source(prob, cfg) for prob, cfg in zip(problems, configs)]
     runs = [(prob.a_tilde, prob.b, prob.model) for prob in problems]
     y = spec.forward(np.stack([prob.x0.data for prob in problems]), axis=1, scaled=True)
-    # the views, made once: Y's and its scratch buffer's for the step, and one flat view per run for the projection
-    y_views, scratch = _views(y, coeffs), _views(np.empty_like(y), coeffs)
-    y_flat = [_flat(run) for run in y]
     tn.check_system(problems[0].a_tilde, problems[0].b, x_star, "X*")
     y_star = None if x_star is None else spec.forward(x_star.data, scaled=True)
     forms = None
@@ -860,19 +850,26 @@ def run_batch(
         alphas = np.stack([_steps_at(cfg.schedule, iters) for cfg in configs], axis=1, out=slot.alphas[:count])
         _fill_terms(tuple(term[:count] for term in slot.terms), ahat, alphas, coeffs)
 
-    def step(rows: slice, slot: _Slot) -> None:
-        for k, terms in zip(range(rows.stop - rows.start), zip(*slot.terms)):
-            t = rows.start + k + 1
-            traced = t in record_at or t % cfg0.trace_every == 0
-            # the trace's g is the kernel's, on the iterate before the step
-            g = _row_gradient(slot.ahat[k], slot.pbhat[k], y, coeffs, spec) if traced else None
-            _apply(terms, y_views, scratch, coeffs)
-            if radius is not None:
-                for flat in y_flat:
-                    _project(flat, radius)
+    every = cfg0.trace_every
 
-            if traced:
-                record(t, g, slot.alphas[k])
+    def traced(rows: slice) -> list[int]:
+        """The stage's rows, as indices into it, whose iterations are recorded, in order."""
+        first = (rows.start // every + 1) * every
+        ts = {*range(first, rows.stop + 1, every), *(t for t in record_at if rows.start < t <= rows.stop)}
+        return [t - rows.start - 1 for t in sorted(ts)]
+
+    def step(rows: slice, slot: _Slot) -> None:
+        kernel, done = kernels[slot], 0
+        for k in traced(rows):
+            if done < k:
+                kernel(done, k)
+            # the trace's g is the kernel's, on the iterate before the step
+            g = _row_gradient(slot.ahat[k], slot.pbhat[k], y, coeffs, spec)
+            kernel(k, k + 1)
+            record(rows.start + k + 1, g, slot.alphas[k])
+            done = k + 1
+        if done < rows.stop - rows.start:
+            kernel(done, rows.stop - rows.start)
 
     record(0, None, None)
     _, l, n = problems[0].a_tilde.dims
@@ -885,6 +882,7 @@ def run_batch(
         slots = [_slot(size, R, n, l, q, coeffs, _shared_empty) for _ in range(2)]
     else:
         slots = [_slot(size, R, n, l, q, coeffs)]
+    kernels = {slot: _stage_kernel(slot, y, coeffs, radius) for slot in slots}  # builds the library before a fork
     _pipeline(range(0, T, size), slots, fill, step)
 
     results = []

@@ -104,7 +104,7 @@ REFUSALS = [
     ("solve-alpha-divisor-nan", _SOLVE + "--alpha 1e-4 --step-divisor nan",
      "step divisor must be finite and positive, got nan"),
     ("solve-x0-nan", _SOLVE + "--x0-fill nan", "X0 has non-finite entries"),
-    ("solve-trace-every-0", _SOLVE + "--trace-every 0", "trace_every must be >= 1, got 0"),
+    ("solve-trace-every-0", _SOLVE + "--trace-every 0", "--trace-every must be >= 1, got 0"),
     ("solve-iters-negative", "solve --a {a} --b {b} --iters -1", "iteration count must be >= 0, got -1"),
     ("solve-once-budget", "solve --a {a} --b {b} --iters 13",
      r"13 iterations need 13 distinct rows but A has only 12; sample with replacement \(redraw\) "
@@ -115,7 +115,7 @@ REFUSALS = [
      "--block-size applies only to --model colblock, not to --model frontal"),
     ("solve-seed", _SOLVE + "--seed -1", "--seed must be >= 0, got -1"),
     ("solve-a-missing", "solve --a {missing} --b {b} --iters 5", r"\S+/missing\.t3f: No such file or directory"),
-    ("experiment-empty-p", "experiment --dims 10,2,2,2 --p ''", "no experiments requested: p_values is empty"),
+    ("experiment-empty-p", "experiment --dims 10,2,2,2 --p ''", "--p takes at least one p value, got ''"),
     ("experiment-once-budget", "experiment --dims 10,2,2,2 --p 0.5 --iters 20",
      r"20 iterations need 20 distinct rows but A has only 10; sample with replacement \(redraw\) "
      "or lower the iteration count"),
@@ -525,7 +525,7 @@ class TestExperiment:
             (["--p", "0.5,0.5000000001"], "p values 0.5 and 0.5000000001 would share the trace file"),
             (["--p", "0.5,0.5"], "p values 0.5 and 0.5 would share the trace file"),
             (["--p", "0.5", "--swap-iter", "0"], "swap iteration must be >= 1, got 0"),
-            (["--p", "0.5", "--trace-every", "0"], "trace_every must be >= 1, got 0"),
+            (["--p", "0.5", "--trace-every", "0"], "--trace-every must be >= 1, got 0"),
             (["--p", "0.5", "--iters", "-1"], "iteration count must be >= 0, got -1"),
             # the once budget and the block size are checked against the dims, in the solver's words
             (["--p", "0.5", "--iters", "41"], re.escape(

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import platform
 import re
 import signal
 import statistics
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msgdt as mg
-from msgdt import masking, oracle, solver
+from msgdt import _step, masking, oracle, solver
 from msgdt.checks import (
     lipschitz_ratio_max,
     self_adjointness_max_dev,
@@ -27,18 +28,16 @@ from msgdt.checks import (
 )
 from msgdt.masking import draw_rows, draw_units, masked_rows, model_for, row_mask_batch
 from msgdt.solver import (
-    _apply,
     _coefficients,
     _fill_terms,
     _flat,
     _norm,
-    _project,
     _row_gradient,
     _row_source,
     _slot,
+    _stage_kernel,
     _steps_at,
     _term_views,
-    _views,
     row_spectra,
     run_batch,
 )
@@ -59,13 +58,47 @@ def spatial_row_gradient(arow, brow, x, model):
     return spec.inverse(ghat, scaled=True)
 
 
-def stage_terms(chunk, pb, n, alphas, coeffs):
-    """The terms run_batch's stage builder writes for the rows ``chunk`` and ``pb``: a slot's views, by _fill_terms."""
+def stage_slot(chunk, pb, n, alphas, coeffs):
+    """The slot run_batch's stage builder fills for the rows ``chunk`` and ``pb``, its terms written by _fill_terms."""
     rows, runs, _, l = chunk.shape
     slot = _slot(rows, runs, n, l, pb.shape[-1], coeffs)
     slot.ahat[...], slot.pbhat[...] = chunk, pb
     _fill_terms(slot.terms, slot.ahat, alphas, coeffs)
-    return slot.terms
+    return slot
+
+
+def numpy_step(terms, y, c):
+    """The step in numpy, the oracle of the compiled one: S Y + u r of every run from one row's terms, into ``y``.
+
+    With r = a Y_f - (p b)_f: S o Y + u r (uniform), S Y + u r (frontal slice, S acting on the real view of Y),
+    or Y + u_b (r + (p-1) a_b Y_fb) for each block b of columns.
+    """
+    if c.block is not None:
+        ab, u, pb = terms
+        *lead, l, q = y.shape
+        view = y.reshape(*lead, l // c.block, c.block, q)
+        axb = ab @ view
+        resid = np.add.reduce(axb, axis=-3, keepdims=True)
+        resid -= pb
+        axb *= c.p_less_1
+        axb += resid
+        view += u * axb
+        return y
+    a, u, pb, scale = terms
+    resid = a @ y
+    resid -= pb
+    stepped = y * scale if c.uniform else np.matmul(scale, y.view(np.float64)).view(np.complex128)
+    y[...] = stepped + u * resid
+    return y
+
+
+def numpy_project(y, radius):
+    """Scale each run of the (R, ...) array ``y`` in place onto the Frobenius ball of ``radius``; the norm by np.dot."""
+    for run in y:
+        flat = run.reshape(-1).view(np.float64)
+        norm = math.sqrt(float(np.dot(flat, flat)))
+        if norm > radius:
+            flat *= radius / norm
 
 
 def make_problem(m=20, l=3, q=2, n=2, p=0.5, seed=0, model_kind="uniform"):
@@ -579,7 +612,7 @@ class TestRowTermsOfAChunk:
         pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
         # g's terms, and the step's at each row's step sizes; alone, each row's are built as _row_gradient builds g's
         for alphas in (None, rng.uniform(0.01, 0.1, (rows, runs))):
-            for k, terms in enumerate(zip(*stage_terms(chunk, pb, n, alphas, coeffs))):
+            for k, terms in enumerate(zip(*stage_slot(chunk, pb, n, alphas, coeffs).terms)):
                 alone = _term_views(chunk[k], pb[k], np.empty_like(chunk[k]), coeffs)
                 _fill_terms(alone, chunk[k], None if alphas is None else alphas[k], coeffs)
                 assert len(terms) == len(alone) == (3 if kind == "colblock" else 4)
@@ -724,10 +757,10 @@ class TestPipeline:
         forks = fork_spy(monkeypatch)
         monkeypatch.setattr(solver, "_PIPELINE_MIN_ENTRIES", gate)
 
-        def first_step(*args):
+        def first_step(kernel, k0, k1):
             raise StageError("the first step")
 
-        monkeypatch.setattr(solver, "_apply", first_step)
+        monkeypatch.setattr(solver._StageKernel, "__call__", first_step)
         tracemalloc.start()
         try:
             with pytest.raises(StageError, match="the first step"):
@@ -740,15 +773,16 @@ class TestPipeline:
 
     def test_a_step_error_kills_and_reaps_the_builder(self, monkeypatch):
         problems, configs, _ = desk_like_batch("frontal", 600)
-        forks, real, steps = fork_spy(monkeypatch), solver._apply, []
+        forks, real, steps = fork_spy(monkeypatch), solver._StageKernel.__call__, []
 
-        def fails_at_step_200(*args):
-            steps.append(None)
-            if len(steps) == 200:
+        def fails_at_step_200(kernel, k0, k1):
+            # a compiled call steps rows k0..k1 - 1: the call that would take step 200 raises
+            if len(steps) + k1 - k0 >= 200:
                 raise FloatingPointError("step 200")
-            return real(*args)
+            steps.extend(range(k0, k1))
+            return real(kernel, k0, k1)
 
-        monkeypatch.setattr(solver, "_apply", fails_at_step_200)
+        monkeypatch.setattr(solver._StageKernel, "__call__", fails_at_step_200)
         with pytest.raises(FloatingPointError, match="step 200"):
             run_batch(problems, configs)
         # the builder of 5 stages was waiting for a slot: only the kill ends it, and waitpid has reaped it
@@ -758,12 +792,16 @@ class TestPipeline:
 
     @pytest.mark.skipif(not CHILDREN.exists(), reason="needs /proc/<pid>/task/<pid>/children")
     def test_a_builder_whose_caller_is_killed_exits_by_itself(self):
-        # a redraw batch that runs until killed; the core gate is opened as in this class's fixture
+        # a redraw batch that runs until killed; the core gate is opened as in this class's fixture, and the compiled
+        # step is loaded first, so that its `cc --version` child is gone before the builder is looked for
         code = (
             "import os\n"
             "import msgdt as mg\n"
+            "from msgdt import _step\n"
             "from msgdt.solver import run_batch\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "_step.library()\n"
+            "print('loaded', flush=True)\n"
             "system = mg.gen_synthetic(mg.Dims(50, 20, 10, 10), 1)\n"
             "problems = [mg.ProblemInstance(a_tilde=system.a, b=system.b, model=mg.UniformMissing(p),\n"
             "                               x0=mg.zeros(20, 10, 10)) for p in (0.3, 0.5, 0.7)]\n"
@@ -773,8 +811,9 @@ class TestPipeline:
         )
         src = str(Path(mg.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE)
         try:
+            assert proc.stdout.readline() == b"loaded\n"
             children, deadline = Path(f"/proc/{proc.pid}/task/{proc.pid}/children"), time.monotonic() + 60
             while not children.read_text().split():
                 assert proc.poll() is None and time.monotonic() < deadline, "no builder was forked"
@@ -783,6 +822,7 @@ class TestPipeline:
         finally:
             proc.kill()
             proc.wait()
+            proc.stdout.close()
         deadline = time.monotonic() + 5
         while not has_exited(builder):
             assert time.monotonic() < deadline, f"builder {builder} outlived its caller by 5 s"
@@ -907,7 +947,7 @@ def kernel_step_runs(problems, configs):
                 g = _row_gradient(ahat, pbhat, y, coeffs, spec)
                 y = y - alphas[t - 1] * g
                 if cfg.projection_radius is not None:
-                    _project(_flat(y), cfg.projection_radius)
+                    numpy_project(y, cfg.projection_radius)
                 norms[t] = _norm(_flat(g))
         runs.append((spec.inverse(y[0], scaled=True), norms))
     return runs
@@ -922,7 +962,8 @@ FUSED_KINDS = pytest.mark.parametrize(
 
 
 class TestFusedStep:
-    """The step with each row's step size folded into its chunk's terms is the kernel's step, up to rounding."""
+    """The compiled step, with each row's step size folded into its chunk's terms, is the kernel's step, up to
+    rounding."""
 
     @FUSED_KINDS
     @pytest.mark.parametrize("runs", [1, 3])
@@ -939,14 +980,14 @@ class TestFusedStep:
         # step sizes near 1/L_g for each row, so that a step moves Y about as far as Y's own size
         p_sq = np.array([model.p for model in models]) ** 2
         alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
-        for k, terms in enumerate(zip(*stage_terms(chunk, pb, n, alphas, coeffs))):
-            y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
+        y = np.empty((runs, n // 2 + 1, l, q), np.complex128)
+        kernel = _stage_kernel(stage_slot(chunk, pb, n, alphas, coeffs), y, coeffs, None)
+        for k in range(rows):
+            y[...] = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
             want = y - alphas[k].reshape(-1, 1, 1, 1) * _row_gradient(chunk[k], pb[k], y, coeffs, spec)
-            got = _apply(terms, _views(y, coeffs), _views(np.empty_like(y), coeffs), coeffs)
-            assert got is y  # every model steps Y in place
+            kernel(k, k + 1)  # in place on y
             for r in range(runs):
-                assert np.linalg.norm(got[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
-        assert k == rows - 1
+                assert np.linalg.norm(y[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
 
     @pytest.mark.parametrize("project", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
@@ -1076,39 +1117,177 @@ class TestLipschitz:
         assert ratio <= bound * (1 + 1e-12)
 
 
+def compiled_project(arr, radius):
+    """Project the contiguous float64 or complex ``arr`` in place onto the ball of ``radius`` by the compiled step.
+
+    ``arr`` is one run of one frequency and one right-hand side, l its complex entries: a uniform step with S = 1
+    and u = 0 leaves it as it is, and the step then projects it.
+    """
+    y = arr.reshape(-1).view(np.complex128)
+    l = y.size
+    ahat, u, pbhat, scale = np.zeros(l, complex), np.zeros(l, complex), np.zeros(1, complex), np.ones(l, complex)
+    work = np.empty(l + 1, complex)
+    _step.library().step_uniform(1, 1, l, 1, ahat.ctypes.data, u.ctypes.data, pbhat.ctypes.data, scale.ctypes.data,
+                                 y.ctypes.data, work.ctypes.data, radius, 0, 1)
+
+
 class TestProjectBall:
-    """The loop's one projection: _project scales an array in place through its flat float64 view."""
+    """The loop's one projection, in the compiled step: each run scaled in place, by a sum of squares in C."""
 
     def test_scales_to_radius(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((2, 3, 2))
         r = np.linalg.norm(x) / 2
         proj = x.copy()
-        _project(_flat(proj), r)
+        compiled_project(proj, r)
         assert np.linalg.norm(proj) == pytest.approx(r, rel=1e-12)
         npt.assert_allclose(proj * 2, x, rtol=1e-12)
 
     @pytest.mark.parametrize("radius", [0.5, 100.0])
     def test_one_projection_for_tensors_and_spectra(self, radius):
-        # on a real tensor and on a complex spectrum, the bits of scaling the array itself by radius / norm
+        # on a real tensor and on a complex spectrum, numpy's projection up to the rounding of the norm: the C sum
+        # of the k squares runs in another order than np.dot's, and each is within k ulps of the exact sum
         rng = np.random.default_rng(17)
         x = rng.standard_normal((4, 3, 2))
         yhat = tube_spectrum(4).forward(x, scaled=True)  # real-valued at DC and Nyquist: the sine rows are exact zeros there
         for arr in (x, yhat):
-            norm = math.sqrt(float(np.dot(arr.view(np.float64).ravel(), arr.view(np.float64).ravel())))
-            want = arr * (radius / norm) if norm > radius else arr.copy()
-            _project(_flat(arr), radius)
-            assert arr.tobytes() == want.tobytes()
-            assert (norm > radius) == (radius == 0.5)
+            want = arr[None].copy()
+            numpy_project(want, radius)
+            inside = np.linalg.norm(arr) <= radius
+            compiled_project(arr, radius)
+            tol = 0.0 if inside else _flat(arr).size * np.finfo(np.float64).eps
+            assert np.linalg.norm(arr - want[0]) <= tol * np.linalg.norm(want)
+            assert inside == (radius == 100.0)
 
     def test_idempotent(self):
         # up to one rounding of the norm comparison
         rng = np.random.default_rng(16)
         once = rng.standard_normal((2, 3, 2))
-        _project(_flat(once), 1.0)
+        compiled_project(once, 1.0)
         twice = once.copy()
-        _project(_flat(twice), 1.0)
+        compiled_project(twice, 1.0)
         npt.assert_allclose(twice, once, rtol=1e-15)
+
+
+X86_64 = platform.machine() in ("x86_64", "AMD64")
+
+
+def cpu_flags() -> set[str]:
+    """The instruction set flags of this machine's first CPU, from /proc/cpuinfo (empty where there is none)."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines() if line.startswith("flags")), set())
+
+
+def random_stage(kind, runs, n, l, q, rows, block, rng):
+    """A filled slot of ``rows`` random masked rows for ``runs`` runs of one model kind, its coefficients and an
+    iterate, with step sizes near 1/L_g of each row."""
+    spec = tube_spectrum(n)
+    models = tuple(model_for(kind, p, block) for p in rng.uniform(0.2, 1.0, runs))
+    coeffs = _coefficients(models, spec, (runs,) if runs > 1 else ())
+    keep = rng.random((rows, runs, n, l)) < 0.6
+    chunk = spec.forward(keep * rng.standard_normal((rows, runs, n, l)), axis=2)
+    pb = spec.forward(rng.standard_normal((rows, runs, n, q)), axis=2, scaled=True)
+    p_sq = np.array([model.p for model in models]) ** 2
+    alphas = rng.uniform(0.1, 1.0, (rows, runs)) * p_sq / (1.0 + n * np.abs(chunk).sum(axis=(2, 3)) ** 2)
+    y = spec.forward(rng.standard_normal((runs, n, l, q)), axis=1, scaled=True)
+    return stage_slot(chunk, pb, n, alphas, coeffs), coeffs, y
+
+
+class TestCompiledStep:
+    """The compiled step against the numpy step, across instruction sets, and how it is built and cached."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "colblock", "frontal"]),
+        runs=st.integers(1, 8),
+        n=st.integers(1, 6),
+        l=st.integers(1, 6),
+        q=st.integers(1, 6),
+        project=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="uniform", runs=1, n=1, l=1, q=1, project=False, seed=0)
+    @example(kind="colblock", runs=8, n=1, l=1, q=2, project=True, seed=1)
+    @example(kind="frontal", runs=3, n=6, l=1, q=3, project=True, seed=2)
+    @example(kind="colblock", runs=2, n=5, l=6, q=4, project=False, seed=3)
+    # the frontal S Y in every tile: 4 rows and 8 + 2 columns, then 4 rows and 8 + 4 columns, and a last row
+    @example(kind="frontal", runs=2, n=4, l=5, q=5, project=True, seed=4)
+    @example(kind="frontal", runs=1, n=3, l=6, q=6, project=False, seed=5)
+    def test_each_step_is_the_numpy_step(self, kind, runs, n, l, q, project, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [b for b in range(1, l + 1) if l % b == 0]
+        slot, coeffs, y = random_stage(kind, runs, n, l, q, 6, blocks[seed % len(blocks)], rng)
+        # half the smallest run's norm: every run is projected at the first step, and stays near the ball after it
+        radius = 0.5 * min(np.linalg.norm(run) for run in y) if project else None
+        kernel = _stage_kernel(slot, y, coeffs, radius)
+        for k, terms in enumerate(zip(*slot.terms)):
+            want = numpy_step(terms, y.copy(), coeffs)
+            if project:
+                numpy_project(want, radius)
+            kernel(k, k + 1)
+            for r in range(runs):
+                assert np.linalg.norm(y[r] - want[r]) <= 1e-13 * np.linalg.norm(want[r]), (k, r)
+            y[...] = want  # each step from the oracle's iterate
+
+    @pytest.mark.parametrize("kind", ["uniform", "colblock", "frontal"])
+    def test_traced_iterations_split_the_calls_without_moving_a_bit(self, kind):
+        # a stage's untraced rows go in one call and a traced row in one of its own; rows 255 and 256 end the first
+        # 256-row stage, so a trace at 254 or 255 leaves one or two rows for a last call
+        problems, configs, _ = batch_runs(kind, "redraw", True, 3, 2, 70, m=300)
+        finals = set()
+        for every, extra in ((300, ()), (1, ()), (300, (1, 2, 255)), (300, (254,)), (300, (256,)), (7, (255, 257))):
+            runs = [dataclasses.replace(cfg, total_iters=300, trace_every=every, also_record=extra) for cfg in configs]
+            finals.add(tuple(res.x_final.data.tobytes() for res in run_batch(problems, runs)))
+        assert len(finals) == 1
+
+    @pytest.mark.skipif(not X86_64, reason="the builds below are x86-64 instruction sets")
+    @pytest.mark.skipif(not {"avx2", "fma", "bmi1", "bmi2", "f16c", "movbe"} <= cpu_flags(),
+                        reason="this CPU cannot run an x86-64-v3 build")
+    def test_every_instruction_set_gives_the_same_bits(self, tmp_path, monkeypatch):
+        # _step.c without its CPU dispatch, once for the x86-64 baseline (SSE2) and once for x86-64-v3 (AVX2, FMA)
+        libs = {"loaded": _step.library()}
+        for march in ("x86-64", "x86-64-v3"):
+            path = tmp_path / f"step-{march}.so"
+            _step.compile_source(_step.SOURCE, path, (*_step.FLAGS, "-DSTEP_CLONES=", f"-march={march}"))
+            libs[march] = _step.load(path)
+        for kind, block, (n, l, q) in (("uniform", 1, (10, 20, 10)), ("frontal", 1, (10, 20, 10)),
+                                       ("colblock", 4, (10, 20, 10)), ("frontal", 1, (24, 7, 3)),
+                                       ("colblock", 1, (1, 5, 1))):
+            for radius in (None, 1.0):
+                got = {}
+                for name, lib in libs.items():
+                    slot, coeffs, y = random_stage(kind, 3, n, l, q, 40, block, np.random.default_rng(n * l))
+                    monkeypatch.setattr(_step, "library", lambda lib=lib: lib)
+                    _stage_kernel(slot, y, coeffs, radius)(0, 40)
+                    got[name] = y.tobytes()
+                assert got["x86-64"] == got["loaded"] == got["x86-64-v3"], (kind, n, l, q, radius)
+
+    def test_the_build_is_cached_by_source_flags_and_compiler(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _step.library.cache_clear()
+        try:
+            _step.library()
+            built = sorted(p.name for p in (tmp_path / "msgdt").iterdir())
+            assert len(built) == 1 and re.fullmatch(r"_step-[0-9a-f]{64}\.so", built[0]), built
+            stamp = (tmp_path / "msgdt" / built[0]).stat().st_mtime_ns
+            _step.library.cache_clear()
+            _step.library()  # a second process: loads the build, compiles nothing
+            assert (tmp_path / "msgdt" / built[0]).stat().st_mtime_ns == stamp
+            assert sorted(p.name for p in (tmp_path / "msgdt").iterdir()) == built
+        finally:
+            _step.library.cache_clear()
+
+    def test_without_a_compiler_the_error_names_cc_and_the_source(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        _step.library.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=rf"{re.escape(str(_step.SOURCE))} .* no cc on PATH"):
+                _step.library()
+        finally:
+            _step.library.cache_clear()
 
 
 class TestRun:
